@@ -135,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--matrix", help="path to a matrix file (JSON rows/cols/data)")
         p.add_argument("--norm", default=None,
                        help="norm id: op, schatten:p (p decimal or 'inf'), wnum, omega "
-                            "(compute defaults to op; validate-norms defaults to the "
-                            "whole registry)")
+                            "(compute defaults to op; verify runs its norm-sweeping "
+                            "checks with this norm alone; validate-norms defaults to "
+                            "the whole registry)")
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--seed", type=int, default=2024)
         p.add_argument("--tol", type=float, default=1e-9)
@@ -235,8 +236,15 @@ def cmd_verify(config: RunConfig) -> int:
         unknown = [c for c in checks if c not in DEFAULT_CHECK_NAMES]
         if unknown:
             raise UsageError(f"checks: unknown check(s) {', '.join(unknown)}")
+    norm = None
+    if config.norm_id is not None:
+        try:
+            norm = parse_norm_id(config.norm_id)
+        except UnknownNormId as exc:
+            raise UsageError(f"norm: {exc}")
     report = run_suite(specs, checks=checks, trials=config.trials,
-                       tol=config.tol, opts=CheckOpts(), include_golden=True)
+                       tol=config.tol, opts=CheckOpts(), include_golden=True,
+                       norm=norm)
     if config.format == "machine":
         for rec in report.records:
             config.emit(_jrec([

@@ -156,9 +156,16 @@ def _normal(stream: Stream, n: int, scale: float) -> np.ndarray:
     return (u * d[None, :]) @ adjoint(u)
 
 
-def _square_zero(stream: Stream, n: int, scale: float) -> np.ndarray:
-    if n < 2:
+def _check_dim(kind: str, n: int) -> None:
+    """Raise ValueError if `kind` has no draw of dimension n (beyond n >= 1)."""
+    if kind == "square_zero" and n < 2:
         raise ValueError("square_zero needs dim >= 2")
+    if kind == "anticommuting_hermitian_pair" and n % 2 != 0:
+        raise ValueError("anticommuting_hermitian_pair needs an even dim")
+
+
+def _square_zero(stream: Stream, n: int, scale: float) -> np.ndarray:
+    _check_dim("square_zero", n)
     u = stream.cgaussians(n)
     v = stream.cgaussians(n)
     # two Gram-Schmidt passes push |<v, u>| to rounding level, so T^2 = 0
@@ -192,8 +199,7 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 def _anticommuting_pair(stream: Stream, n: int, scale: float):
-    if n % 2 != 0:
-        raise ValueError("anticommuting_hermitian_pair needs an even dim")
+    _check_dim("anticommuting_hermitian_pair", n)
     a, b = _commuting_pair(stream, n // 2, scale)
     return np.kron(_SIGMA_X, a), np.kron(_SIGMA_Z, b)
 
@@ -261,7 +267,8 @@ def generate_pair(spec: EnsembleSpec):
 
 
 def parse_ensemble_id(text: str) -> tuple[str, int]:
-    """Parse a CLI ensemble id like 'ginibre:4' into (kind, dim)."""
+    """Parse a CLI ensemble id like 'ginibre:4' into (kind, dim), rejecting
+    dimensions the kind cannot be drawn at."""
     parts = text.split(":")
     if len(parts) != 2 or parts[0] not in KIND_IDS:
         known = ", ".join(sorted(KIND_IDS))
@@ -272,7 +279,12 @@ def parse_ensemble_id(text: str) -> tuple[str, int]:
         raise ValueError(f"ensemble id {text!r}: dimension is not an integer") from None
     if dim < 1:
         raise ValueError(f"ensemble id {text!r}: dimension must be >= 1")
-    return KIND_IDS[parts[0]], dim
+    kind = KIND_IDS[parts[0]]
+    try:
+        _check_dim(kind, dim)
+    except ValueError as exc:
+        raise ValueError(f"ensemble id {text!r}: {exc}") from None
+    return kind, dim
 
 
 def ensemble_id(kind: str, dim: int) -> str:

@@ -45,6 +45,7 @@ from .ensembles import (
 )
 from .norms import NormSpec, registry
 from .radius import (
+    evaluate_chunked,
     generalized_radius,
     maximize_on_circle,
     minimize_on_circle,
@@ -255,9 +256,12 @@ def check_inf_upper(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
     h_many = None
     if norm.evaluate_many is not None:
         def h_many(phis):
-            res, ims = parts_many(phis)
-            return np.hypot(np.asarray(norm.evaluate_many(res), dtype=float),
-                            np.asarray(norm.evaluate_many(ims), dtype=float))
+            def hyp(a, b):
+                res, ims = parts_many(phis[a:b])
+                return np.hypot(np.asarray(norm.evaluate_many(res), dtype=float),
+                                np.asarray(norm.evaluate_many(ims), dtype=float))
+
+            return evaluate_chunked(hyp, phis.size, 2 * re.size)
 
     period = math.pi if norm.even else _TWO_PI
     points = max(8, opts.grid // 2 if norm.even else opts.grid)
@@ -285,7 +289,7 @@ def check_lower_bound(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
         raise RequiresAlgebraNorm(f"norm {norm.id!r} does not declare the algebra flag")
     arr = as_matrix(T, square=True)
     w_n = _wn(arr, norm, opts)
-    _, _, parts, parts_many = _cartesian_frames(arr, norm)
+    re, _, parts, parts_many = _cartesian_frames(arr, norm)
 
     def d(phi: float) -> float:
         a, b = parts(phi)
@@ -294,10 +298,13 @@ def check_lower_bound(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
     d_many = None
     if norm.evaluate_many is not None:
         def d_many(phis):
-            res, ims = parts_many(phis)
-            na = np.asarray(norm.evaluate_many(res), dtype=float)
-            nb = np.asarray(norm.evaluate_many(ims), dtype=float)
-            return np.abs(na ** 2 - nb ** 2)
+            def gap(a, b):
+                res, ims = parts_many(phis[a:b])
+                na = np.asarray(norm.evaluate_many(res), dtype=float)
+                nb = np.asarray(norm.evaluate_many(ims), dtype=float)
+                return np.abs(na ** 2 - nb ** 2)
+
+            return evaluate_chunked(gap, phis.size, 2 * re.size)
 
     period = math.pi if norm.even else _TWO_PI
     points = max(8, opts.grid // 2 if norm.even else opts.grid)
@@ -568,9 +575,13 @@ def check_omega_equality(T, *, opts: CheckOpts = DEFAULT_OPTS,
     w_om = _SQRT2 * w
     re, im = re_part(arr), im_part(arr)
     thetas = np.arange(720) * (_TWO_PI / 720)
-    stack = (np.cos(thetas)[:, None, None] * re
-             - np.sin(thetas)[:, None, None] * im)
-    norms_grid = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
+
+    def abs_tops(a, b):
+        stack = (np.cos(thetas[a:b])[:, None, None] * re
+                 - np.sin(thetas[a:b])[:, None, None] * im)
+        return np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
+
+    norms_grid = evaluate_chunked(abs_tops, thetas.size, re.size)
     max_dev = float(np.abs(om - 2.0 * _SQRT2 * norms_grid).max())
     if om == 0.0:
         cond_i = cond_ii = True
@@ -928,7 +939,8 @@ def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
 
 def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
               tol: float = DEFAULT_TOL, opts: CheckOpts = DEFAULT_OPTS,
-              include_golden: bool = False) -> SuiteReport:
+              include_golden: bool = False,
+              norm: Optional[NormSpec] = None) -> SuiteReport:
     """Run the selected checks over every applicable ensemble.
 
     Trial i of an ensemble uses seed `spec.seed + i`, so reports are pure
@@ -938,6 +950,9 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
     (check, ensemble) carries the message) and never abort other cells.
     With include_golden, every check's golden witness cases additionally
     run once each under the pseudo-ensemble "golden" (the CLI default).
+    A given `norm` replaces the norm sweep of every norm-sweeping check,
+    and golden cases pinned to another norm are skipped; checks without a
+    norm sweep are unaffected.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -955,16 +970,22 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
                 raise ValueError(f"unknown check {item!r} "
                                  f"(known: {', '.join(DEFAULT_CHECK_NAMES)})")
     norm_specs = registry()
+    if norm is not None:
+        norm_specs[norm.id] = norm
     records = []
     near = []
     for defn in selected:
         norm_ids = defn.norm_ids if defn.norm_ids else (None,)
+        if norm is not None and defn.norm_ids:
+            norm_ids = (norm.id,)
         if include_golden:
             for idx, case in enumerate(defn.golden):
-                norm = norm_specs[case.norm_id] if case.norm_id else None
+                if case.norm_id is not None and case.norm_id not in norm_ids:
+                    continue
+                case_norm = norm_specs[case.norm_id] if case.norm_id else None
                 label = defn.name if case.norm_id is None else f"{defn.name}[{case.norm_id}]"
                 try:
-                    report = _run_one(defn, case.matrices, norm, case.kind, opts, tol)
+                    report = _run_one(defn, case.matrices, case_norm, case.kind, opts, tol)
                     rec = _record_from_report(defn, case.norm_id, "golden", idx, 0, report)
                     rec = replace(rec, note=case.label)
                     if report.terms.get("near_equality"):
@@ -1006,9 +1027,9 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
                     continue
                 for norm_id in norm_ids:
                     label = defn.name if norm_id is None else f"{defn.name}[{norm_id}]"
-                    norm = norm_specs[norm_id] if norm_id else None
+                    trial_norm = norm_specs[norm_id] if norm_id else None
                     try:
-                        report = _run_one(defn, matrices, norm, kind_arg, opts, tol)
+                        report = _run_one(defn, matrices, trial_norm, kind_arg, opts, tol)
                         rec = _record_from_report(defn, norm_id, ens_name, trial,
                                                   seed, report)
                         if report.terms.get("near_equality"):

@@ -88,10 +88,11 @@ def schatten_norm_spec(p: float) -> NormSpec:
             return float(np.sum(sv ** p) ** (1.0 / p))
 
         def evaluate_many(stack):
-            arr = np.asarray(stack, dtype=np.complex128)
-            gram = np.matmul(np.conj(np.swapaxes(arr, -2, -1)), arr)
-            lam = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-            return np.sum(lam ** (p / 2.0), axis=-1) ** (1.0 / p)
+            # singular values straight from the SVD, as in evaluate: square
+            # roots of Gram eigenvalues would turn the rounding noise of zero
+            # singular values into ~1e-8 terms
+            sv = np.linalg.svd(np.asarray(stack, dtype=np.complex128), compute_uv=False)
+            return np.sum(sv ** p, axis=-1) ** (1.0 / p)
 
     return NormSpec(
         id=f"schatten:{p:g}",

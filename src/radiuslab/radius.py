@@ -36,8 +36,6 @@ from .matcore import (
     frobenius_norm,
     im_part,
     re_part,
-    spectral_norm,
-    spectral_norm_many,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -156,14 +154,15 @@ def minimize_on_circle(f, period: float, points: int, refine_tol: float,
     return x, -v, w, e
 
 
-def _chunked_norm_many(norm, build, count: int, entry_size: int):
-    """Evaluate norm.evaluate_many over `count` stacked matrices built by
-    `build(lo, hi)`, chunked to bound peak memory."""
+def evaluate_chunked(fn, count: int, entry_size: int) -> np.ndarray:
+    """The values fn(lo, hi) of grid points lo..hi-1, for all `count` points,
+    computed in chunks of at most _CHUNK_ENTRIES // entry_size points so a
+    grid stage never holds more than _CHUNK_ENTRIES stacked matrix entries."""
     out = np.empty(count)
     step = max(1, _CHUNK_ENTRIES // max(1, entry_size))
     for a in range(0, count, step):
         b = min(a + step, count)
-        out[a:b] = np.asarray(norm.evaluate_many(build(a, b)), dtype=float)
+        out[a:b] = np.asarray(fn(a, b), dtype=float)
     return out
 
 
@@ -189,10 +188,10 @@ def generalized_radius(T, norm, *, grid: int = 720, refine_tol: float = 1e-10,
         def f_many(thetas):
             c, s = np.cos(thetas), np.sin(thetas)
 
-            def build(a, b):
-                return c[a:b, None, None] * re - s[a:b, None, None] * im
+            def values(a, b):
+                return norm.evaluate_many(c[a:b, None, None] * re - s[a:b, None, None] * im)
 
-            return _chunked_norm_many(norm, build, thetas.size, n * n)
+            return evaluate_chunked(values, thetas.size, n * n)
 
     x, v, width, evals = maximize_on_circle(f, period, points, refine_tol,
                                             top_brackets, f_many)
@@ -226,8 +225,12 @@ def numerical_radius(T, *, grid: int = 720, refine_tol: float = 1e-10,
 
     def f_many(thetas):
         c, s = np.cos(thetas), np.sin(thetas)
-        stack = c[:, None, None] * re - s[:, None, None] * im
-        return np.linalg.eigvalsh(stack)[..., -1]
+
+        def tops(a, b):
+            stack = c[a:b, None, None] * re - s[a:b, None, None] * im
+            return np.linalg.eigvalsh(stack)[..., -1]
+
+        return evaluate_chunked(tops, thetas.size, re.size)
 
     x, v, width, evals = maximize_on_circle(f, _TWO_PI, max(8, grid), refine_tol,
                                             top_brackets, f_many)
@@ -271,10 +274,10 @@ def alphabeta_radius(T, norm, grid: int = 720, *, refine_tol: float = 1e-10,
         def f_many(ts):
             c, s = np.cos(ts), np.sin(ts)
 
-            def build(a, b):
-                return c[a:b, None, None] * re + s[a:b, None, None] * im
+            def values(a, b):
+                return norm.evaluate_many(c[a:b, None, None] * re + s[a:b, None, None] * im)
 
-            return _chunked_norm_many(norm, build, ts.size, n * n)
+            return evaluate_chunked(values, ts.size, n * n)
 
     _, v, _, _ = maximize_on_circle(f, period, points, refine_tol, top_brackets, f_many)
     return float(v)
@@ -298,6 +301,74 @@ def _canonical_phase(arr: np.ndarray) -> float:
     return cmath.phase(complex(flat[k]))
 
 
+def _omega_basis(arr: np.ndarray) -> np.ndarray:
+    """The four Hermitian matrices whose real combinations are the Gram
+    matrices of the Omega objective.
+
+    With c = cos(s), sigma = sin(s) and M = c A + exp(i psi) sigma A*,
+    M* M = c^2 A*A + sigma^2 AA* + 2 c sigma (cos(psi) Re(A*^2) - sin(psi) Im(A*^2)),
+    so ||M||^2 is the top eigenvalue of that real combination.  Returned as
+    the (4, n, n) stack [A*A, AA*, Re(A*^2), Im(A*^2)].
+    """
+    at = adjoint(arr)
+    sq = at @ at
+    return np.stack([re_part(at @ arr), re_part(arr @ at), re_part(sq), im_part(sq)])
+
+
+def _omega_grid(basis: np.ndarray, s_nodes: np.ndarray, p_nodes: np.ndarray):
+    """||cos(s) A + exp(i psi) sin(s) A*|| on the full s_nodes x p_nodes grid.
+
+    Only the rows s <= pi/4 are evaluated: the matrices at (s, psi) and
+    (pi/2 - s, psi) are adjoints of each other up to a unit phase, so each
+    evaluated row is mirrored onto row grid_s - 1 - i (s_nodes must be
+    symmetric about pi/4, as linspace(0, pi/2, grid_s) is).  Every chunk's
+    Gram stack is one real product of its weights with the basis.  Returns
+    (values of shape (grid_s, grid_psi), grid points evaluated).
+    """
+    n = basis.shape[-1]
+    grid_s, grid_psi = s_nodes.size, p_nodes.size
+    rows = (grid_s + 1) // 2
+    c = np.cos(s_nodes[:rows])[:, None]
+    sigma = np.sin(s_nodes[:rows])[:, None]
+    cs = 2.0 * c * sigma
+    weights = np.empty((rows, grid_psi, 4))
+    weights[..., 0] = c * c
+    weights[..., 1] = sigma * sigma
+    weights[..., 2] = cs * np.cos(p_nodes)
+    weights[..., 3] = -cs * np.sin(p_nodes)
+    weights = weights.reshape(-1, 4)
+    # complex entries viewed as (re, im) float pairs: real weights act on both
+    flat = basis.reshape(4, n * n).view(np.float64)
+
+    def tops(a, b):
+        gram = (weights[a:b] @ flat).view(np.complex128).reshape(b - a, n, n)
+        return np.linalg.eigvalsh(gram)[..., -1]
+
+    half = np.sqrt(np.maximum(evaluate_chunked(tops, weights.shape[0], n * n), 0.0))
+    half = half.reshape(rows, grid_psi)
+    vals = np.empty((grid_s, grid_psi))
+    vals[:rows] = half
+    vals[rows:] = half[: grid_s - rows][::-1]
+    return vals, half.size
+
+
+def _omega_objective(basis: np.ndarray):
+    """g(s, psi) = ||cos(s) A + exp(i psi) sin(s) A*|| from the Gram basis:
+    four scalar weights, one n x n combination and one eigvalsh per probe."""
+    n = basis.shape[-1]
+    flat = basis.reshape(4, n * n).view(np.float64)
+
+    def g(s: float, psi: float) -> float:
+        c, sigma = math.cos(s), math.sin(s)
+        cs = 2.0 * c * sigma
+        gram = np.dot((c * c, sigma * sigma, cs * math.cos(psi), -cs * math.sin(psi)),
+                      flat)
+        top = np.linalg.eigvalsh(gram.view(np.complex128).reshape(n, n))[-1]
+        return math.sqrt(top) if top > 0.0 else 0.0
+
+    return g
+
+
 def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
                refine_tol: float = 1e-9, top_cells: int = 5,
                max_rounds: int = 100) -> OmegaResult:
@@ -315,34 +386,25 @@ def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
     coefficient pair (zeta is kept real non-negative), and the global phase
     of T itself (the search runs on a phase-canonicalized copy and the
     maximizing psi is mapped back), so scalar multiples of one matrix see
-    the same search landscape.
+    the same search landscape.  A third, s <-> pi/2 - s, halves the grid
+    (`_omega_grid`); every value comes from the Gram basis of `_omega_basis`.
+    `evaluations` counts the grid points and probes actually evaluated.
     """
     if grid_s < 4 or grid_psi < 4:
         raise ValueError("omega grids need at least 4 points per axis")
     raw = as_matrix(T, square=True)
     gamma = _canonical_phase(raw)
     arr = raw * complex(math.cos(-gamma), math.sin(-gamma)) if gamma != 0.0 else raw
-    at = adjoint(arr)
-    n = arr.shape[0]
+    basis = _omega_basis(arr)
     half_pi = math.pi / 2
     s_nodes = np.linspace(0.0, half_pi, grid_s)
     p_nodes = np.arange(grid_psi) * (_TWO_PI / grid_psi)
 
-    coef_a = np.repeat(np.cos(s_nodes), grid_psi)
-    coef_b = (np.sin(s_nodes)[:, None] * np.exp(1j * p_nodes)[None, :]).ravel()
-    count = coef_a.size
-    vals = np.empty(count)
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for a in range(0, count, step):
-        b = min(a + step, count)
-        stack = (coef_a[a:b, None, None] * arr + coef_b[a:b, None, None] * at)
-        vals[a:b] = spectral_norm_many(stack)
-    evals = count
+    grid, evals = _omega_grid(basis, s_nodes, p_nodes)
+    vals = grid.ravel()
+    g = _omega_objective(basis)
 
-    def g(s: float, psi: float) -> float:
-        return spectral_norm(math.cos(s) * arr + (cmath.exp(1j * psi) * math.sin(s)) * at)
-
-    ii, jj = np.divmod(np.arange(count), grid_psi)
+    ii, jj = np.divmod(np.arange(vals.size), grid_psi)
     order = np.lexsort((jj, ii, -vals))[: max(1, top_cells)]
     ds = half_pi / (grid_s - 1)
     dp = _TWO_PI / grid_psi

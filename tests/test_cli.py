@@ -151,6 +151,25 @@ class TestVerify:
     def test_unknown_check(self):
         assert cli.main(["verify", "--checks", "bogus", "--trials", "1"]) == 2
 
+    def test_unknown_norm(self):
+        assert cli.main(["verify", "--checks", "basic", "--norm", "bogus",
+                         "--trials", "1", "--ensembles", "ginibre:2"]) == 2
+
+    def test_norm_restricts_sweep(self, tmp_path):
+        code, text = run_cli(["verify", "--checks", "inf-upper", "--norm", "schatten:1",
+                              "--trials", "1", "--ensembles", "ginibre:2",
+                              "--format", "machine"], tmp_path)
+        assert code == 0
+        recs = [r for r in machine_records(text) if r["record"] == "check"]
+        assert recs
+        assert {r["name"] for r in recs} == {"inf-upper[schatten:1]"}
+
+    def test_undrawable_ensemble_dims(self):
+        assert cli.main(["verify", "--checks", "basic", "--ensembles", "nil:1",
+                         "--trials", "1"]) == 2
+        assert cli.main(["verify", "--checks", "commuting-product", "--ensembles",
+                         "anticommute:3", "--trials", "1"]) == 2
+
 
 class TestPaperExample:
     def test_default_run_passes(self, tmp_path):

@@ -164,6 +164,14 @@ class TestPairsAndIds:
         with pytest.raises(ValueError):
             parse_ensemble_id(bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("nil:1", "square_zero needs dim >= 2"),
+        ("anticommute:3", "anticommuting_hermitian_pair needs an even dim"),
+    ])
+    def test_undrawable_dims(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            parse_ensemble_id(bad)
+
     def test_unit_vectors(self):
         vecs = random_unit_vectors(1, 50, 5)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)

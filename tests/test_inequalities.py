@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from radiuslab import inequalities as iq
+from radiuslab import radius
 from radiuslab.ensembles import EnsembleSpec, generate, generate_pair
 from radiuslab.norms import numerical_radius_norm_spec, operator_norm_spec, schatten_norm_spec
 
@@ -433,3 +434,22 @@ class TestSuiteRunner:
         rep2 = iq.run_suite(list(reversed(specs)), checks=["basic"], trials=3)
         assert rep1.records == rep2.records
         assert rep1.aggregates == rep2.aggregates
+
+
+class TestChunkedGrids:
+    def test_small_chunks_give_identical_results(self, monkeypatch):
+        t = generate(EnsembleSpec("ginibre", 4, 31))
+        s1 = schatten_norm_spec(1)
+
+        def run():
+            return (
+                [iq.check_inf_upper(t, norm).terms for norm in (OP, S2, s1)],
+                [iq.check_lower_bound(t, norm).terms for norm in (OP, S2)],
+                iq.check_omega_equality(t).terms,
+                radius.numerical_radius(t, method="lambda-max"),
+            )
+
+        default = run()
+        # 50 entries hold three 4x4 matrices, or one pair of parts
+        monkeypatch.setattr(radius, "_CHUNK_ENTRIES", 50)
+        assert run() == default

@@ -15,6 +15,7 @@ from radiuslab.norms import (
     schatten_norm_spec,
     validate_norm,
 )
+from radiuslab.radius import generalized_radius
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 WORKED = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -172,3 +173,22 @@ class TestRegistryAndIds:
     def test_unknown_ids(self, bad):
         with pytest.raises(UnknownNormId):
             parse_norm_id(bad)
+
+
+class TestSchattenBatched:
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_square_zero_rank_deficient(self, dim):
+        s1 = schatten_norm_spec(1)
+        s3 = schatten_norm_spec(3)
+        thetas = np.arange(36) * (2 * math.pi / 36)
+        for seed in range(3):
+            t = generate(EnsembleSpec("square_zero", dim, 40 + seed))
+            re, im = matcore.re_part(t), matcore.im_part(t)
+            stack = np.cos(thetas)[:, None, None] * re - np.sin(thetas)[:, None, None] * im
+            for spec in (s1, s3):
+                many = spec.evaluate_many(stack)
+                one = np.array([spec.evaluate(m) for m in stack])
+                np.testing.assert_allclose(many, one, rtol=1e-12)
+            # Re(e^{i theta} T) has eigenvalues +/- ||T||/2 and zeros
+            nrm = matcore.spectral_norm(t)
+            assert generalized_radius(t, s1).value == pytest.approx(nrm, rel=1e-12)

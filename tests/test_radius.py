@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radiuslab import matcore
+from radiuslab import matcore, radius
 from radiuslab.ensembles import EnsembleSpec, generate
 from radiuslab.norms import (
     frobenius_norm_spec,
@@ -146,6 +146,76 @@ class TestOmegaNorm:
             nrm = matcore.spectral_norm(a)
             om = omega_norm(a).value
             assert nrm - 1e-9 <= om <= math.sqrt(2.0) * nrm + 1e-9
+
+
+def _reference_omega_grid(a, grid_s, grid_psi):
+    """The direct grid evaluation: build cos(s) A + exp(i psi) sin(s) A*
+    for every node and take its spectral norm, one s row at a time."""
+    at = matcore.adjoint(a)
+    s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
+    p_nodes = np.arange(grid_psi) * (2 * math.pi / grid_psi)
+    out = np.empty((grid_s, grid_psi))
+    for i, s in enumerate(s_nodes):
+        coef_b = math.sin(s) * np.exp(1j * p_nodes)
+        stack = math.cos(s) * a + coef_b[:, None, None] * at
+        out[i] = matcore.spectral_norm_many(stack)
+    return out
+
+
+def _svd_norm(a):
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+OMEGA_KINDS = ("ginibre", "normal", "hermitian", "square_zero")
+
+
+class TestOmegaGramGrid:
+    @pytest.mark.parametrize("kind", OMEGA_KINDS)
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("grid_s, grid_psi", [(13, 24), (96, 192)])
+    def test_matches_direct_grid(self, kind, dim, grid_s, grid_psi):
+        a = generate(EnsembleSpec(kind, dim, 900 + dim))
+        s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
+        p_nodes = np.arange(grid_psi) * (2 * math.pi / grid_psi)
+        vals, evaluated = radius._omega_grid(radius._omega_basis(a), s_nodes, p_nodes)
+        ref = _reference_omega_grid(a, grid_s, grid_psi)
+        assert evaluated == ((grid_s + 1) // 2) * grid_psi
+        scale = ref.max()
+        # both sides are square roots of Gram eigenvalues: compare those to
+        # the grid's scale, and the norms themselves wherever no cancellation
+        # drives them to rounding level (Hermitian T at s = pi/4, psi = pi)
+        np.testing.assert_allclose(vals ** 2, ref ** 2, rtol=1e-12, atol=1e-12 * scale ** 2)
+        away = ref > 1e-4 * scale
+        np.testing.assert_allclose(vals[away], ref[away], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", OMEGA_KINDS)
+    def test_mirror_identity_and_probe(self, kind):
+        rng = np.random.default_rng(17)
+        for dim in (2, 3, 8):
+            a = generate(EnsembleSpec(kind, dim, 950 + dim))
+            at = matcore.adjoint(a)
+            g = radius._omega_objective(radius._omega_basis(a))
+            for s, psi in zip(rng.uniform(0, math.pi / 2, 10), rng.uniform(0, 2 * math.pi, 10)):
+                phase = np.exp(1j * psi)
+                lhs = _svd_norm(math.cos(s) * a + phase * math.sin(s) * at)
+                rhs = _svd_norm(math.sin(s) * a + phase * math.cos(s) * at)
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
+                assert g(s, psi) == pytest.approx(lhs, rel=1e-12, abs=1e-12 * _svd_norm(a))
+
+    @pytest.mark.parametrize("kind", OMEGA_KINDS)
+    def test_value_attained_at_argmax(self, kind):
+        for dim in (2, 3, 8):
+            t = generate(EnsembleSpec(kind, dim, 980 + dim))
+            for opts in ({}, radius.SLOW_OMEGA_INNER):
+                res = omega_norm(t, **opts)
+                s, psi = res.argmax
+                at_max = math.cos(s) * t + np.exp(1j * psi) * math.sin(s) * matcore.adjoint(t)
+                assert res.value == pytest.approx(_svd_norm(at_max), rel=1e-12)
+
+    @pytest.mark.parametrize("grid_s, rows", [(13, 7), (12, 6)])
+    def test_evaluations_count_half_grid(self, grid_s, rows):
+        res = omega_norm(WORKED, grid_s=grid_s, grid_psi=24, top_cells=1, max_rounds=0)
+        assert res.evaluations == rows * 24
 
 
 class TestOmegaVectorLowerBound:
