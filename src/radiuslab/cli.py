@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,8 @@ from .inequalities import (
     CheckOpts,
     run_suite,
 )
-from .matcore import MatrixShapeError, NonFiniteEntry, im_part, re_part, spectral_norm, frobenius_norm
+from .matcore import (MatrixShapeError, NonFiniteEntry, frobenius_norm, hermitian_norm,
+                      im_part, re_part, spectral_norm)
 from .matfile import MatrixFormatError, load_matrix
 from .norms import UnknownNormId, omega_norm_spec, parse_norm_id, registry, validate_norm
 from .radius import (
@@ -38,9 +39,11 @@ from .radius import (
     SLOW_OMEGA_OUTER,
     generalized_radius,
     hs_radius_sq,
+    im_coefficients,
+    minimize_on_circle,
     numerical_radius,
     omega_norm,
-    minimize_on_circle,
+    rotated_objective,
 )
 
 EXIT_OK = 0
@@ -233,6 +236,8 @@ def cmd_verify(config: RunConfig) -> int:
         specs.append(EnsembleSpec(kind, dim, config.seed))
     checks = list(config.checks) if config.checks is not None else None
     if checks is not None:
+        if not checks:
+            raise UsageError("checks: no check names given")
         unknown = [c for c in checks if c not in DEFAULT_CHECK_NAMES]
         if unknown:
             raise UsageError(f"checks: unknown check(s) {', '.join(unknown)}")
@@ -246,23 +251,11 @@ def cmd_verify(config: RunConfig) -> int:
                        tol=config.tol, opts=CheckOpts(), include_golden=True,
                        norm=norm)
     if config.format == "machine":
+        # one JSON field per dataclass field, in declaration order
         for rec in report.records:
-            config.emit(_jrec([
-                ("record", "check"), ("name", rec.name),
-                ("paper_tag", rec.paper_tag), ("ensemble", rec.ensemble),
-                ("trial", rec.trial), ("seed", rec.seed), ("status", rec.status),
-                ("lhs", rec.lhs), ("rhs", rec.rhs), ("slack", rec.slack),
-                ("holds", rec.holds), ("tolerance", rec.tolerance),
-                ("scale", rec.scale), ("input_digest", rec.input_digest),
-                ("note", rec.note),
-            ]))
+            config.emit(_jrec([("record", "check")] + list(asdict(rec).items())))
         for agg in report.aggregates:
-            config.emit(_jrec([
-                ("record", "aggregate"), ("name", agg.name),
-                ("records", agg.records), ("min_slack", agg.min_slack),
-                ("failures", agg.failures), ("inapplicable", agg.inapplicable),
-                ("errors", agg.errors),
-            ]))
+            config.emit(_jrec([("record", "aggregate")] + list(asdict(agg).items())))
         config.emit(_jrec([
             ("record", "summary"), ("records", len(report.records)),
             ("failures", report.failures), ("errors", report.errors),
@@ -296,21 +289,17 @@ def cmd_paper_example(config: RunConfig) -> int:
     w = numerical_radius(arr).value
     re_norm = spectral_norm(re_part(arr))
     im_norm = spectral_norm(im_part(arr))
-    re, im = re_part(arr), im_part(arr)
 
     phis = np.arange(360) * (2.0 * math.pi / 360)
-    stack = (np.cos(phis)[:, None, None] * re - np.sin(phis)[:, None, None] * im)
-    grid_sq = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1) ** 2
+    grid_sq = rotated_objective(arr, hermitian_norm, hermitian_norm)(phis) ** 2
     c2 = np.cos(phis) ** 2
     formula = (1.0 + 2.0 * c2) / 4.0 + np.sqrt(c2 + c2 ** 2) / 2.0
     formula_dev = float(np.abs(grid_sq - formula).max())
 
-    def h(phi: float) -> float:
-        a = math.cos(phi) * re - math.sin(phi) * im
-        b = math.sin(phi) * re + math.cos(phi) * im
-        return math.hypot(spectral_norm(a), spectral_norm(b))
-
-    _, inf_v, _, _ = minimize_on_circle(h, math.pi, 360, 1e-10, 5)
+    re_n = rotated_objective(arr, spectral_norm)
+    im_n = rotated_objective(arr, spectral_norm, coefficients=im_coefficients)
+    _, inf_v, _, _ = minimize_on_circle(lambda phi: np.hypot(re_n(phi), im_n(phi)),
+                                        math.pi, 360, 1e-10, 5)
     total = re_norm + im_norm
 
     expect_w = (1.0 + math.sqrt(2.0)) / 2.0

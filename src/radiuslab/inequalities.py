@@ -14,14 +14,17 @@ the suite runner turns those into "inapplicable" records, never passes.
 
 The sup/inf over a rotation angle that several bounds need reuses the same
 grid + golden-section machinery as the radius optimizers, keeping error
-budgets uniform across the package.
+budgets uniform across the package: each bound is one objective from
+angles to values over `radius.rotated_objective`, which the grid calls on
+one chunked stack and each probe on one angle through `norm.evaluate`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +35,7 @@ from .matcore import (
     cayley_unitary,
     frobenius_norm,
     hermitian_defect,
+    hermitian_norm,
     im_part,
     re_part,
     spectral_norm,
@@ -45,13 +49,14 @@ from .ensembles import (
 )
 from .norms import NormSpec, registry
 from .radius import (
-    evaluate_chunked,
     generalized_radius,
+    im_coefficients,
     maximize_on_circle,
     minimize_on_circle,
     numerical_radius,
     omega_norm,
     omega_radius_slow,
+    rotated_objective,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -97,17 +102,6 @@ class CheckOpts:
 
 DEFAULT_OPTS = CheckOpts()
 DEFAULT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SupOverPhi:
-    """An extremum over the rotation angle: value, maximizer, and the grid /
-    refinement settings that produced it."""
-
-    value: float
-    argmax_phi: float
-    grid: int
-    refine_tol: float
 
 
 @dataclass(frozen=True)
@@ -182,23 +176,6 @@ def _omega(arr, opts: CheckOpts) -> float:
                       top_cells=opts.omega_top_cells).value
 
 
-def _cartesian_frames(arr, norm: NormSpec):
-    """Batched evaluators of N(Re(e^{i phi} T)) and N(Im(e^{i phi} T))."""
-    re, im = re_part(arr), im_part(arr)
-
-    def parts(phi: float):
-        c, s = math.cos(phi), math.sin(phi)
-        return c * re - s * im, s * re + c * im
-
-    def parts_many(phis):
-        c, s = np.cos(phis), np.sin(phis)
-        res = c[:, None, None] * re - s[:, None, None] * im
-        ims = s[:, None, None] * re + c[:, None, None] * im
-        return res, ims
-
-    return re, im, parts, parts_many
-
-
 def check_basic_bounds(T, *, opts: CheckOpts = DEFAULT_OPTS,
                        tol: float = DEFAULT_TOL) -> InequalityReport:
     """||T||/2 <= w(T) <= ||T||, the two-sided norm equivalence.
@@ -247,34 +224,19 @@ def check_inf_upper(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
     inf <= sqrt(N^2(Re T) + N^2(Im T)) <= N(Re T) + N(Im T)."""
     arr = as_matrix(T, square=True)
     w_n = _wn(arr, norm, opts)
-    re, im, parts, parts_many = _cartesian_frames(arr, norm)
-
-    def h(phi: float) -> float:
-        a, b = parts(phi)
-        return math.hypot(norm.evaluate(a), norm.evaluate(b))
-
-    h_many = None
-    if norm.evaluate_many is not None:
-        def h_many(phis):
-            def hyp(a, b):
-                res, ims = parts_many(phis[a:b])
-                return np.hypot(np.asarray(norm.evaluate_many(res), dtype=float),
-                                np.asarray(norm.evaluate_many(ims), dtype=float))
-
-            return evaluate_chunked(hyp, phis.size, 2 * re.size)
-
+    re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
+    im_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many, im_coefficients)
     period = math.pi if norm.even else _TWO_PI
     points = max(8, opts.grid // 2 if norm.even else opts.grid)
-    phi, inf_v, _, _ = minimize_on_circle(h, period, points, opts.refine_tol,
-                                          opts.top_brackets, h_many)
-    extremum = SupOverPhi(value=float(inf_v), argmax_phi=float(phi % _TWO_PI),
-                          grid=points, refine_tol=opts.refine_tol)
-    n_re, n_im = norm.evaluate(re), norm.evaluate(im)
+    phi, inf_v, _, _ = minimize_on_circle(lambda phis: np.hypot(re_n(phis), im_n(phis)),
+                                          period, points, opts.refine_tol,
+                                          opts.top_brackets)
+    n_re, n_im = norm.evaluate(re_part(arr)), norm.evaluate(im_part(arr))
     mid1 = math.hypot(n_re, n_im)
     mid2 = n_re + n_im
-    comparisons = [("main", w_n, extremum.value), ("inf-vs-phi0", extremum.value, mid1),
+    comparisons = [("main", w_n, inf_v), ("inf-vs-phi0", inf_v, mid1),
                    ("quadratic-vs-sum", mid1, mid2)]
-    terms = {"w_N": w_n, "inf": extremum.value, "inf_argmin_phi": extremum.argmax_phi,
+    terms = {"w_N": w_n, "inf": inf_v, "inf_argmin_phi": float(phi % _TWO_PI),
              "re_norm": n_re, "im_norm": n_im, "sqrt_sum_sq": mid1, "sum": mid2}
     return _report("inf-upper", "cauchy-schwarz-inf-upper", comparisons,
                    max(w_n, mid2), tol, terms, _digest([arr], norm.id))
@@ -289,35 +251,19 @@ def check_lower_bound(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
         raise RequiresAlgebraNorm(f"norm {norm.id!r} does not declare the algebra flag")
     arr = as_matrix(T, square=True)
     w_n = _wn(arr, norm, opts)
-    re, _, parts, parts_many = _cartesian_frames(arr, norm)
-
-    def d(phi: float) -> float:
-        a, b = parts(phi)
-        return abs(norm.evaluate(a) ** 2 - norm.evaluate(b) ** 2)
-
-    d_many = None
-    if norm.evaluate_many is not None:
-        def d_many(phis):
-            def gap(a, b):
-                res, ims = parts_many(phis[a:b])
-                na = np.asarray(norm.evaluate_many(res), dtype=float)
-                nb = np.asarray(norm.evaluate_many(ims), dtype=float)
-                return np.abs(na ** 2 - nb ** 2)
-
-            return evaluate_chunked(gap, phis.size, 2 * re.size)
-
+    re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
+    im_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many, im_coefficients)
     period = math.pi if norm.even else _TWO_PI
     points = max(8, opts.grid // 2 if norm.even else opts.grid)
-    phi, sup_v, _, _ = maximize_on_circle(d, period, points, opts.refine_tol,
-                                          opts.top_brackets, d_many)
-    extremum = SupOverPhi(value=float(sup_v), argmax_phi=float(phi % _TWO_PI),
-                          grid=points, refine_tol=opts.refine_tol)
+    phi, sup_v, _, _ = maximize_on_circle(lambda phis: abs(re_n(phis) ** 2 - im_n(phis) ** 2),
+                                          period, points, opts.refine_tol,
+                                          opts.top_brackets)
     quarter = norm.evaluate(arr @ adjoint(arr) + adjoint(arr) @ arr) / 4.0
-    lhs = quarter + 0.5 * extremum.value
+    lhs = quarter + 0.5 * sup_v
     rhs = w_n ** 2
     comparisons = [("refined", lhs, rhs), ("quarter-only", quarter, rhs)]
-    terms = {"w_N": w_n, "quarter_term": quarter, "sup_difference": extremum.value,
-             "sup_argmax_phi": extremum.argmax_phi}
+    terms = {"w_N": w_n, "quarter_term": quarter, "sup_difference": sup_v,
+             "sup_argmax_phi": float(phi % _TWO_PI)}
     return _report("lower-bound", "algebra-lower-bound", comparisons,
                    max(lhs, rhs), tol, terms, _digest([arr], norm.id))
 
@@ -573,15 +519,8 @@ def check_omega_equality(T, *, opts: CheckOpts = DEFAULT_OPTS,
     om = _omega(arr, opts)
     w = _w(arr, opts)
     w_om = _SQRT2 * w
-    re, im = re_part(arr), im_part(arr)
     thetas = np.arange(720) * (_TWO_PI / 720)
-
-    def abs_tops(a, b):
-        stack = (np.cos(thetas[a:b])[:, None, None] * re
-                 - np.sin(thetas[a:b])[:, None, None] * im)
-        return np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
-
-    norms_grid = evaluate_chunked(abs_tops, thetas.size, re.size)
+    norms_grid = rotated_objective(arr, hermitian_norm, hermitian_norm)(thetas)
     max_dev = float(np.abs(om - 2.0 * _SQRT2 * norms_grid).max())
     if om == 0.0:
         cond_i = cond_ii = True
@@ -674,19 +613,12 @@ def check_hs_pair(T, S, *, opts: CheckOpts = DEFAULT_OPTS,
     tr_t2 = complex(np.einsum("ij,ji->", t, t))
     tr_t2_adj = complex(np.einsum("ij,ji->", adjoint(t), adjoint(t)))
 
-    def q(phi: float) -> float:
-        return abs(np.exp(2j * phi) * tr_t2 + np.exp(-2j * phi) * tr_t2_adj)
-
-    def q_many(phis):
+    def q(phis):
         ph = np.exp(2j * phis)
         return np.abs(ph * tr_t2 + np.conj(ph) * tr_t2_adj)
 
-    points = max(8, opts.grid // 2)
-    phi, sup_v, _, _ = maximize_on_circle(q, math.pi, points, opts.refine_tol,
-                                          opts.top_brackets, q_many)
-    extremum = SupOverPhi(value=float(sup_v), argmax_phi=float(phi % _TWO_PI),
-                          grid=points, refine_tol=opts.refine_tol)
-    sup_grid = extremum.value
+    phi, sup_grid, _, _ = maximize_on_circle(q, math.pi, max(8, opts.grid // 2),
+                                             opts.refine_tol, opts.top_brackets)
     closed = 2.0 * abs(tr_t2)
     lhs_i = frobenius_norm(t @ adjoint(t) + adjoint(t) @ t) + sup_grid
     rhs_i = 2.0 * (frobenius_norm(t) ** 2 + abs(tr_t2))
@@ -703,7 +635,7 @@ def check_hs_pair(T, S, *, opts: CheckOpts = DEFAULT_OPTS,
                     1e-10 * max(1.0, closed))]
     terms = {"lhs_i": lhs_i, "rhs_i": rhs_i, "lhs_ii": lhs_ii, "rhs_ii": rhs_ii,
              "phi_sup_grid": sup_grid, "phi_sup_closed": closed,
-             "sup_argmax_phi": extremum.argmax_phi}
+             "sup_argmax_phi": float(phi % _TWO_PI)}
     return _report("hs-pair", "hilbert-schmidt-trace-bounds", comparisons,
                    max(lhs_i, rhs_i, lhs_ii, rhs_ii), tol, terms,
                    _digest([t, s]))
@@ -915,16 +847,44 @@ class SuiteReport:
     near_equality: tuple
 
 
-def _record_from_report(defn: CheckDef, norm_id, ensemble: str, trial: int,
-                        seed: int, report: InequalityReport) -> SuiteRecord:
+def _cell_record(defn: CheckDef, norm_id, ensemble: str, trial: int, seed: int,
+                 tol: float, run: Callable, note: str = ""):
+    """The record of one suite cell and its report, None unless run()
+    returned one.  A CheckInapplicable from run() makes an "inapplicable"
+    record and any other exception an "error" record noted
+    "{type}: {message}"; `note` goes on a record whose check ran."""
+    try:
+        report = run()
+    except CheckInapplicable as exc:
+        report, status, note = None, "inapplicable", str(exc)
+    except Exception as exc:
+        report, status, note = None, "error", f"{type(exc).__name__}: {exc}"
+    else:
+        status = "ok" if report.holds else "violation"
+    if report is None:
+        values = dict(paper_tag=defn.tag, lhs=math.nan, rhs=math.nan, slack=math.nan,
+                      holds=False, tolerance=tol, scale=math.nan, input_digest="")
+    else:
+        values = dict(paper_tag=report.paper_tag, lhs=report.lhs, rhs=report.rhs,
+                      slack=report.slack, holds=report.holds,
+                      tolerance=report.tolerance, scale=report.terms.get("scale", 1.0),
+                      input_digest=report.input_digest)
     name = defn.name if norm_id is None else f"{defn.name}[{norm_id}]"
-    return SuiteRecord(
-        name=name, paper_tag=report.paper_tag, ensemble=ensemble, trial=trial,
-        seed=seed, status="ok" if report.holds else "violation",
-        lhs=report.lhs, rhs=report.rhs, slack=report.slack, holds=report.holds,
-        tolerance=report.tolerance, scale=report.terms.get("scale", 1.0),
-        input_digest=report.input_digest,
-    )
+    record = SuiteRecord(name=name, ensemble=ensemble, trial=trial, seed=seed,
+                         status=status, note=note, **values)
+    return record, report
+
+
+def _draw(defn: CheckDef, spec: EnsembleSpec) -> list:
+    """The matrices of one trial of `defn`."""
+    if defn.pair and spec.kind not in PAIR_KINDS:
+        drawn = generate_pair(spec)
+    else:
+        drawn = generate(spec)
+    matrices = list(drawn) if isinstance(drawn, tuple) else [drawn]
+    if defn.adapter == "contraction":
+        matrices = [_to_unit_ball(m) for m in matrices]
+    return matrices
 
 
 def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
@@ -945,9 +905,10 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
 
     Trial i of an ensemble uses seed `spec.seed + i`, so reports are pure
     functions of (ensembles, checks, trials, tol, opts) and aggregation is
-    order-independent.  Hypothesis failures become "inapplicable" records;
-    unexpected exceptions become "error" records (the first error per
-    (check, ensemble) carries the message) and never abort other cells.
+    order-independent.  Every cell, golden or drawn, goes through
+    `_cell_record`: hypothesis failures become "inapplicable" records, and
+    unexpected exceptions, a failed draw included, become "error" records
+    that never abort other cells.
     With include_golden, every check's golden witness cases additionally
     run once each under the pseudo-ensemble "golden" (the CLI default).
     A given `norm` replaces the norm sweep of every norm-sweeping check,
@@ -983,76 +944,32 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
                 if case.norm_id is not None and case.norm_id not in norm_ids:
                     continue
                 case_norm = norm_specs[case.norm_id] if case.norm_id else None
-                label = defn.name if case.norm_id is None else f"{defn.name}[{case.norm_id}]"
-                try:
-                    report = _run_one(defn, case.matrices, case_norm, case.kind, opts, tol)
-                    rec = _record_from_report(defn, case.norm_id, "golden", idx, 0, report)
-                    rec = replace(rec, note=case.label)
-                    if report.terms.get("near_equality"):
-                        near.append(f"{label} golden:{case.label}")
-                except CheckInapplicable as exc:
-                    rec = SuiteRecord(name=label, paper_tag=defn.tag,
-                                      ensemble="golden", trial=idx, seed=0,
-                                      status="inapplicable", lhs=math.nan,
-                                      rhs=math.nan, slack=math.nan, holds=False,
-                                      tolerance=tol, scale=math.nan,
-                                      input_digest="", note=str(exc))
+                rec, report = _cell_record(
+                    defn, case.norm_id, "golden", idx, 0, tol,
+                    lambda: _run_one(defn, case.matrices, case_norm, case.kind, opts, tol),
+                    note=case.label)
+                if report is not None and report.terms.get("near_equality"):
+                    near.append(f"{rec.name} golden:{case.label}")
                 records.append(rec)
         for spec in ensembles:
             if spec.kind not in defn.kinds:
                 continue
             ens_name = ensemble_id(spec.kind, spec.dim)
             kind_arg = _SPECIAL_KIND_MAP.get(spec.kind)
-            first_error = {}
             for trial in range(trials):
                 seed = spec.seed + trial
-                trial_spec = EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)
-                try:
-                    if defn.pair and spec.kind not in PAIR_KINDS:
-                        drawn = generate_pair(trial_spec)
-                    else:
-                        drawn = generate(trial_spec)
-                    matrices = list(drawn) if isinstance(drawn, tuple) else [drawn]
-                    if defn.adapter == "contraction":
-                        matrices = [_to_unit_ball(m) for m in matrices]
-                except Exception as exc:  # generation failure is a hard error
-                    for norm_id in norm_ids:
-                        label = defn.name if norm_id is None else f"{defn.name}[{norm_id}]"
-                        records.append(SuiteRecord(
-                            name=label, paper_tag=defn.tag, ensemble=ens_name,
-                            trial=trial, seed=seed, status="error", lhs=math.nan,
-                            rhs=math.nan, slack=math.nan, holds=False,
-                            tolerance=tol, scale=math.nan, input_digest="",
-                            note=f"generation failed: {exc}"))
-                    continue
+                # drawn once per trial, on first use; a draw that raises
+                # makes an error record for every norm id
+                draw = functools.cache(functools.partial(
+                    _draw, defn, EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)))
                 for norm_id in norm_ids:
-                    label = defn.name if norm_id is None else f"{defn.name}[{norm_id}]"
                     trial_norm = norm_specs[norm_id] if norm_id else None
-                    try:
-                        report = _run_one(defn, matrices, trial_norm, kind_arg, opts, tol)
-                        rec = _record_from_report(defn, norm_id, ens_name, trial,
-                                                  seed, report)
-                        if report.terms.get("near_equality"):
-                            near.append(f"{label} {ens_name} trial {trial} "
-                                        f"seed {seed} digest {report.input_digest}")
-                    except CheckInapplicable as exc:
-                        rec = SuiteRecord(
-                            name=label, paper_tag=defn.tag, ensemble=ens_name,
-                            trial=trial, seed=seed, status="inapplicable",
-                            lhs=math.nan, rhs=math.nan, slack=math.nan,
-                            holds=False, tolerance=tol, scale=math.nan,
-                            input_digest="", note=str(exc))
-                    except Exception as exc:
-                        key = (defn.name, ens_name)
-                        note = f"{type(exc).__name__}: {exc}"
-                        if key not in first_error:
-                            first_error[key] = note
-                        rec = SuiteRecord(
-                            name=label, paper_tag=defn.tag, ensemble=ens_name,
-                            trial=trial, seed=seed, status="error", lhs=math.nan,
-                            rhs=math.nan, slack=math.nan, holds=False,
-                            tolerance=tol, scale=math.nan, input_digest="",
-                            note=note)
+                    rec, report = _cell_record(
+                        defn, norm_id, ens_name, trial, seed, tol,
+                        lambda: _run_one(defn, draw(), trial_norm, kind_arg, opts, tol))
+                    if report is not None and report.terms.get("near_equality"):
+                        near.append(f"{rec.name} {ens_name} trial {trial} "
+                                    f"seed {seed} digest {report.input_digest}")
                     records.append(rec)
     records.sort(key=lambda r: (r.name, r.ensemble, r.trial))
     by_name = {}

@@ -163,9 +163,10 @@ def spectral_norm_many(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(tops, 0.0))
 
 
-def abs_eigenvalues_many(stack: np.ndarray) -> np.ndarray:
-    """|eigenvalues| of a stack of Hermitian matrices, ascending per matrix."""
-    return np.abs(np.linalg.eigvalsh(np.asarray(stack, dtype=np.complex128)))
+def hermitian_norm(h: np.ndarray):
+    """Operator norm of a Hermitian matrix, or of each matrix of a stack of
+    them: the largest |eigenvalue|."""
+    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
 
 
 def hermitian_sqrt_defect(s, tol: float = HERMITIAN_RTOL) -> np.ndarray:

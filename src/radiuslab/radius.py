@@ -16,6 +16,11 @@ N(-A) = N(A), the angle objective has period pi; the optimizers exploit
 that only when the norm declares it (`even` flag), never for user-supplied
 evaluators.
 
+An angle objective is one function F from angles to values: the coarse
+grid calls it once on all grid angles and each golden-section probe on one
+float angle.  `rotated_objective` builds F on cos(t) Re(T) - sin(t) Im(T):
+one chunked stack for the grid, one `norm.evaluate` per probe.
+
 For Omega the supremum over the coefficient ball is attained on the sphere
 (positive homogeneity) and the global phase of (zeta, eta) drops out of the
 operator norm, so the search space is zeta = cos(s), eta = exp(i psi) sin(s)
@@ -107,22 +112,19 @@ def _golden_max(f, lo: float, hi: float, tol: float, seed=None, max_iter: int = 
     return best_x, best_v, h, evals
 
 
-def maximize_on_circle(f, period: float, points: int, refine_tol: float,
-                       top_brackets: int, f_many=None):
+def maximize_on_circle(F, period: float, points: int, refine_tol: float,
+                       top_brackets: int):
     """Grid-plus-refinement maximum of a periodic objective.
 
-    Evaluates `points` uniform samples of one period, picks the
-    `top_brackets` best cyclic local maxima, refines each bracket by
-    golden section to width `refine_tol`, and returns
-    (argmax, value, final_width, evaluations).
+    Evaluates F on `points` uniform samples of one period in one call,
+    picks the `top_brackets` best cyclic local maxima, refines each bracket
+    by golden section (F on one float angle per probe) to width
+    `refine_tol`, and returns (argmax, value, final_width, evaluations).
     """
     if points < 4:
         raise ValueError("need at least 4 grid points")
     thetas = np.arange(points) * (period / points)
-    if f_many is not None:
-        vals = np.asarray(f_many(thetas), dtype=float)
-    else:
-        vals = np.array([f(float(t)) for t in thetas], dtype=float)
+    vals = np.asarray(F(thetas), dtype=float)
     evals = points
     prev = np.roll(vals, 1)
     nxt = np.roll(vals, -1)
@@ -134,7 +136,7 @@ def maximize_on_circle(f, period: float, points: int, refine_tol: float,
     best = None  # (value, x, width)
     for i in order:
         center = float(thetas[i])
-        x, v, w, ev = _golden_max(f, center - h, center + h, refine_tol,
+        x, v, w, ev = _golden_max(F, center - h, center + h, refine_tol,
                                   seed=(center, float(vals[i])))
         evals += ev
         if best is None or v > best[0] or (v == best[0] and x < best[1]):
@@ -143,14 +145,11 @@ def maximize_on_circle(f, period: float, points: int, refine_tol: float,
     return x, value, width, evals
 
 
-def minimize_on_circle(f, period: float, points: int, refine_tol: float,
-                       top_brackets: int, f_many=None):
+def minimize_on_circle(F, period: float, points: int, refine_tol: float,
+                       top_brackets: int):
     """Counterpart of maximize_on_circle for infima."""
-    neg_many = None
-    if f_many is not None:
-        neg_many = lambda ts: -np.asarray(f_many(ts), dtype=float)
-    x, v, w, e = maximize_on_circle(lambda t: -f(t), period, points, refine_tol,
-                                    top_brackets, neg_many)
+    x, v, w, e = maximize_on_circle(lambda angles: -F(angles), period, points,
+                                    refine_tol, top_brackets)
     return x, -v, w, e
 
 
@@ -166,6 +165,46 @@ def evaluate_chunked(fn, count: int, entry_size: int) -> np.ndarray:
     return out
 
 
+def _real_coefficients(c, s):
+    return c, s
+
+
+def im_coefficients(c, s):
+    """Coefficients of Im(exp(i t) T) = sin(t) Re(T) + cos(t) Im(T) for
+    `rotated_objective`."""
+    return s, -c
+
+
+def rotated_objective(T, evaluate, evaluate_many=None, coefficients=_real_coefficients):
+    """The angle objective F(t) = evaluate(a Re(T) - b Im(T)), where
+    (a, b) = coefficients(cos t, sin t); the default gives Re(exp(i t) T).
+
+    On one float angle F returns evaluate(operand) as a float.  On an array
+    of angles it returns evaluate_many of the stacked operands, chunked by
+    `evaluate_chunked`, or without `evaluate_many` one evaluate per angle.
+    """
+    arr = as_matrix(T, square=True)
+    re, im = re_part(arr), im_part(arr)
+
+    def one(t: float) -> float:
+        a, b = coefficients(math.cos(t), math.sin(t))
+        return float(evaluate(a * re - b * im))
+
+    def F(angles):
+        if isinstance(angles, float):
+            return one(angles)
+        if evaluate_many is None:
+            return np.array([one(float(t)) for t in angles])
+        a, b = coefficients(np.cos(angles), np.sin(angles))
+
+        def values(lo, hi):
+            return evaluate_many(a[lo:hi, None, None] * re - b[lo:hi, None, None] * im)
+
+        return evaluate_chunked(values, angles.size, re.size)
+
+    return F
+
+
 def generalized_radius(T, norm, *, grid: int = 720, refine_tol: float = 1e-10,
                        top_brackets: int = 5) -> RadiusResult:
     """w_N(T): maximize N(Re(exp(i theta) T)) over theta.
@@ -173,30 +212,16 @@ def generalized_radius(T, norm, *, grid: int = 720, refine_tol: float = 1e-10,
     `grid` counts points over the full 2 pi period; norms declaring
     `even` are sampled at the same resolution over [0, pi) only.
     """
-    arr = as_matrix(T, square=True)
-    re, im = re_part(arr), im_part(arr)
-    n = arr.shape[0]
-    even = bool(getattr(norm, "even", False))
-    period = math.pi if even else _TWO_PI
-    points = max(8, grid // 2 if even else grid)
-
-    def f(theta: float) -> float:
-        return float(norm.evaluate(math.cos(theta) * re - math.sin(theta) * im))
-
-    f_many = None
-    if getattr(norm, "evaluate_many", None) is not None:
-        def f_many(thetas):
-            c, s = np.cos(thetas), np.sin(thetas)
-
-            def values(a, b):
-                return norm.evaluate_many(c[a:b, None, None] * re - s[a:b, None, None] * im)
-
-            return evaluate_chunked(values, thetas.size, n * n)
-
-    x, v, width, evals = maximize_on_circle(f, period, points, refine_tol,
-                                            top_brackets, f_many)
+    period = math.pi if norm.even else _TWO_PI
+    points = max(8, grid // 2 if norm.even else grid)
+    F = rotated_objective(T, norm.evaluate, norm.evaluate_many)
+    x, v, width, evals = maximize_on_circle(F, period, points, refine_tol, top_brackets)
     return RadiusResult(value=v, argmax_theta=x % _TWO_PI,
                         achieved_interval=width, evaluations=evals)
+
+
+def _top_eigenvalue(h):
+    return np.linalg.eigvalsh(h)[..., -1]
 
 
 def numerical_radius(T, *, grid: int = 720, refine_tol: float = 1e-10,
@@ -216,24 +241,9 @@ def numerical_radius(T, *, grid: int = 720, refine_tol: float = 1e-10,
                                   refine_tol=refine_tol, top_brackets=top_brackets)
     if method != "lambda-max":
         raise ValueError(f"unknown method {method!r}")
-    arr = as_matrix(T, square=True)
-    re, im = re_part(arr), im_part(arr)
-
-    def f(theta: float) -> float:
-        h = math.cos(theta) * re - math.sin(theta) * im
-        return float(np.linalg.eigvalsh(h)[-1])
-
-    def f_many(thetas):
-        c, s = np.cos(thetas), np.sin(thetas)
-
-        def tops(a, b):
-            stack = c[a:b, None, None] * re - s[a:b, None, None] * im
-            return np.linalg.eigvalsh(stack)[..., -1]
-
-        return evaluate_chunked(tops, thetas.size, re.size)
-
-    x, v, width, evals = maximize_on_circle(f, _TWO_PI, max(8, grid), refine_tol,
-                                            top_brackets, f_many)
+    F = rotated_objective(T, _top_eigenvalue, _top_eigenvalue)
+    x, v, width, evals = maximize_on_circle(F, _TWO_PI, max(8, grid), refine_tol,
+                                            top_brackets)
     return RadiusResult(value=v, argmax_theta=x % _TWO_PI,
                         achieved_interval=width, evaluations=evals)
 
@@ -259,27 +269,10 @@ def alphabeta_radius(T, norm, grid: int = 720, *, refine_tol: float = 1e-10,
                      top_brackets: int = 5) -> float:
     """sup of N(alpha Re(T) + beta Im(T)) over the real unit circle
     (alpha, beta) = (cos t, sin t); equals w_N(T)."""
-    arr = as_matrix(T, square=True)
-    re, im = re_part(arr), im_part(arr)
-    n = arr.shape[0]
-    even = bool(getattr(norm, "even", False))
-    period = math.pi if even else _TWO_PI
-    points = max(8, grid // 2 if even else grid)
-
-    def f(t: float) -> float:
-        return float(norm.evaluate(math.cos(t) * re + math.sin(t) * im))
-
-    f_many = None
-    if getattr(norm, "evaluate_many", None) is not None:
-        def f_many(ts):
-            c, s = np.cos(ts), np.sin(ts)
-
-            def values(a, b):
-                return norm.evaluate_many(c[a:b, None, None] * re + s[a:b, None, None] * im)
-
-            return evaluate_chunked(values, ts.size, n * n)
-
-    _, v, _, _ = maximize_on_circle(f, period, points, refine_tol, top_brackets, f_many)
+    period = math.pi if norm.even else _TWO_PI
+    points = max(8, grid // 2 if norm.even else grid)
+    F = rotated_objective(T, norm.evaluate, norm.evaluate_many, lambda c, s: (c, -s))
+    _, v, _, _ = maximize_on_circle(F, period, points, refine_tol, top_brackets)
     return float(v)
 
 

@@ -151,6 +151,12 @@ class TestVerify:
     def test_unknown_check(self):
         assert cli.main(["verify", "--checks", "bogus", "--trials", "1"]) == 2
 
+    @pytest.mark.parametrize("checks", [",", ""])
+    def test_empty_check_list(self, checks, capsys):
+        assert cli.main(["verify", "--checks", checks, "--trials", "1",
+                         "--ensembles", "ginibre:2"]) == 2
+        assert "checks:" in capsys.readouterr().err
+
     def test_unknown_norm(self):
         assert cli.main(["verify", "--checks", "basic", "--norm", "bogus",
                          "--trials", "1", "--ensembles", "ginibre:2"]) == 2

@@ -414,19 +414,23 @@ class TestSuiteRunner:
         calls = {"n": 0}
 
         def flaky(T, *, opts, tol):
+            if np.array_equal(T, E12):
+                raise RuntimeError("golden boom")
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("boom")
             return iq.check_basic_bounds(T, opts=opts, tol=tol)
 
         defn = iq.CheckDef(name="flaky", tag="selftest", runner=flaky,
-                           kinds=("ginibre",))
-        rep = iq.run_suite([EnsembleSpec("ginibre", 2, 11)], checks=[defn], trials=3)
-        assert rep.errors == 1
+                           kinds=("ginibre",), golden=(iq.GoldenCase("e12", (E12,)),))
+        rep = iq.run_suite([EnsembleSpec("ginibre", 2, 11)], checks=[defn], trials=3,
+                           include_golden=True)
+        assert rep.errors == 2
         statuses = [r.status for r in rep.records]
-        assert statuses.count("error") == 1 and statuses.count("ok") == 2
-        err = [r for r in rep.records if r.status == "error"][0]
-        assert "boom" in err.note
+        assert statuses.count("error") == 2 and statuses.count("ok") == 2
+        errors = {(r.ensemble, r.note) for r in rep.records if r.status == "error"}
+        assert errors == {("golden", "RuntimeError: golden boom"),
+                          ("ginibre:2", "RuntimeError: boom")}
 
     def test_aggregation_order_independent(self):
         specs = [EnsembleSpec("ginibre", 2, 300), EnsembleSpec("hermitian", 3, 300)]
@@ -439,6 +443,7 @@ class TestSuiteRunner:
 class TestChunkedGrids:
     def test_small_chunks_give_identical_results(self, monkeypatch):
         t = generate(EnsembleSpec("ginibre", 4, 31))
+        s = generate(EnsembleSpec("ginibre", 4, 32))
         s1 = schatten_norm_spec(1)
 
         def run():
@@ -447,9 +452,13 @@ class TestChunkedGrids:
                 [iq.check_lower_bound(t, norm).terms for norm in (OP, S2)],
                 iq.check_omega_equality(t).terms,
                 radius.numerical_radius(t, method="lambda-max"),
+                radius.generalized_radius(t, s1),
+                radius.generalized_radius(t, numerical_radius_norm_spec()),
+                [radius.alphabeta_radius(t, norm) for norm in (OP, s1)],
+                iq.check_hs_pair(t, s).terms,
             )
 
         default = run()
-        # 50 entries hold three 4x4 matrices, or one pair of parts
+        # 50 entries hold three 4x4 matrices per grid chunk
         monkeypatch.setattr(radius, "_CHUNK_ENTRIES", 50)
         assert run() == default

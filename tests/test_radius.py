@@ -56,6 +56,36 @@ class TestGeneralizedRadius:
             assert res.evaluations > 0
 
 
+def _top_eigenvalue(h):
+    return np.linalg.eigvalsh(h)[..., -1]
+
+
+class TestRotatedObjective:
+    ANGLES = np.arange(37) * (2 * math.pi / 37)
+
+    @pytest.mark.parametrize("spec", [OP, FRO, schatten_norm_spec(1)])
+    def test_one_angle_and_grid_match_explicit_operands(self, spec):
+        a = generate(EnsembleSpec("ginibre", 4, 41))
+        re, im = matcore.re_part(a), matcore.im_part(a)
+        F = radius.rotated_objective(a, spec.evaluate, spec.evaluate_many)
+        for t in (0.0, 0.3, 2.5, 5.9):
+            assert F(t) == spec.evaluate(math.cos(t) * re - math.sin(t) * im)
+        c, s = np.cos(self.ANGLES), np.sin(self.ANGLES)
+        stack = c[:, None, None] * re - s[:, None, None] * im
+        np.testing.assert_array_equal(F(self.ANGLES), spec.evaluate_many(stack))
+
+    def test_imaginary_part_coefficients(self):
+        a = generate(EnsembleSpec("ginibre", 4, 42))
+        F = radius.rotated_objective(a, _top_eigenvalue, _top_eigenvalue,
+                                     radius.im_coefficients)
+        expected = [float(_top_eigenvalue(matcore.im_part(matcore.rotate(a, phi))))
+                    for phi in self.ANGLES]
+        atol = 1e-14 * max(1.0, matcore.spectral_norm(a))
+        np.testing.assert_allclose(F(self.ANGLES), expected, rtol=0, atol=atol)
+        for phi, value in zip(self.ANGLES, expected):
+            assert abs(F(float(phi)) - value) <= atol
+
+
 class TestNumericalRadius:
     def test_worked_matrix(self):
         assert numerical_radius(WORKED).value == pytest.approx(W_WORKED, abs=1e-9)
