@@ -241,6 +241,9 @@ def cmd_verify(config: RunConfig) -> int:
         unknown = [c for c in checks if c not in DEFAULT_CHECK_NAMES]
         if unknown:
             raise UsageError(f"checks: unknown check(s) {', '.join(unknown)}")
+        repeated = list(dict.fromkeys(c for c in checks if checks.count(c) > 1))
+        if repeated:
+            raise UsageError(f"checks: repeated check(s) {', '.join(repeated)}")
     norm = None
     if config.norm_id is not None:
         try:

@@ -161,8 +161,7 @@ def _report(name: str, tag: str, comparisons, scale: float, tol: float,
 
 
 def _w(arr, opts: CheckOpts) -> float:
-    return numerical_radius(arr, grid=opts.grid, refine_tol=opts.refine_tol,
-                            top_brackets=opts.top_brackets).value
+    return numerical_radius(arr, refine_tol=opts.refine_tol).value
 
 
 def _wn(arr, norm: NormSpec, opts: CheckOpts) -> float:

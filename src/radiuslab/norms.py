@@ -110,8 +110,7 @@ def frobenius_norm_spec() -> NormSpec:
     return schatten_norm_spec(2.0)
 
 
-def numerical_radius_norm_spec(*, grid: int = 720, refine_tol: float = 1e-10,
-                               top_brackets: int = 5) -> NormSpec:
+def numerical_radius_norm_spec(*, refine_tol: float = 1e-10) -> NormSpec:
     """The numerical radius w as a norm.
 
     Self-adjoint and weakly unitarily invariant, but NOT an algebra norm:
@@ -122,8 +121,7 @@ def numerical_radius_norm_spec(*, grid: int = 720, refine_tol: float = 1e-10,
     def evaluate(a) -> float:
         from .radius import numerical_radius
 
-        return numerical_radius(a, grid=grid, refine_tol=refine_tol,
-                                top_brackets=top_brackets).value
+        return numerical_radius(a, refine_tol=refine_tol).value
 
     return NormSpec(
         id="wnum",

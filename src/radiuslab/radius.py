@@ -8,7 +8,22 @@ angles:
 * ``Omega(T) = sup { || zeta T + eta T* || : |zeta|^2 + |eta|^2 <= 1 }``,
 * ``w_Omega(T) = sqrt(2) w(T)``.
 
-The shared strategy is a uniform grid over the period followed by
+w(T) has its own engine, `numerical_radius`: a level-set iteration on
+lambda_max(H(theta)), H(theta) = Re(exp(i theta) T).  A level r is an
+eigenvalue of some H(theta) exactly when z = exp(i theta) is a unimodular
+eigenvalue of the quadratic pencil z^2 T - 2 r z I + T*.  One shift-inverted
+2n x 2n eigensolve (shift 0.5 exp(i), off the unit circle and off the real
+axis, with a second shift tried when it sits on a pencil eigenvalue) finds
+every crossing of a level; eigenvalues within 1e-6 sqrt(max(1, ||M||_1)) of
+the unit circle count, M being the shift-inverted matrix of the pencil of
+T / max |T_ij|, so the tolerance is scale-free.  The midpoints of the
+intervals between crossings, evaluated in one batched eigvalsh, give the
+next level, and the iteration ends when a level has no crossings or raises
+r by at most `refine_tol` * max(1, r).  A pencil too close to singular to
+resolve crossings (flat lambda_max, as for square-zero T) hands the search
+to the grid optimizer below.  Ties go to the smallest angle.
+
+Every other supremum uses a uniform grid over the period followed by
 golden-section refinement of the best few local brackets, which is
 derivative-free (eigenvalue branches may cross non-smoothly) and
 deterministic for fixed options.  Because every norm satisfies
@@ -224,28 +239,142 @@ def _top_eigenvalue(h):
     return np.linalg.eigvalsh(h)[..., -1]
 
 
-def numerical_radius(T, *, grid: int = 720, refine_tol: float = 1e-10,
-                     top_brackets: int = 5, method: str = "spectral") -> RadiusResult:
-    """w(T), the numerical radius.
+# Level-set engine for w(T).  Seed angles: multiples of pi/4, so the
+# maximizer of a Hermitian or skew-Hermitian T is a seed.
+_SEED_ANGLES = np.arange(8) * (_TWO_PI / 8)
+# Shift-invert poles: off the unit circle, where the crossings live, and off
+# the real axis, where the other pencil eigenvalues of a Hermitian T lie.
+# The second is tried only when the first is (within ~1e-6 of) a pencil
+# eigenvalue.
+_SHIFTS = (0.5 * cmath.exp(1.0j), 0.5 * cmath.exp(2.5j))
+# ||M||_1 of the shift-inverted matrix M above this for every shift means the
+# pencil is within ~1e-6 of singular (lambda_max(H(theta)) flat to that
+# level, as for square-zero T): double precision does not resolve crossings
+_MAX_CONDITION = 1e6
+# | |z| - 1 | bound for a crossing, times sqrt(max(1, ||M||_1)): rounding
+# moves a transversal crossing by about eps ||M||, but splits the pair at a
+# tangency (the maximum itself) about sqrt(eps ||M||) off the circle, and
+# that pair must still count
+_UNIMODULAR_TOL = 1e-6
+_MAX_LEVELS = 50
+# the grid optimizer that takes over where crossings are not resolved
+_FLAT_GRID = 720
+_FLAT_BRACKETS = 5
 
-    method="spectral" maximizes ||Re(exp(i theta) T)|| over half a period
-    (the operator norm is even); method="lambda-max" maximizes the top
-    eigenvalue lambda_max(Re(exp(i theta) T)) over the full period, which
-    gives the same supremum because theta -> theta + pi negates the
-    Hermitian part.
+
+def _level_crossings(that: np.ndarray, level: float) -> np.ndarray | None:
+    """The sorted angles t in [0, 2 pi) at which `level` is an eigenvalue of
+    Re(exp(i t) That), or None where double precision cannot resolve them.
+
+    They are the unimodular eigenvalues z = exp(i t) of the quadratic pencil
+    z^2 That - 2 level z I + That*, linearized with v = (x, z x) as
+    A v = z B v, A = [[0, I], [-That*, 2 level I]], B = diag(I, That).  One
+    eigvals of M = (A - shift B)^-1 B gives mu = 1/(z - shift); a singular
+    That only adds mu = 0 (infinite z).  The first shift with
+    ||M||_1 <= _MAX_CONDITION is used; None means there is none.
     """
-    if method == "spectral":
-        from .norms import operator_norm_spec
+    n = that.shape[0]
+    eye = np.eye(n)
+    a = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    a[:n, n:] = eye
+    a[n:, :n] = -adjoint(that)
+    a[n:, n:] = (2.0 * level) * eye
+    b = np.zeros_like(a)
+    b[:n, :n] = eye
+    b[n:, n:] = that
+    for shift in _SHIFTS:
+        try:
+            m = np.linalg.solve(a - shift * b, b)
+        except np.linalg.LinAlgError:
+            continue
+        size_m = np.linalg.norm(m, 1)
+        if size_m <= _MAX_CONDITION:
+            break
+    else:
+        return None
+    mu = np.linalg.eigvals(m)
+    tol = _UNIMODULAR_TOL * math.sqrt(max(1.0, size_m))
+    # z = shift + 1/mu = num/mu, so |z| = 1 exactly when |num| = |mu|
+    num = shift * mu + 1.0
+    size = np.abs(mu)
+    on_circle = np.abs(np.abs(num) - size) <= tol * size
+    return np.sort(np.angle(num[on_circle] * np.conj(mu[on_circle])) % _TWO_PI)
 
-        return generalized_radius(T, operator_norm_spec(), grid=grid,
-                                  refine_tol=refine_tol, top_brackets=top_brackets)
-    if method != "lambda-max":
-        raise ValueError(f"unknown method {method!r}")
-    F = rotated_objective(T, _top_eigenvalue, _top_eigenvalue)
-    x, v, width, evals = maximize_on_circle(F, _TWO_PI, max(8, grid), refine_tol,
-                                            top_brackets)
-    return RadiusResult(value=v, argmax_theta=x % _TWO_PI,
-                        achieved_interval=width, evaluations=evals)
+
+def numerical_radius(T, *, refine_tol: float = 1e-10) -> RadiusResult:
+    """w(T) = max over theta of lambda_max(H(theta)), where
+    H(theta) = Re(exp(i theta) T) = cos(theta) Re(T) - sin(theta) Im(T),
+    by level sets (He & Watson 1997; Mengi & Overton 2005).
+
+    The value r starts as the best lambda_max over eight seed angles.  Each
+    level step finds every angle where r is an eigenvalue of H(theta) (the
+    unimodular eigenvalues of z^2 T - 2 r z I + T*, see `_level_crossings`),
+    evaluates lambda_max at the midpoints of the intervals between
+    consecutive crossings in one batched eigvalsh, and raises r to the best
+    of them.  Near a smooth maximum the midpoint lands within O(gap^2) of
+    it, so r converges quadratically.  The pencil is built from
+    T / max |T_ij|, so the unimodularity tolerance acts on a scale-free
+    problem.
+
+    The iteration stops when a level has no crossings (then, up to rounding,
+    no angle rises above it: a certificate that r = w), or when its best
+    midpoint raises r by at most `refine_tol` * max(1, r).  Where the pencil
+    is too close to singular to resolve crossings (lambda_max flat to about
+    1e-6 relative, as for square-zero or nilpotent T), the grid-and-golden
+    optimizer `maximize_on_circle` (720 angles, 5 brackets) finishes the
+    search and the better of the two results is kept.  The zero matrix
+    gives exactly 0.
+
+    `value` is lambda_max(H(argmax_theta)) as evaluated; ties go to the
+    smallest angle in [0, 2 pi) among the evaluated maximizers.
+    `achieved_interval` is the width of the interval between consecutive
+    crossings, at the last level searched, that holds argmax_theta (0.0 when
+    that level had none), or the final golden-section bracket when the grid
+    finished the search.  `evaluations` counts the angles at which
+    lambda_max was evaluated (one pencil eigensolve per level is extra).
+    """
+    arr = as_matrix(T, square=True)
+    scale = float(np.max(np.abs(arr)))
+    if scale == 0.0:
+        return RadiusResult(value=0.0, argmax_theta=0.0, achieved_interval=0.0,
+                            evaluations=0)
+    F = rotated_objective(arr, _top_eigenvalue, _top_eigenvalue)
+    vals = F(_SEED_ANGLES)
+    k = int(np.argmax(vals))
+    value, theta = float(vals[k]), float(_SEED_ANGLES[k])
+    evaluations = _SEED_ANGLES.size
+    # real divisions: a complex one overflows for subnormal scales
+    that = arr.real / scale + 1j * (arr.imag / scale)
+    for _ in range(_MAX_LEVELS):
+        cross = _level_crossings(that, value / scale)
+        if cross is None:
+            x, _, width, ev = maximize_on_circle(F, _TWO_PI, _FLAT_GRID, refine_tol,
+                                                 _FLAT_BRACKETS)
+            # evaluated again at the wrapped angle, so that value is
+            # lambda_max(H(argmax_theta)) exactly
+            x %= _TWO_PI
+            v = F(x)
+            evaluations += ev + 1
+            if v > value or (v == value and x < theta):
+                value, theta = v, x
+            break
+        if cross.size == 0:
+            width = 0.0
+            break
+        ends = np.append(cross[1:], cross[0] + _TWO_PI)
+        mids = (0.5 * (cross + ends)) % _TWO_PI
+        vals = F(mids)
+        evaluations += mids.size
+        k = int(np.lexsort((mids, -vals))[0])
+        gain = float(vals[k]) - value
+        if gain > 0.0 or (gain == 0.0 and mids[k] < theta):
+            value, theta = float(vals[k]), float(mids[k])
+        j = int(np.searchsorted(cross, theta, side="right")) - 1
+        width = float(ends[j] - cross[j])
+        if gain <= refine_tol * max(1.0, value):
+            break
+    return RadiusResult(value=value, argmax_theta=theta,
+                        achieved_interval=width, evaluations=evaluations)
 
 
 def numerical_radius_oracle(T, grid: int = 200000) -> float:
@@ -467,13 +596,11 @@ SLOW_OMEGA_OUTER = {"grid": 96, "refine_tol": 1e-6, "top_brackets": 3}
 SLOW_OMEGA_INNER = {"grid_s": 13, "grid_psi": 24, "refine_tol": 1e-4, "top_cells": 2}
 
 
-def omega_radius(T, *, grid: int = 720, refine_tol: float = 1e-10,
-                 top_brackets: int = 5) -> float:
+def omega_radius(T, *, refine_tol: float = 1e-10) -> float:
     """w_Omega(T) = sqrt(2) w(T) (the Omega radius collapses to the
     numerical radius because Omega doubles to sqrt(2) times the operator
     norm on Hermitian matrices)."""
-    return math.sqrt(2.0) * numerical_radius(
-        T, grid=grid, refine_tol=refine_tol, top_brackets=top_brackets).value
+    return math.sqrt(2.0) * numerical_radius(T, refine_tol=refine_tol).value
 
 
 def omega_radius_slow(T, outer: dict | None = None, inner: dict | None = None) -> float:

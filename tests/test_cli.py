@@ -157,6 +157,11 @@ class TestVerify:
                          "--ensembles", "ginibre:2"]) == 2
         assert "checks:" in capsys.readouterr().err
 
+    def test_repeated_check_names(self, capsys):
+        assert cli.main(["verify", "--checks", "basic,kittaneh,basic", "--trials", "1",
+                         "--ensembles", "ginibre:2"]) == 2
+        assert "checks: repeated check(s) basic" in capsys.readouterr().err
+
     def test_unknown_norm(self):
         assert cli.main(["verify", "--checks", "basic", "--norm", "bogus",
                          "--trials", "1", "--ensembles", "ginibre:2"]) == 2

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radiuslab import matcore, radius
 from radiuslab.ensembles import EnsembleSpec, generate
@@ -102,12 +105,146 @@ class TestNumericalRadius:
         for seed in range(5):
             a = generate(EnsembleSpec("ginibre", 3, 20 + seed))
             fast = numerical_radius(a).value
-            lam = numerical_radius(a, method="lambda-max").value
-            assert abs(fast - lam) <= 1e-10 * max(1.0, fast)
+            grid = generalized_radius(a, OP).value
+            assert abs(fast - grid) <= 1e-10 * max(1.0, fast)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            numerical_radius(E12, method="newton")
+
+def _top_at(a, theta):
+    """lambda_max(Re(exp(i theta) A)) from the explicit operand."""
+    re, im = matcore.re_part(a), matcore.im_part(a)
+    return float(np.linalg.eigvalsh(math.cos(theta) * re - math.sin(theta) * im)[-1])
+
+
+def _engine(a):
+    """numerical_radius(a), checked to attain its value at its argmax."""
+    res = numerical_radius(a)
+    assert 0.0 <= res.argmax_theta < 2 * math.pi
+    assert _top_at(a, res.argmax_theta) == res.value
+    return res
+
+
+def _e12_plus(d):
+    """E12 (flat lambda_max 1/2) direct sum the scalar d."""
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 1], a[2, 2] = 1.0, d
+    return a
+
+
+class TestLevelSetEngine:
+    def test_zero_matrix_is_exactly_zero(self):
+        res = numerical_radius(np.zeros((3, 3)))
+        assert (res.value, res.argmax_theta, res.evaluations) == (0.0, 0.0, 0)
+
+    def test_one_by_one(self):
+        res = _engine(np.array([[2.0 - 1.0j]]))
+        assert res.value == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        assert res.argmax_theta == pytest.approx(math.atan2(1.0, 2.0), abs=1e-7)
+
+    @pytest.mark.parametrize("c, theta", [(3.0, 0.0), (-2.0, math.pi), (1j, 1.5 * math.pi),
+                                          (0.7 * np.exp(0.3j), 2 * math.pi - 0.3)])
+    def test_scalar_identity(self, c, theta):
+        # lambda_max(Re(exp(i t) c I)) = |c| cos(t + arg c): one maximizer
+        res = _engine(c * np.eye(3))
+        assert res.value == pytest.approx(abs(c), rel=1e-15)
+        assert res.argmax_theta == pytest.approx(theta, abs=1e-7)
+
+    def test_ties_go_to_the_smallest_angle(self):
+        # |cos t| peaks at 0 and pi, 2 |sin t| at pi/2 and 3 pi/2: seeds tie exactly
+        res = _engine(np.diag([1.0, -1.0]).astype(complex))
+        assert (res.value, res.argmax_theta) == (1.0, 0.0)
+        res = _engine(np.diag([2.0j, -2.0j]))
+        assert res.value == 2.0
+        assert res.argmax_theta == pytest.approx(math.pi / 2, abs=1e-7)
+
+    def test_flat_lambda_max(self):
+        assert _engine(E12).value == pytest.approx(0.5, rel=1e-15)
+        for n in (2, 3, 5, 8):
+            for seed in range(3):
+                a = generate(EnsembleSpec("square_zero", n, 60 + seed))
+                res = _engine(a)
+                assert res.value == pytest.approx(matcore.spectral_norm(a) / 2, rel=1e-14)
+
+    def test_flat_branch_below_the_maximum(self):
+        # the seeds see only E12's flat 1/2, where the pencil is singular and
+        # the grid optimizer finishes the search
+        for d in (0.52 * np.exp(0.125j * math.pi), 0.5 + 1e-7):
+            assert _engine(_e12_plus(d)).value == pytest.approx(abs(d), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "normal", "haar_unitary"])
+    def test_normal_inputs_reach_the_norm(self, kind):
+        for n in (2, 4, 7):
+            a = generate(EnsembleSpec(kind, n, 70 + n))
+            assert _engine(a).value == pytest.approx(matcore.spectral_norm(a), rel=1e-14)
+
+    def test_scalar_multiples(self):
+        a = generate(EnsembleSpec("ginibre", 4, 71))
+        w = _engine(a).value
+        for c in (3.0, -0.5, 2j, 1e-3 * np.exp(0.7j), 1e3):
+            assert _engine(c * a).value == pytest.approx(abs(c) * w, rel=1e-14)
+
+    def test_shift_on_a_pencil_eigenvalue_is_retried(self):
+        # t solves shift^2 t - 2 r shift + conj(t) = 0, so the first shift is
+        # an eigenvalue of the pencil of diag(t, 1/2) at level r
+        shift, r = radius._SHIFTS[0], 0.3
+        rows = np.array([[(shift ** 2 + 1).real, (1j * (shift ** 2 - 1)).real],
+                         [(shift ** 2 + 1).imag, (1j * (shift ** 2 - 1)).imag]])
+        x, y = np.linalg.solve(rows, [(2 * r * shift).real, (2 * r * shift).imag])
+        a = np.diag([complex(x, y), 0.5])
+        pencil = shift ** 2 * a - 2 * r * shift * np.eye(2) + matcore.adjoint(a)
+        assert np.linalg.svd(pencil, compute_uv=False)[-1] < 1e-14
+        scale = np.abs(a).max()
+        cross = radius._level_crossings(a / scale, r / scale)
+        # only the 1/2 block crosses: cos(t) / 2 = r
+        expected = [math.acos(2 * r), 2 * math.pi - math.acos(2 * r)]
+        np.testing.assert_allclose(cross, expected, rtol=0, atol=1e-12)
+
+    def test_certificate_at_the_maximum(self):
+        # just above w no angle reaches the level; just below, two crossings
+        # bracket the maximizer
+        a = generate(EnsembleSpec("ginibre", 5, 72))
+        res = _engine(a)
+        scale = np.abs(a).max()
+        assert radius._level_crossings(a / scale, res.value / scale * (1 + 1e-6)).size == 0
+        below = radius._level_crossings(a / scale, res.value / scale * (1 - 1e-6))
+        assert below.size >= 2
+        assert res.achieved_interval < 1e-6
+
+
+AGREEMENT_KINDS = ("ginibre", "hermitian", "normal", "square_zero", "haar_unitary")
+AGREEMENT_DIMS = (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32)
+
+
+class TestLevelSetAgreement:
+    def test_matches_the_grid_path(self):
+        draws = 0
+        for kind in AGREEMENT_KINDS:
+            for n in AGREEMENT_DIMS:
+                if kind == "square_zero" and n == 1:
+                    continue
+                for seed in range(4):
+                    a = generate(EnsembleSpec(kind, n, 1000 + 10 * n + seed))
+                    w = _engine(a).value
+                    grid = generalized_radius(a, OP).value
+                    assert abs(w - grid) <= 1e-12 * max(1.0, w), (kind, n, seed)
+                    draws += 1
+        assert draws >= 200
+
+    def test_matches_the_oracle(self):
+        for seed in range(8):
+            kind = AGREEMENT_KINDS[seed % len(AGREEMENT_KINDS)]
+            a = generate(EnsembleSpec(kind, 2 + seed % 4, 1100 + seed))
+            w = numerical_radius(a).value
+            assert abs(w - numerical_radius_oracle(a)) <= 1e-9 * max(1.0, w)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
+                      .filter(lambda shape: shape[0] == shape[1]),
+                      elements=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                                  allow_infinity=False)))
+    def test_grid_path_never_exceeds_the_engine(self, a):
+        # every grid value is attained, so it is a lower bound on w
+        w = _engine(a).value
+        assert generalized_radius(a, OP).value <= w + 1e-12 * max(1.0, w)
 
 
 class TestOracle:
