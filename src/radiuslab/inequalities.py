@@ -15,8 +15,9 @@ the suite runner turns those into "inapplicable" records, never passes.
 The sup/inf over a rotation angle that several bounds need reuses the same
 grid + golden-section machinery as the radius optimizers, keeping error
 budgets uniform across the package: each bound is one objective from
-angles to values over `radius.rotated_objective`, which the grid calls on
-one chunked stack and each probe on one angle through `norm.evaluate`.
+arrays of angles to values over `radius.rotated_objective`, which the grid
+calls once on all its angles and each lockstep golden-section step once on
+the live brackets' probes, both through `norm.evaluate_many`.
 """
 
 from __future__ import annotations

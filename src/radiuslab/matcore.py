@@ -16,6 +16,7 @@ arguments and there is no module state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T.copy()
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(np.asarray(a), -1, -2)).copy()
 
 
 def re_part(a) -> np.ndarray:
@@ -80,8 +81,50 @@ def rotate(a, theta: float) -> np.ndarray:
     return np.exp(1j * theta) * np.asarray(a, dtype=np.complex128)
 
 
+def binary_scaled(a):
+    """(A / 2^e, e) for a matrix A, or for each matrix of a stack, with e
+    chosen so that the largest real or imaginary part of an entry lies in
+    [1/2, 1) (e = 0 for a zero matrix).  Only exponents change, so the
+    scaling is exact except for entries it pushes below the normal range;
+    squares and products of the scaled entries can neither overflow nor
+    underflow to zero.
+    """
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    top = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
+    exponent = np.frexp(top)[1]
+    return np.ldexp(parts, -exponent[..., None, None]).view(np.complex128), exponent
+
+
+# Largest entry parts in this range have squares, and Gram entries, that
+# neither overflow nor lose anything that matters to underflow; outside it
+# the norms below work on `binary_scaled` copies.
+_SAFE_ENTRIES = (2.0 ** -480, 2.0 ** 480)
+
+
+def _scaled_if_unsafe(arr: np.ndarray):
+    """(arr, None) when every matrix of the C-contiguous complex arr has its
+    largest real or imaginary entry part in _SAFE_ENTRIES, otherwise
+    `binary_scaled(arr)`."""
+    parts = np.abs(arr.view(np.float64))
+    top = parts.reshape(-1, parts.shape[-2] * parts.shape[-1]).max(axis=1).tolist()
+    if _SAFE_ENTRIES[0] <= min(top) and max(top) <= _SAFE_ENTRIES[1]:
+        return arr, None
+    return binary_scaled(arr)
+
+
+def _scaled_back(value, exponent):
+    """value * 2^exponent, inf where that overflows; value for exponent None."""
+    if exponent is None:
+        return value
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, exponent)
+
+
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), "fro"))
+    """sqrt(sum |a_ij|^2), on `binary_scaled(a)` when the squares could
+    overflow or underflow."""
+    arr, exponent = _scaled_if_unsafe(np.ascontiguousarray(a, dtype=np.complex128))
+    return float(_scaled_back(np.linalg.norm(arr, "fro"), exponent))
 
 
 def trace(a) -> complex:
@@ -148,19 +191,20 @@ def singular_values(a) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value, computed as sqrt(lambda_max(A* A))."""
-    arr = as_matrix(a)
-    gram = adjoint(arr) @ arr
-    top = np.linalg.eigvalsh(gram)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    """Largest singular value, computed as sqrt(lambda_max(A* A)), on
+    `binary_scaled(a)` when the Gram matrix could overflow or underflow."""
+    arr, exponent = _scaled_if_unsafe(as_matrix(a))
+    top = np.linalg.eigvalsh(adjoint(arr) @ arr)[-1]
+    return float(_scaled_back(math.sqrt(max(top, 0.0)), exponent))
 
 
 def spectral_norm_many(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of matrices, batched through eigvalsh."""
-    arr = np.asarray(stack, dtype=np.complex128)
+    """Spectral norms of a stack of matrices, batched through eigvalsh, on
+    `binary_scaled` copies when any Gram matrix could overflow or
+    underflow."""
+    arr, exponent = _scaled_if_unsafe(np.ascontiguousarray(stack, dtype=np.complex128))
     gram = np.matmul(np.conj(np.swapaxes(arr, -2, -1)), arr)
-    tops = np.linalg.eigvalsh(gram)[..., -1]
-    return np.sqrt(np.maximum(tops, 0.0))
+    return _scaled_back(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), exponent)
 
 
 def hermitian_norm(h: np.ndarray):

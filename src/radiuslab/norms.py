@@ -142,13 +142,21 @@ def omega_norm_spec(*, grid_s: int = 96, grid_psi: int = 192,
     the coefficient combination); not declared an algebra norm.  Every
     unitary attains Omega(U) = sqrt(2): choosing zeta = 1/sqrt(2),
     eta = conj(mu)/sqrt(2) for an eigenvalue mu of U*^2 puts the combination
-    at modulus sqrt(2) on the corresponding eigenvector.
+    at modulus sqrt(2) on the corresponding eigenvector.  `evaluate_many`
+    solves a whole stack in one `omega_norm_many` call.
     """
+    opts = {"grid_s": grid_s, "grid_psi": grid_psi, "refine_tol": refine_tol,
+            "top_cells": top_cells}
+
     def evaluate(a) -> float:
         from .radius import omega_norm
 
-        return omega_norm(a, grid_s=grid_s, grid_psi=grid_psi,
-                          refine_tol=refine_tol, top_cells=top_cells).value
+        return omega_norm(a, **opts).value
+
+    def evaluate_many(stack):
+        from .radius import omega_norm_many
+
+        return np.array([res.value for res in omega_norm_many(stack, **opts)])
 
     return NormSpec(
         id="omega",
@@ -157,6 +165,7 @@ def omega_norm_spec(*, grid_s: int = 96, grid_psi: int = 192,
         algebra=False,
         weakly_unitarily_invariant=True,
         unitary_sup=lambda n: math.sqrt(2.0),
+        evaluate_many=evaluate_many,
         even=True,
     )
 

@@ -23,23 +23,34 @@ r by at most `refine_tol` * max(1, r).  A pencil too close to singular to
 resolve crossings (flat lambda_max, as for square-zero T) hands the search
 to the grid optimizer below.  Ties go to the smallest angle.
 
-Every other supremum uses a uniform grid over the period followed by
-golden-section refinement of the best few local brackets, which is
-derivative-free (eigenvalue branches may cross non-smoothly) and
+Every other supremum over one angle uses a uniform grid over the period
+followed by golden-section refinement of the best few local brackets, which
+is derivative-free (eigenvalue branches may cross non-smoothly) and
 deterministic for fixed options.  Because every norm satisfies
 N(-A) = N(A), the angle objective has period pi; the optimizers exploit
 that only when the norm declares it (`even` flag), never for user-supplied
 evaluators.
 
-An angle objective is one function F from angles to values: the coarse
-grid calls it once on all grid angles and each golden-section probe on one
-float angle.  `rotated_objective` builds F on cos(t) Re(T) - sin(t) Im(T):
-one chunked stack for the grid, one `norm.evaluate` per probe.
+An angle objective is one function F from a 1-d array of angles to values:
+the coarse grid calls it once on all grid angles, and the brackets are
+refined in lockstep, one call per golden-section step on the array of
+every live bracket's next probe.  `rotated_objective` builds F on
+cos(t) Re(T) - sin(t) Im(T) as one chunked stack per call through the
+norm's `evaluate_many` (one `evaluate` per angle for norms without it).
 
 For Omega the supremum over the coefficient ball is attained on the sphere
 (positive homogeneity) and the global phase of (zeta, eta) drops out of the
 operator norm, so the search space is zeta = cos(s), eta = exp(i psi) sin(s)
-with s in [0, pi/2] and psi in [0, 2 pi).
+with s in [0, pi/2] and psi in [0, 2 pi).  With
+u = (cos 2s, sin 2s cos psi, sin 2s sin psi) on the unit sphere,
+Omega(T)^2 = max over u of lambda_max(S + u_0 D + u_1 X - u_2 Y), four fixed
+Hermitian matrices of T.  A coarse (s, psi) grid picks candidate cells, and
+a safeguarded Newton ascent on the sphere refines them: one eigh gives
+lambda_max, its gradient and its Hessian (eigenvalue perturbation), and a
+cell typically converges in two to seven eigensolves.  `omega_norm_many`
+runs grid, candidates and Newton for a whole stack of matrices at once; it
+is the `evaluate_many` of the Omega norm, so a radius with Omega as N
+solves each grid or golden-section step's operands together.
 """
 
 from __future__ import annotations
@@ -51,14 +62,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    MatrixShapeError,
+    NonFiniteEntry,
     adjoint,
     as_matrix,
+    binary_scaled,
     frobenius_norm,
     im_part,
     re_part,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section probes per bracket, at most
+_MAX_PROBES = 300
 _TWO_PI = 2.0 * math.pi
 # cap on complex entries held by one batched grid evaluation (~32 MB)
 _CHUNK_ENTRIES = 2_000_000
@@ -77,7 +93,9 @@ class RadiusResult:
 
 @dataclass(frozen=True)
 class OmegaResult:
-    """Optimized Omega norm with its maximizing (s, psi) coefficients."""
+    """Optimized Omega norm with its maximizing (s, psi) coefficients, the
+    length on the sphere of the last accepted refinement step, and the
+    number of grid points plus eigensolves spent."""
 
     value: float
     argmax: tuple[float, float]
@@ -85,62 +103,24 @@ class OmegaResult:
     evaluations: int
 
 
-def _golden_max(f, lo: float, hi: float, tol: float, seed=None, max_iter: int = 300):
-    """Golden-section maximization on [lo, hi] down to bracket width tol.
-
-    Returns (x, fx, width, evaluations) for the best point actually
-    evaluated; `seed` may carry an already-known (x, fx) inside the bracket.
-    Ties go to the smaller x so the search is deterministic.
-    """
-    a, b = float(lo), float(hi)
-    if seed is not None:
-        best_x, best_v = float(seed[0]), float(seed[1])
-    else:
-        best_x, best_v = a, -math.inf
-    h = b - a
-    if h <= tol:
-        return best_x, best_v, h, 0
-    x1 = b - _INVPHI * h
-    x2 = a + _INVPHI * h
-    f1, f2 = f(x1), f(x2)
-    evals = 2
-    for x, v in ((x1, f1), (x2, f2)):
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-    while h > tol and evals < max_iter:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            h = b - a
-            x1 = b - _INVPHI * h
-            f1 = f(x1)
-            evals += 1
-            if f1 > best_v or (f1 == best_v and x1 < best_x):
-                best_x, best_v = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            h = b - a
-            x2 = a + _INVPHI * h
-            f2 = f(x2)
-            evals += 1
-            if f2 > best_v or (f2 == best_v and x2 < best_x):
-                best_x, best_v = x2, f2
-    return best_x, best_v, h, evals
-
-
 def maximize_on_circle(F, period: float, points: int, refine_tol: float,
                        top_brackets: int):
     """Grid-plus-refinement maximum of a periodic objective.
 
-    Evaluates F on `points` uniform samples of one period in one call,
-    picks the `top_brackets` best cyclic local maxima, refines each bracket
-    by golden section (F on one float angle per probe) to width
-    `refine_tol`, and returns (argmax, value, final_width, evaluations).
+    Evaluates F on `points` uniform samples of one period in one call and
+    picks the `top_brackets` best cyclic local maxima (ties to the smaller
+    angle).  Each bracket [center - h, center + h], h = period / points,
+    is then refined by golden section to width `refine_tol` (at most
+    _MAX_PROBES probes), all brackets in lockstep: every step makes one F
+    call on the array of the live brackets' next probes, so each bracket
+    sees the probe sequence a scalar golden section would give it.  Returns
+    (argmax, value, final_width, evaluations); the best evaluated point
+    wins, ties to the smaller angle.
     """
     if points < 4:
         raise ValueError("need at least 4 grid points")
     thetas = np.arange(points) * (period / points)
     vals = np.asarray(F(thetas), dtype=float)
-    evals = points
     prev = np.roll(vals, 1)
     nxt = np.roll(vals, -1)
     local = np.flatnonzero((vals >= prev) & (vals >= nxt))
@@ -148,16 +128,48 @@ def maximize_on_circle(F, period: float, points: int, refine_tol: float,
         local = np.array([int(np.argmax(vals))])
     order = sorted(local.tolist(), key=lambda i: (-vals[i], i))[: max(1, top_brackets)]
     h = period / points
-    best = None  # (value, x, width)
-    for i in order:
-        center = float(thetas[i])
-        x, v, w, ev = _golden_max(F, center - h, center + h, refine_tol,
-                                  seed=(center, float(vals[i])))
-        evals += ev
-        if best is None or v > best[0] or (v == best[0] and x < best[1]):
-            best = (v, x, w)
-    value, x, width = best
-    return x, value, width, evals
+    seeds = [(float(thetas[i]), float(vals[i])) for i in order]
+    # per bracket: [a, b, x1, f1, x2, f2, probes made]
+    brackets = [[x - h, x + h, 0.0, -math.inf, 0.0, -math.inf, 0] for x, _ in seeds]
+    for s in brackets:
+        s[2] = s[1] - _INVPHI * (s[1] - s[0])
+        s[4] = s[0] + _INVPHI * (s[1] - s[0])
+    live = [s for s in brackets if s[1] - s[0] > refine_tol]
+    if live:
+        values = _values(F, [s[2] for s in live] + [s[4] for s in live])
+        for s, f1, f2 in zip(live, values, values[len(live):]):
+            s[3], s[5], s[6] = f1, f2, 2
+    while True:
+        live = [s for s in live if s[1] - s[0] > refine_tol and s[6] < _MAX_PROBES]
+        if not live:
+            break
+        sides = []
+        for s in live:
+            a, b, x1, f1, x2, f2, _ = s
+            if f1 >= f2:   # keep [a, x2], probe anew left of x1
+                s[1], s[4], s[5] = x2, x1, f1
+                s[2] = x2 - _INVPHI * (x2 - a)
+                sides.append(2)
+            else:          # keep [x1, b], probe anew right of x2
+                s[0], s[2], s[3] = x1, x2, f2
+                s[4] = x1 + _INVPHI * (b - x1)
+                sides.append(4)
+        values = _values(F, [s[k] for s, k in zip(live, sides)])
+        for s, k, v in zip(live, sides, values):
+            s[k + 1] = v
+            s[6] += 1
+    # a step drops only a probe that the kept one matches at a smaller angle
+    # or beats, so each bracket's best probe is its x1 or x2
+    candidates = [(-v, x, k) for k, (s, seed) in enumerate(zip(brackets, seeds))
+                  for x, v in [seed] + ([(s[2], s[3]), (s[4], s[5])] if s[6] else [])]
+    neg_value, x, k = min(candidates)
+    s = brackets[k]
+    return x, -neg_value, s[1] - s[0], points + sum(s[6] for s in brackets)
+
+
+def _values(F, angles: list) -> list:
+    """F on a list of angles, as a list of floats."""
+    return np.asarray(F(np.array(angles)), dtype=float).tolist()
 
 
 def minimize_on_circle(F, period: float, points: int, refine_tol: float,
@@ -194,23 +206,17 @@ def rotated_objective(T, evaluate, evaluate_many=None, coefficients=_real_coeffi
     """The angle objective F(t) = evaluate(a Re(T) - b Im(T)), where
     (a, b) = coefficients(cos t, sin t); the default gives Re(exp(i t) T).
 
-    On one float angle F returns evaluate(operand) as a float.  On an array
-    of angles it returns evaluate_many of the stacked operands, chunked by
-    `evaluate_chunked`, or without `evaluate_many` one evaluate per angle.
+    F takes a 1-d array of angles and returns evaluate_many of the stacked
+    operands, chunked by `evaluate_chunked`, or without `evaluate_many` one
+    evaluate per angle.
     """
     arr = as_matrix(T, square=True)
     re, im = re_part(arr), im_part(arr)
 
-    def one(t: float) -> float:
-        a, b = coefficients(math.cos(t), math.sin(t))
-        return float(evaluate(a * re - b * im))
-
     def F(angles):
-        if isinstance(angles, float):
-            return one(angles)
-        if evaluate_many is None:
-            return np.array([one(float(t)) for t in angles])
         a, b = coefficients(np.cos(angles), np.sin(angles))
+        if evaluate_many is None:
+            return np.array([float(evaluate(x * re - y * im)) for x, y in zip(a, b)])
 
         def values(lo, hi):
             return evaluate_many(a[lo:hi, None, None] * re - b[lo:hi, None, None] * im)
@@ -353,7 +359,7 @@ def numerical_radius(T, *, refine_tol: float = 1e-10) -> RadiusResult:
             # evaluated again at the wrapped angle, so that value is
             # lambda_max(H(argmax_theta)) exactly
             x %= _TWO_PI
-            v = F(x)
+            v = float(F(np.array([x]))[0])
             evaluations += ev + 1
             if v > value or (v == value and x < theta):
                 value, theta = v, x
@@ -423,29 +429,33 @@ def _canonical_phase(arr: np.ndarray) -> float:
     return cmath.phase(complex(flat[k]))
 
 
-def _omega_basis(arr: np.ndarray) -> np.ndarray:
+def _omega_basis(stack: np.ndarray) -> np.ndarray:
     """The four Hermitian matrices whose real combinations are the Gram
-    matrices of the Omega objective.
+    matrices of the Omega objective, for a matrix or each matrix of a stack.
 
     With c = cos(s), sigma = sin(s) and M = c A + exp(i psi) sigma A*,
     M* M = c^2 A*A + sigma^2 AA* + 2 c sigma (cos(psi) Re(A*^2) - sin(psi) Im(A*^2)),
     so ||M||^2 is the top eigenvalue of that real combination.  Returned as
-    the (4, n, n) stack [A*A, AA*, Re(A*^2), Im(A*^2)].
+    [A*A, AA*, Re(A*^2), Im(A*^2)] along axis -3.
     """
-    at = adjoint(arr)
+    at = adjoint(stack)
     sq = at @ at
-    return np.stack([re_part(at @ arr), re_part(arr @ at), re_part(sq), im_part(sq)])
+    re = [(x + adjoint(x)) / 2 for x in (at @ stack, stack @ at, sq)]
+    return np.stack(re + [(sq - adjoint(sq)) / 2j], axis=-3)
 
 
 def _omega_grid(basis: np.ndarray, s_nodes: np.ndarray, p_nodes: np.ndarray):
-    """||cos(s) A + exp(i psi) sin(s) A*|| on the full s_nodes x p_nodes grid.
+    """||cos(s) A + exp(i psi) sin(s) A*|| on the full s_nodes x p_nodes grid,
+    for the basis of one matrix or of each matrix of a stack.
 
     Only the rows s <= pi/4 are evaluated: the matrices at (s, psi) and
     (pi/2 - s, psi) are adjoints of each other up to a unit phase, so each
     evaluated row is mirrored onto row grid_s - 1 - i (s_nodes must be
     symmetric about pi/4, as linspace(0, pi/2, grid_s) is).  Every chunk's
-    Gram stack is one real product of its weights with the basis.  Returns
-    (values of shape (grid_s, grid_psi), grid points evaluated).
+    Gram stack is one real product of its weights with a basis; a chunk holds
+    at most _CHUNK_ENTRIES Gram entries and splits no matrix's grid unless
+    that grid alone is larger.  Returns (values of shape
+    basis.shape[:-3] + (grid_s, grid_psi), grid points evaluated per matrix).
     """
     n = basis.shape[-1]
     grid_s, grid_psi = s_nodes.size, p_nodes.size
@@ -459,36 +469,203 @@ def _omega_grid(basis: np.ndarray, s_nodes: np.ndarray, p_nodes: np.ndarray):
     weights[..., 2] = cs * np.cos(p_nodes)
     weights[..., 3] = -cs * np.sin(p_nodes)
     weights = weights.reshape(-1, 4)
+    points = weights.shape[0]
     # complex entries viewed as (re, im) float pairs: real weights act on both
-    flat = basis.reshape(4, n * n).view(np.float64)
+    flat = basis.reshape(-1, 4, n * n).view(np.float64)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    group = max(1, step // points)
+    tops = np.empty((flat.shape[0], points))
+    for g in range(0, flat.shape[0], group):
+        for a in range(0, points, step):
+            b = min(a + step, points)
+            # one expression, so no chunk's Gram stack outlives its eigvalsh
+            tops[g:g + group, a:b] = np.linalg.eigvalsh(
+                np.matmul(weights[a:b], flat[g:g + group]).view(np.complex128)
+                .reshape(-1, b - a, n, n))[..., -1]
+    half = np.sqrt(np.maximum(tops, 0.0)).reshape(-1, rows, grid_psi)
+    vals = np.empty((half.shape[0], grid_s, grid_psi))
+    vals[:, :rows] = half
+    vals[:, rows:] = half[:, : grid_s - rows][:, ::-1]
+    return vals.reshape(basis.shape[:-3] + (grid_s, grid_psi)), half[0].size
 
-    def tops(a, b):
-        gram = (weights[a:b] @ flat).view(np.complex128).reshape(b - a, n, n)
-        return np.linalg.eigvalsh(gram)[..., -1]
 
-    half = np.sqrt(np.maximum(evaluate_chunked(tops, weights.shape[0], n * n), 0.0))
-    half = half.reshape(rows, grid_psi)
-    vals = np.empty((grid_s, grid_psi))
-    vals[:rows] = half
-    vals[rows:] = half[: grid_s - rows][::-1]
-    return vals, half.size
+def _grid_candidates(vals: np.ndarray, top_cells: int):
+    """(matrix, i, j) of the `top_cells` best local maxima of each matrix's
+    grid (vals of shape (m, grid_s, grid_psi)) among the evaluated rows
+    s <= pi/4, best grid value first, then smaller s, then smaller psi.
+
+    A local maximum is at least every cell of its 3 x 3 neighbourhood, psi
+    wrapping around.  Row 0 (s = 0) is one point, whatever psi: it counts
+    once, as cell (0, 0), when it is at least all of row 1.
+    """
+    rows = (vals.shape[1] + 1) // 2
+    up = np.concatenate((vals[:, :1], vals[:, :-1]), axis=1)
+    down = np.concatenate((vals[:, 1:], vals[:, -1:]), axis=1)
+    hood = np.maximum(np.maximum(up, vals), down)
+    hood = np.maximum(np.maximum(np.roll(hood, 1, axis=2), hood), np.roll(hood, -1, axis=2))
+    local = (vals >= hood)[:, :rows]
+    local[:, 0] = False
+    local[:, 0, 0] = vals[:, 0, 0] >= vals[:, 1].max(axis=1)
+    kk, ii, jj = np.nonzero(local)
+    order = np.lexsort((jj, ii, -vals[kk, ii, jj], kk))
+    kk, ii, jj = kk[order], ii[order], jj[order]
+    keep = np.arange(kk.size) - np.searchsorted(kk, kk) < max(1, top_cells)
+    return kk[keep], ii[keep], jj[keep]
 
 
-def _omega_objective(basis: np.ndarray):
-    """g(s, psi) = ||cos(s) A + exp(i psi) sin(s) A*|| from the Gram basis:
-    four scalar weights, one n x n combination and one eigvalsh per probe."""
-    n = basis.shape[-1]
-    flat = basis.reshape(4, n * n).view(np.float64)
+def _sphere_kernels(basis: np.ndarray) -> np.ndarray:
+    """[S, D, X, -Y] per matrix of a (m, 4, n, n) basis, with
+    S = (A*A + AA*)/2, D = (A*A - AA*)/2, X = Re(A*^2) and Y = Im(A*^2), so
+    that the Gram matrix at u = (cos 2s, sin 2s cos psi, sin 2s sin psi) is
+    G(u) = S + u_0 D + u_1 X - u_2 Y."""
+    a, b = basis[:, 0], basis[:, 1]
+    return np.stack(((a + b) / 2, (a - b) / 2, basis[:, 2], -basis[:, 3]), axis=1)
 
-    def g(s: float, psi: float) -> float:
-        c, sigma = math.cos(s), math.sin(s)
-        cs = 2.0 * c * sigma
-        gram = np.dot((c * c, sigma * sigma, cs * math.cos(psi), -cs * math.sin(psi)),
-                      flat)
-        top = np.linalg.eigvalsh(gram.view(np.complex128).reshape(n, n))[-1]
-        return math.sqrt(top) if top > 0.0 else 0.0
 
-    return g
+def _sphere_eigh(kern: np.ndarray, u: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of G(u) = K_0 + sum_i u_i K_(i+1)
+    for each cell: kern of shape (c, 4, n, n), u of shape (c, 3)."""
+    parts = kern.view(np.float64)
+    w = u[:, :, None, None]
+    g = parts[:, 0] + w[:, 0] * parts[:, 1] + w[:, 1] * parts[:, 2] + w[:, 2] * parts[:, 3]
+    return np.linalg.eigh(g.view(np.complex128))
+
+
+# Newton needs lambda_1 - lambda_2 above this times max(1, lambda_1) (the
+# Hessian divides by eigenvalue gaps)
+_NEWTON_GAP = 1e-12
+
+
+def _sphere_step(kern: np.ndarray, u: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
+    """The next point from each cell's eigendecomposition of G(u): the
+    Riemannian Newton point where the tangent Hessian is negative definite
+    and the top eigenvalue is simple, otherwise the ascent point v / |v|.
+    Returns (next u, gradient v, Newton taken).
+
+    With x the top eigenvector, lambda_1 has gradient v_i = x* K_i x and
+    Hessian 2 sum_k Re[(x* K_i x_k)(x_k* K_j x)] / (lambda_1 - lambda_k)
+    in u (eigenvalue perturbation; G is linear in u).  On the sphere the
+    gradient is projected to the tangent plane and the Hessian loses
+    (u . v) I.
+    """
+    count, n = lam.shape
+    x = vecs[..., -1]
+    kx = (kern[:, 1:] @ x[:, None, :, None])[..., 0]
+    v = (np.conj(x)[:, None, :] * kx).real.sum(axis=-1)
+    top = lam[:, -1]
+    gap = top - lam[:, -2] if n > 1 else np.full(count, math.inf)
+    simple = gap > _NEWTON_GAP * np.maximum(1.0, top)
+    coef = np.swapaxes(np.conj(vecs[..., :-1]), 1, 2) @ np.swapaxes(kx, 1, 2)
+    denom = np.where(simple[:, None], top[:, None] - lam[:, :-1], 1.0)
+    hess = 2.0 * (np.swapaxes(np.conj(coef), 1, 2) @ (coef / denom[..., None])).real
+    # the tangent Hessian with eigenvalue 1 added along u: one 3 x 3 eigh
+    # tells whether it is negative definite (two negative eigenvalues) and
+    # solves for the Newton step, which stays in the tangent plane
+    normal = u[:, :, None] * u[:, None, :]
+    proj = np.eye(3) - normal
+    uv = (u * v).sum(axis=1)
+    mu, q = np.linalg.eigh(proj @ hess @ proj - uv[:, None, None] * proj + normal)
+    newton = simple & (mu[:, 1] < 0.0)
+    coords = (np.swapaxes(q, 1, 2) @ (proj @ v[:, :, None]))[..., 0]
+    step = q @ (coords / np.where(newton[:, None], mu, 1.0))[:, :, None]
+    un = u - step[..., 0]
+    un /= np.linalg.norm(un, axis=1)[:, None]
+    return np.where(newton[:, None], un, _ascent_point(u, v)), v, newton
+
+
+def _ascent_point(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v / |v|, which never lowers lambda_max: lambda_max(G(u')) >= x* G(u') x
+    = x* S x + u' . v, and u' . v = |v| >= u . v; u itself where v = 0."""
+    size = np.linalg.norm(v, axis=1)[:, None]
+    return np.where(size > 0.0, v / np.where(size > 0.0, size, 1.0), u)
+
+
+def _newton_on_sphere(kern, u, lam1, width, refine_tol, max_rounds):
+    """Safeguarded Newton ascent of lambda_max(G(u)) over the unit sphere,
+    all cells in lockstep: one batched eigh of the live cells per round.
+
+    A cell starts at u with the value lam1 and the step length `width`, and
+    its start is accepted whatever its eigh gives.  After that a Newton
+    point is accepted only if lambda_max does not drop there; otherwise the
+    cell goes to the ascent point from its last accepted u instead.  A cell
+    stops once it accepts a step of length at most `refine_tol`, or after
+    `max_rounds` rounds.  Returns (u, lam1, width, eigensolves) per cell,
+    `width` being the length of the last accepted step.
+    """
+    u, lam1, width = u.copy(), lam1.copy(), width.copy()
+    grad = np.zeros_like(u)
+    trial, pending = u.copy(), width.copy()
+    sure = np.ones(u.shape[0], dtype=bool)   # trial cannot lower lambda_max
+    solves = np.zeros(u.shape[0], dtype=int)
+    live = np.arange(u.shape[0])
+    for _ in range(max_rounds):
+        if live.size == 0:
+            break
+        lam, vecs = _sphere_eigh(kern[live], trial[live])
+        solves[live] += 1
+        ok = sure[live] | (lam[:, -1] >= lam1[live])
+        acc, rej = live[ok], live[~ok]
+        u[acc], lam1[acc], width[acc] = trial[acc], lam[ok, -1], pending[acc]
+        nxt, grad[acc], newton = _sphere_step(kern[acc], u[acc], lam[ok], vecs[ok])
+        trial[acc], sure[acc] = nxt, ~newton
+        trial[rej], sure[rej] = _ascent_point(u[rej], grad[rej]), True
+        pending[live] = np.linalg.norm(trial[live] - u[live], axis=1)
+        live = live[~ok | (width[live] > refine_tol)]
+    return u, lam1, width, solves
+
+
+def omega_norm_many(stack, *, grid_s: int = 96, grid_psi: int = 192,
+                    refine_tol: float = 1e-9, top_cells: int = 5,
+                    max_rounds: int = 100) -> list[OmegaResult]:
+    """Omega of each matrix of a (m, n, n) stack; see `omega_norm`.
+
+    The grid, the candidate cells and the Newton refinement run for the
+    whole stack at once, and every result is bitwise the one `omega_norm`
+    gives for that matrix alone.
+    """
+    if grid_s < 4 or grid_psi < 4:
+        raise ValueError("omega grids need at least 4 points per axis")
+    raw = np.array(stack, dtype=np.complex128)
+    if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[1] == 0:
+        raise MatrixShapeError(f"expected a stack of square matrices, got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise NonFiniteEntry("matrix entries must be finite (no NaN/Inf)")
+    if raw.shape[0] == 0:
+        return []
+    scaled, exponent = binary_scaled(raw)
+    gamma = np.array([_canonical_phase(a) for a in scaled])
+    arr = np.stack([a * complex(math.cos(-g), math.sin(-g)) if g != 0.0 else a
+                    for a, g in zip(scaled, gamma)])
+    basis = _omega_basis(arr)
+    half_pi = math.pi / 2
+    s_nodes = np.linspace(0.0, half_pi, grid_s)
+    p_nodes = np.arange(grid_psi) * (_TWO_PI / grid_psi)
+    grid, points = _omega_grid(basis, s_nodes, p_nodes)
+
+    owner, ii, jj = _grid_candidates(grid, top_cells)
+    two_s, psi = 2.0 * s_nodes[ii], p_nodes[jj]
+    start = np.stack((np.cos(two_s), np.sin(two_s) * np.cos(psi),
+                      np.sin(two_s) * np.sin(psi)), axis=1)
+    cell = 2.0 * max(half_pi / (grid_s - 1), _TWO_PI / grid_psi)
+    u, lam1, width, solves = _newton_on_sphere(
+        _sphere_kernels(basis)[owner], start, grid[owner, ii, jj] ** 2,
+        np.full(owner.size, cell), refine_tol, max_rounds)
+
+    # per matrix, the highest lambda_max; ties to the earlier candidate
+    order = np.lexsort((np.arange(owner.size), -lam1, owner))
+    best = order[np.searchsorted(owner[order], np.arange(raw.shape[0]))]
+    evaluations = points + np.bincount(owner, weights=solves, minlength=raw.shape[0])
+    results = []
+    for k, c in enumerate(best):
+        u0, u1, u2 = u[c].tolist()
+        # map the maximizer back to the caller's matrix: for T = e^{i gamma} A,
+        # ||cos(s) A + e^{i psi} sin(s) A*|| == ||cos(s) T + e^{i (psi + 2 gamma)} sin(s) T*||
+        psi = (math.atan2(u2, u1) + 2.0 * float(gamma[k])) % _TWO_PI
+        results.append(OmegaResult(
+            value=math.ldexp(math.sqrt(max(lam1[c], 0.0)), int(exponent[k])),
+            argmax=(0.5 * math.atan2(math.hypot(u1, u2), u0), psi if psi < _TWO_PI else 0.0),
+            achieved_cell=float(width[c]), evaluations=int(evaluations[k])))
+    return results
 
 
 def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
@@ -496,78 +673,38 @@ def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
                max_rounds: int = 100) -> OmegaResult:
     """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*||.
 
-    Coarse grid over [0, pi/2] x [0, 2 pi), then alternating per-coordinate
-    golden-section refinement of the best `top_cells` cells until the cell
-    width drops below `refine_tol` (or `max_rounds` alternations).  A
-    coordinate whose refined optimum lands on its bracket edge gets its
-    bracket re-expanded instead of shrunk, so ridge-shaped maxima are
-    followed rather than clipped.  Grid ties break toward smaller s, then
-    smaller psi.
+    With u = (cos 2s, sin 2s cos psi, sin 2s sin psi) on the unit sphere,
+    ||.||^2 = lambda_max(G(u)), G(u) = S + u_0 D + u_1 X - u_2 Y, the four
+    Hermitian matrices coming from `_omega_basis`.  A coarse grid over
+    [0, pi/2] x [0, 2 pi) (only its rows s <= pi/4 are evaluated, the rest
+    mirrored) gives the candidates: the `top_cells` best distinct local
+    maxima of the evaluated rows, best grid value first, then smaller s,
+    then smaller psi.  Each is refined by a safeguarded Newton ascent on the
+    sphere (`_newton_on_sphere`): one eigh of G(u) gives lambda_max, its
+    gradient and its Hessian; the Newton point is taken where the tangent
+    Hessian is negative definite, the top eigenvalue simple and lambda_max
+    does not drop, and the ascent point v / |v| otherwise.  A cell stops
+    once it accepts a step of length at most `refine_tol` (or after
+    `max_rounds` eigensolves).  The highest refined value wins, ties to the
+    earlier candidate.
 
-    Two exact symmetries are quotiented out: the global phase of the
-    coefficient pair (zeta is kept real non-negative), and the global phase
-    of T itself (the search runs on a phase-canonicalized copy and the
-    maximizing psi is mapped back), so scalar multiples of one matrix see
-    the same search landscape.  A third, s <-> pi/2 - s, halves the grid
-    (`_omega_grid`); every value comes from the Gram basis of `_omega_basis`.
-    `evaluations` counts the grid points and probes actually evaluated.
+    The search runs on T scaled by a power of two so its largest entry part
+    lies in [1/2, 1), and the value is scaled back, so no Gram entry
+    overflows or underflows.  Two exact symmetries are quotiented out: the
+    global phase of the coefficient pair (zeta is kept real non-negative),
+    and the global phase of T itself (the search runs on a
+    phase-canonicalized copy and the maximizing psi is mapped back), so
+    scalar multiples of one matrix see the same search landscape.
+
+    `value` is sqrt(lambda_max(G(u))) at the returned u, whose (s, psi) is
+    `argmax`; `achieved_cell` is the length in u of the last accepted step
+    (2 max(ds, dpsi), the grid cell, without refinement); `evaluations`
+    counts grid points plus eigensolves.  This is the one-matrix case of
+    `omega_norm_many`.
     """
-    if grid_s < 4 or grid_psi < 4:
-        raise ValueError("omega grids need at least 4 points per axis")
-    raw = as_matrix(T, square=True)
-    gamma = _canonical_phase(raw)
-    arr = raw * complex(math.cos(-gamma), math.sin(-gamma)) if gamma != 0.0 else raw
-    basis = _omega_basis(arr)
-    half_pi = math.pi / 2
-    s_nodes = np.linspace(0.0, half_pi, grid_s)
-    p_nodes = np.arange(grid_psi) * (_TWO_PI / grid_psi)
-
-    grid, evals = _omega_grid(basis, s_nodes, p_nodes)
-    vals = grid.ravel()
-    g = _omega_objective(basis)
-
-    ii, jj = np.divmod(np.arange(vals.size), grid_psi)
-    order = np.lexsort((jj, ii, -vals))[: max(1, top_cells)]
-    ds = half_pi / (grid_s - 1)
-    dp = _TWO_PI / grid_psi
-    best = None  # (value, s, psi, cell_width)
-    for k in order:
-        i, j = int(ii[k]), int(jj[k])
-        s, psi, v = float(s_nodes[i]), float(p_nodes[j]), float(vals[k])
-        hs, hp = ds, dp
-        cell = 2.0 * max(hs, hp)
-        for _ in range(max_rounds):
-            if cell <= refine_tol:
-                break
-            lo, hi = max(0.0, s - hs), min(half_pi, s + hs)
-            tol_s = max(refine_tol / 2, 0.05 * (hi - lo))
-            s2, v2, ws, ev = _golden_max(lambda t: g(t, psi), lo, hi, tol_s, seed=(s, v))
-            evals += ev
-            # landing on a bracket edge means the maximum may lie outside the
-            # bracket, unless that edge is the domain boundary itself
-            hit_s = (((s2 - lo) < 0.05 * (hi - lo) and lo > 0.0)
-                     or ((hi - s2) < 0.05 * (hi - lo) and hi < half_pi))
-            s, v = s2, v2
-            lo_p, hi_p = psi - hp, psi + hp
-            tol_p = max(refine_tol / 2, 0.05 * (hi_p - lo_p))
-            p2, v3, wp, ev = _golden_max(lambda t: g(s, t), lo_p, hi_p, tol_p,
-                                         seed=(psi, v))
-            evals += ev
-            hit_p = (p2 - lo_p) < 0.05 * (hi_p - lo_p) or (hi_p - p2) < 0.05 * (hi_p - lo_p)
-            psi, v = p2, v3
-            hs = min(ds, 2.0 * ws) if hit_s else ws
-            hp = min(dp, 2.0 * wp) if hit_p else wp
-            cell = 2.0 * max(hs, hp)
-        cand = (v, s, psi, cell)
-        if (best is None or cand[0] > best[0]
-                or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2]))):
-            best = cand
-    v, s, psi, cell = best
-    # map the maximizer back to the caller's matrix: for T = e^{i gamma} A,
-    # ||cos(s) A + e^{i psi} sin(s) A*|| == ||cos(s) T + e^{i (psi + 2 gamma)} sin(s) T*||
-    return OmegaResult(value=float(v),
-                       argmax=(min(max(s, 0.0), half_pi), (psi + 2.0 * gamma) % _TWO_PI),
-                       achieved_cell=float(cell), evaluations=evals)
+    return omega_norm_many(as_matrix(T, square=True)[None], grid_s=grid_s,
+                           grid_psi=grid_psi, refine_tol=refine_tol,
+                           top_cells=top_cells, max_rounds=max_rounds)[0]
 
 
 def omega_vector_lower_bound(T, samples: int, seed: int) -> float:
@@ -590,8 +727,9 @@ def omega_vector_lower_bound(T, samples: int, seed: int) -> float:
 # Reduced (but still refined) settings for the slow w_Omega path: the
 # outer objective is the smooth numerical-radius objective scaled by
 # sqrt(2) and the inner Omega evaluations act on Hermitian matrices, so
-# coarse grids localize the maxima and golden-section recovers precision
-# quadratically (bracket width w costs only O(w^2) in value).
+# coarse grids localize the maxima; golden section (outer) and Newton
+# (inner) recover the precision, and a bracket or step of width w costs only
+# O(w^2) in value.
 SLOW_OMEGA_OUTER = {"grid": 96, "refine_tol": 1e-6, "top_brackets": 3}
 SLOW_OMEGA_INNER = {"grid_s": 13, "grid_psi": 24, "refine_tol": 1e-4, "top_cells": 2}
 
@@ -619,8 +757,11 @@ def hs_radius_sq(T) -> float:
 
     The right side scales quadratically in T, so this is an identity for
     the square of the Frobenius-norm radius; the test suite verifies
-    generalized_radius(T, Frobenius)^2 against it.
+    generalized_radius(T, Frobenius)^2 against it.  It is computed on
+    `binary_scaled(T)` and scaled back, so it overflows to inf or underflows
+    to 0 only where the squared value itself is out of range.
     """
-    arr = as_matrix(T, square=True)
+    arr, exponent = binary_scaled(as_matrix(T, square=True))
     tr_sq = complex(np.einsum("ij,ji->", arr, arr))
-    return 0.5 * frobenius_norm(arr) ** 2 + 0.5 * abs(tr_sq)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(0.5 * frobenius_norm(arr) ** 2 + 0.5 * abs(tr_sq), 2 * exponent))

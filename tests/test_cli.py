@@ -49,6 +49,23 @@ class TestCompute:
         assert rec["w_omega"] == pytest.approx(SQRT2 * rec["w"], abs=1e-12)
         assert rec["hs_radius_sq"] == pytest.approx(1.5, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
+    def test_extreme_scales(self, scale, tmp_path):
+        path = tmp_path / "scaled.json"
+        save_matrix(path, scale * np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+        code, text = run_cli(["compute", "--matrix", str(path),
+                              "--format", "machine"], tmp_path)
+        assert code == 0
+        (rec,) = machine_records(text)
+        expected = {"operator_norm": SQRT2, "frobenius_norm": SQRT2,
+                    "re_norm": (1.0 + SQRT2) / 2, "im_norm": 0.5,
+                    "w": (1.0 + SQRT2) / 2, "omega": 1.0 + SQRT2 / 2}
+        for key, value in expected.items():
+            assert rec[key] == pytest.approx(scale * value, rel=1e-12), key
+        # 1.5 scale^2 is below the subnormals, subnormal, or above the range
+        assert rec["hs_radius_sq"] == {1e-300: 0.0, 1e-160: pytest.approx(1.5e-320, abs=5e-324),
+                                       1e160: "inf"}[scale]
+
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "zero.json"
         save_matrix(path, np.zeros((2, 2)))

@@ -166,6 +166,39 @@ class TestSpectralNorm:
         np.testing.assert_allclose(many, singles, atol=1e-12)
 
 
+# far enough out that squares underflow or overflow, and at the edge of it
+EXTREME_SCALES = (1e-300, 1e-160, 1e160)
+
+
+class TestScaleSafeNorms:
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    def test_norms_scale_exactly(self, scale):
+        a = _ginibre(4, 120)
+        big = scale * a
+        assert matcore.frobenius_norm(big) == pytest.approx(
+            scale * matcore.frobenius_norm(a), rel=1e-14)
+        assert matcore.spectral_norm(big) == pytest.approx(
+            scale * matcore.spectral_norm(a), rel=1e-14)
+        stack = np.stack([a, big, np.zeros((4, 4))])
+        np.testing.assert_allclose(matcore.spectral_norm_many(stack),
+                                   [matcore.spectral_norm(m) for m in stack], rtol=1e-14)
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    def test_worked_matrix_at_scale(self, scale):
+        assert matcore.frobenius_norm(scale * WORKED) == pytest.approx(
+            scale * math.sqrt(2.0), rel=1e-15)
+        assert matcore.spectral_norm(scale * WORKED) == pytest.approx(
+            scale * math.sqrt(2.0), rel=1e-15)
+
+    def test_binary_scaled_is_exact(self):
+        a = _ginibre(3, 121) * 1e-200
+        scaled, exponent = matcore.binary_scaled(a)
+        assert 0.5 <= np.abs(scaled.view(np.float64)).max() < 1.0
+        np.testing.assert_array_equal(np.ldexp(scaled.view(np.float64), exponent),
+                                      a.view(np.float64))
+        assert matcore.binary_scaled(np.zeros((2, 2)))[1] == 0
+
+
 class TestFrobeniusAndTrace:
     def test_trace_of_square(self):
         d = np.diag([1.0, -1.0]).astype(complex)

@@ -92,6 +92,20 @@ class TestRadiusBackedSpecs:
     def test_omega_unitary_sup(self):
         assert omega_norm_spec().unitary_sup(3) == pytest.approx(math.sqrt(2.0))
 
+    @pytest.mark.parametrize("opts", [{}, {"grid_s": 13, "grid_psi": 24,
+                                           "refine_tol": 1e-4, "top_cells": 2}])
+    def test_omega_batched_is_bitwise_scalar(self, opts):
+        spec = omega_norm_spec(**opts)
+        for n in (1, 2, 5):
+            stack = [generate(EnsembleSpec(kind, n, 40 + n))
+                     for kind in ("ginibre", "normal", "hermitian", "haar_unitary")]
+            if n > 1:
+                stack.append(generate(EnsembleSpec("square_zero", n, 44)))
+            stack.append(np.zeros((n, n)))
+            stack = np.stack(stack)
+            many = spec.evaluate_many(stack)
+            assert many.tolist() == [spec.evaluate(m) for m in stack]
+
     def test_flags(self):
         for spec in (numerical_radius_norm_spec(), omega_norm_spec()):
             assert spec.self_adjoint and spec.weakly_unitarily_invariant

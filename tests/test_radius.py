@@ -71,8 +71,11 @@ class TestRotatedObjective:
         a = generate(EnsembleSpec("ginibre", 4, 41))
         re, im = matcore.re_part(a), matcore.im_part(a)
         F = radius.rotated_objective(a, spec.evaluate, spec.evaluate_many)
+        scalar_F = radius.rotated_objective(a, spec.evaluate)
         for t in (0.0, 0.3, 2.5, 5.9):
-            assert F(t) == spec.evaluate(math.cos(t) * re - math.sin(t) * im)
+            operand = math.cos(t) * re - math.sin(t) * im
+            assert F(np.array([t]))[0] == spec.evaluate_many(operand[None])[0]
+            assert scalar_F(np.array([t]))[0] == spec.evaluate(operand)
         c, s = np.cos(self.ANGLES), np.sin(self.ANGLES)
         stack = c[:, None, None] * re - s[:, None, None] * im
         np.testing.assert_array_equal(F(self.ANGLES), spec.evaluate_many(stack))
@@ -86,7 +89,7 @@ class TestRotatedObjective:
         atol = 1e-14 * max(1.0, matcore.spectral_norm(a))
         np.testing.assert_allclose(F(self.ANGLES), expected, rtol=0, atol=atol)
         for phi, value in zip(self.ANGLES, expected):
-            assert abs(F(float(phi)) - value) <= atol
+            assert abs(F(np.array([phi]))[0] - value) <= atol
 
 
 class TestNumericalRadius:
@@ -247,6 +250,92 @@ class TestLevelSetAgreement:
         assert generalized_radius(a, OP).value <= w + 1e-12 * max(1.0, w)
 
 
+def _golden_max(f, lo, hi, tol, seed, max_iter=300):
+    """Scalar golden-section maximization on [lo, hi] down to bracket width
+    tol, one f call per probe, starting from the known point `seed`; ties go
+    to the smaller x.  Returns (x, fx, width, evaluations)."""
+    a, b = lo, hi
+    best_x, best_v = seed
+    h = b - a
+    if h <= tol:
+        return best_x, best_v, h, 0
+    x1, x2 = b - radius._INVPHI * h, a + radius._INVPHI * h
+    f1, f2 = f(x1), f(x2)
+    evals = 2
+    for x, v in ((x1, f1), (x2, f2)):
+        if v > best_v or (v == best_v and x < best_x):
+            best_x, best_v = x, v
+    while h > tol and evals < max_iter:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            h = b - a
+            x = x1 = b - radius._INVPHI * h
+            v = f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            h = b - a
+            x = x2 = a + radius._INVPHI * h
+            v = f2 = f(x2)
+        evals += 1
+        if v > best_v or (v == best_v and x < best_x):
+            best_x, best_v = x, v
+    return best_x, best_v, h, evals
+
+
+def _scalar_maximize_on_circle(F, period, points, refine_tol, top_brackets):
+    """maximize_on_circle with one bracket after the other, F on one angle
+    per probe."""
+    thetas = np.arange(points) * (period / points)
+    vals = np.asarray(F(thetas), dtype=float)
+    local = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    if local.size == 0:
+        local = np.array([int(np.argmax(vals))])
+    order = sorted(local.tolist(), key=lambda i: (-vals[i], i))[: max(1, top_brackets)]
+    h = period / points
+    best, evals = None, points
+    for i in order:
+        center = thetas[i]
+        x, v, w, ev = _golden_max(lambda t: float(F(np.array([t]))[0]), center - h,
+                                  center + h, refine_tol, (center, vals[i]))
+        evals += ev
+        if best is None or v > best[0] or (v == best[0] and x < best[1]):
+            best = (v, x, w)
+    return best[1], best[0], best[2], evals
+
+
+class TestLockstepBrackets:
+    @pytest.mark.parametrize("spec", [OP, FRO, schatten_norm_spec(1)])
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "square_zero"])
+    def test_matches_scalar_golden_section(self, spec, kind):
+        a = generate(EnsembleSpec(kind, 4, 1300))
+        F = radius.rotated_objective(a, spec.evaluate, spec.evaluate_many)
+        for points, tol, brackets in ((720, 1e-10, 5), (96, 1e-6, 3), (16, 1e-3, 8),
+                                      (8, 10.0, 2)):
+            lockstep = radius.maximize_on_circle(F, math.pi, points, tol, brackets)
+            assert lockstep == _scalar_maximize_on_circle(F, math.pi, points, tol, brackets)
+
+    def test_ties_and_probe_cap(self):
+        # cos(4t) has four equal peaks; a zero tolerance runs into the cap
+        def F(angles):
+            return np.cos(4.0 * angles)
+
+        lockstep = radius.maximize_on_circle(F, 2 * math.pi, 64, 0.0, 4)
+        assert lockstep == _scalar_maximize_on_circle(F, 2 * math.pi, 64, 0.0, 4)
+        assert lockstep[3] == 64 + 4 * radius._MAX_PROBES
+        assert lockstep[0] == pytest.approx(0.0, abs=1e-8)
+
+    def test_one_call_per_step(self):
+        calls = []
+
+        def F(angles):
+            calls.append(angles.size)
+            return -np.cos(3.0 * angles) + 0.1 * np.sin(angles)
+
+        radius.maximize_on_circle(F, 2 * math.pi, 96, 1e-8, 3)
+        assert calls[:2] == [96, 6]
+        assert set(calls[2:]) == {3}
+
+
 class TestOracle:
     def test_identity(self):
         assert numerical_radius_oracle(np.eye(3), grid=5000) == pytest.approx(1.0, abs=1e-12)
@@ -361,13 +450,19 @@ class TestOmegaGramGrid:
         for dim in (2, 3, 8):
             a = generate(EnsembleSpec(kind, dim, 950 + dim))
             at = matcore.adjoint(a)
-            g = radius._omega_objective(radius._omega_basis(a))
-            for s, psi in zip(rng.uniform(0, math.pi / 2, 10), rng.uniform(0, 2 * math.pi, 10)):
-                phase = np.exp(1j * psi)
-                lhs = _svd_norm(math.cos(s) * a + phase * math.sin(s) * at)
-                rhs = _svd_norm(math.sin(s) * a + phase * math.cos(s) * at)
+            s, psi = rng.uniform(0, math.pi / 2, 10), rng.uniform(0, 2 * math.pi, 10)
+            # the sphere point of (s, psi) and the Gram matrix G(u) there
+            u = np.stack((np.cos(2 * s), np.sin(2 * s) * np.cos(psi),
+                          np.sin(2 * s) * np.sin(psi)), axis=1)
+            kern = radius._sphere_kernels(radius._omega_basis(a[None]))
+            lam, _ = radius._sphere_eigh(np.repeat(kern, s.size, axis=0), u)
+            for k in range(s.size):
+                phase = np.exp(1j * psi[k])
+                lhs = _svd_norm(math.cos(s[k]) * a + phase * math.sin(s[k]) * at)
+                rhs = _svd_norm(math.sin(s[k]) * a + phase * math.cos(s[k]) * at)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
-                assert g(s, psi) == pytest.approx(lhs, rel=1e-12, abs=1e-12 * _svd_norm(a))
+                assert math.sqrt(max(lam[k, -1], 0.0)) == pytest.approx(
+                    lhs, rel=1e-12, abs=1e-12 * _svd_norm(a))
 
     @pytest.mark.parametrize("kind", OMEGA_KINDS)
     def test_value_attained_at_argmax(self, kind):
@@ -383,6 +478,94 @@ class TestOmegaGramGrid:
     def test_evaluations_count_half_grid(self, grid_s, rows):
         res = omega_norm(WORKED, grid_s=grid_s, grid_psi=24, top_cells=1, max_rounds=0)
         assert res.evaluations == rows * 24
+
+
+def _attained(t, res):
+    """res.value equals the SVD norm of cos(s) T + exp(i psi) sin(s) T* at
+    res.argmax, to 1e-12 relative."""
+    s, psi = res.argmax
+    assert 0.0 <= s <= math.pi / 2 and 0.0 <= psi < 2 * math.pi
+    at_max = math.cos(s) * t + np.exp(1j * psi) * math.sin(s) * matcore.adjoint(t)
+    assert abs(res.value - _svd_norm(at_max)) <= 1e-12 * max(1.0, res.value)
+    return res
+
+
+# SVD norms at points the refinement reached, truncated to ten decimals: the
+# alternating golden-section search stopped 2.2e-6, 1.7e-6, 1.0e-6 and
+# 1.4e-8 (relative) below them on ridges
+OMEGA_ATTAINED = [((6, 104), 3.6235378155), ((4, 107), 3.2476572542),
+                  ((8, 103), 4.9415254446), ((8, 105), 4.7688778795)]
+
+
+class TestOmegaNewton:
+    @pytest.mark.parametrize("draw, attained", OMEGA_ATTAINED)
+    def test_no_underestimate_on_ridges(self, draw, attained):
+        t = generate(EnsembleSpec("ginibre", *draw))
+        res = _attained(t, omega_norm(t))
+        assert res.value >= attained * (1 - 1e-12)
+
+    def test_zero_matrix(self):
+        res = omega_norm(np.zeros((3, 3)))
+        assert (res.value, res.argmax) == (0.0, (0.0, 0.0))
+
+    def test_one_by_one(self):
+        t = np.array([[2.0 - 1.0j]])
+        assert _attained(t, omega_norm(t)).value == pytest.approx(
+            math.sqrt(10.0), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "normal", "haar_unitary"])
+    def test_normal_inputs(self, kind):
+        for n in (2, 4, 7):
+            t = generate(EnsembleSpec(kind, n, 1200 + n))
+            res = _attained(t, omega_norm(t))
+            assert res.value == pytest.approx(math.sqrt(2.0) * matcore.spectral_norm(t),
+                                              rel=1e-12)
+
+    def test_square_zero(self):
+        for n in (2, 3, 6):
+            t = generate(EnsembleSpec("square_zero", n, 1210 + n))
+            res = _attained(t, omega_norm(t))
+            assert res.value == pytest.approx(matcore.spectral_norm(t), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [2.0, -0.5, 3j, 0.7 * np.exp(2.1j)])
+    def test_scalar_multiples(self, c):
+        t = generate(EnsembleSpec("ginibre", 4, 1220))
+        om = omega_norm(t).value
+        res = _attained(c * t, omega_norm(c * t))
+        assert res.value == pytest.approx(abs(c) * om, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
+    def test_extreme_scales(self, scale):
+        t = generate(EnsembleSpec("ginibre", 3, 1230))
+        res = omega_norm(scale * t)
+        assert res.value == pytest.approx(scale * omega_norm(t).value, rel=1e-14)
+        assert res.argmax == pytest.approx(omega_norm(t).argmax, abs=1e-12)
+
+    def test_many_is_the_one_matrix_path(self):
+        stack = np.stack([generate(EnsembleSpec("ginibre", 3, 1240 + k)) for k in range(4)])
+        for opts in ({}, radius.SLOW_OMEGA_INNER):
+            assert radius.omega_norm_many(stack, **opts) == [omega_norm(t, **opts)
+                                                            for t in stack]
+        assert radius.omega_norm_many(np.zeros((0, 2, 2))) == []
+
+    def test_candidates_are_distinct_half_grid_maxima(self):
+        for kind in OMEGA_KINDS:
+            t = generate(EnsembleSpec(kind, 5, 1250))
+            grid_s, grid_psi = 96, 192
+            vals, _ = radius._omega_grid(radius._omega_basis(t),
+                                         np.linspace(0.0, math.pi / 2, grid_s),
+                                         np.arange(grid_psi) * (2 * math.pi / grid_psi))
+            owner, ii, jj = radius._grid_candidates(vals[None], 5)
+            assert 1 <= owner.size <= 5 and not owner.any()
+            assert (ii < grid_s // 2).all()
+            assert len(set(zip(ii.tolist(), jj.tolist()))) == ii.size
+            got = vals[ii, jj]
+            assert got[0] == vals.max()
+            assert (np.diff(got) <= 0).all()
+            for i, j in zip(ii, jj):
+                rows = [max(i - 1, 0), i, i + 1]
+                cols = [(j - 1) % grid_psi, j, (j + 1) % grid_psi]
+                assert vals[i, j] >= vals[np.ix_(rows, cols)].max()
 
 
 class TestOmegaVectorLowerBound:
