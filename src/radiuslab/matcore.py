@@ -90,41 +90,22 @@ def binary_scaled(a):
     underflow to zero.
     """
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    top = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
-    exponent = np.frexp(top)[1]
+    exponent = np.frexp(np.abs(parts).max(axis=(-2, -1), initial=0.0))[1]
     return np.ldexp(parts, -exponent[..., None, None]).view(np.complex128), exponent
 
 
-# Largest entry parts in this range have squares, and Gram entries, that
-# neither overflow nor lose anything that matters to underflow; outside it
-# the norms below work on `binary_scaled` copies.
-_SAFE_ENTRIES = (2.0 ** -480, 2.0 ** 480)
-
-
-def _scaled_if_unsafe(arr: np.ndarray):
-    """(arr, None) when every matrix of the C-contiguous complex arr has its
-    largest real or imaginary entry part in _SAFE_ENTRIES, otherwise
-    `binary_scaled(arr)`."""
-    parts = np.abs(arr.view(np.float64))
-    top = parts.reshape(-1, parts.shape[-2] * parts.shape[-1]).max(axis=1).tolist()
-    if _SAFE_ENTRIES[0] <= min(top) and max(top) <= _SAFE_ENTRIES[1]:
-        return arr, None
-    return binary_scaled(arr)
-
-
-def _scaled_back(value, exponent):
-    """value * 2^exponent, inf where that overflows; value for exponent None."""
-    if exponent is None:
-        return value
+def binary_unscaled(value, exponent):
+    """value * 2^exponent (elementwise for arrays), inf where that
+    overflows: undoes `binary_scaled` on a norm of the scaled matrix."""
     with np.errstate(over="ignore"):
         return np.ldexp(value, exponent)
 
 
 def frobenius_norm(a) -> float:
-    """sqrt(sum |a_ij|^2), on `binary_scaled(a)` when the squares could
-    overflow or underflow."""
-    arr, exponent = _scaled_if_unsafe(np.ascontiguousarray(a, dtype=np.complex128))
-    return float(_scaled_back(np.linalg.norm(arr, "fro"), exponent))
+    """sqrt(sum |a_ij|^2), computed on `binary_scaled(a)` so no square
+    overflows or underflows."""
+    arr, exponent = binary_scaled(a)
+    return float(binary_unscaled(np.linalg.norm(arr, "fro"), exponent))
 
 
 def trace(a) -> complex:
@@ -191,20 +172,19 @@ def singular_values(a) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value, computed as sqrt(lambda_max(A* A)), on
-    `binary_scaled(a)` when the Gram matrix could overflow or underflow."""
-    arr, exponent = _scaled_if_unsafe(as_matrix(a))
+    """Largest singular value, computed as sqrt(lambda_max(A* A)) on
+    `binary_scaled(a)` so the Gram matrix neither overflows nor underflows."""
+    arr, exponent = binary_scaled(as_matrix(a))
     top = np.linalg.eigvalsh(adjoint(arr) @ arr)[-1]
-    return float(_scaled_back(math.sqrt(max(top, 0.0)), exponent))
+    return float(binary_unscaled(math.sqrt(max(top, 0.0)), exponent))
 
 
 def spectral_norm_many(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of matrices, batched through eigvalsh, on
-    `binary_scaled` copies when any Gram matrix could overflow or
-    underflow."""
-    arr, exponent = _scaled_if_unsafe(np.ascontiguousarray(stack, dtype=np.complex128))
+    """Spectral norms of a stack of matrices, batched through eigvalsh on
+    `binary_scaled` copies."""
+    arr, exponent = binary_scaled(stack)
     gram = np.matmul(np.conj(np.swapaxes(arr, -2, -1)), arr)
-    return _scaled_back(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), exponent)
+    return binary_unscaled(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), exponent)
 
 
 def hermitian_norm(h: np.ndarray):

@@ -67,6 +67,7 @@ from .matcore import (
     adjoint,
     as_matrix,
     binary_scaled,
+    binary_unscaled,
     frobenius_norm,
     im_part,
     re_part,
@@ -430,18 +431,41 @@ def _canonical_phase(arr: np.ndarray) -> float:
 
 
 def _omega_basis(stack: np.ndarray) -> np.ndarray:
-    """The four Hermitian matrices whose real combinations are the Gram
-    matrices of the Omega objective, for a matrix or each matrix of a stack.
+    """The four Hermitian matrices [S, D, X, -Y] along axis -3, for a matrix
+    or each matrix of a stack, with S = (A*A + AA*)/2, D = (A*A - AA*)/2,
+    X = Re(A*^2) and Y = Im(A*^2).
 
-    With c = cos(s), sigma = sin(s) and M = c A + exp(i psi) sigma A*,
-    M* M = c^2 A*A + sigma^2 AA* + 2 c sigma (cos(psi) Re(A*^2) - sin(psi) Im(A*^2)),
-    so ||M||^2 is the top eigenvalue of that real combination.  Returned as
-    [A*A, AA*, Re(A*^2), Im(A*^2)] along axis -3.
+    With M = cos(s) A + exp(i psi) sin(s) A* and the point
+    u = (cos 2s, sin 2s cos psi, sin 2s sin psi) of the unit sphere,
+    M* M = S + u_0 D + u_1 X - u_2 Y, so ||M||^2 is the top eigenvalue of the
+    combination of the basis with the weights (1, u) (`_omega_gram`).
     """
     at = adjoint(stack)
     sq = at @ at
-    re = [(x + adjoint(x)) / 2 for x in (at @ stack, stack @ at, sq)]
-    return np.stack(re + [(sq - adjoint(sq)) / 2j], axis=-3)
+    ata, aat, x = ((y + adjoint(y)) / 2 for y in (at @ stack, stack @ at, sq))
+    return np.stack(((ata + aat) / 2, (ata - aat) / 2, x, (adjoint(sq) - sq) / 2j), axis=-3)
+
+
+def _sphere_weights(s, psi) -> np.ndarray:
+    """The weights (1, cos 2s, sin 2s cos psi, sin 2s sin psi) of the Omega
+    Gram matrix at (s, psi), along a new last axis; the last three are the
+    point u on the unit sphere."""
+    two_s, psi = np.broadcast_arrays(2.0 * np.asarray(s, dtype=float), psi)
+    return np.stack((np.ones_like(two_s), np.cos(two_s), np.sin(two_s) * np.cos(psi),
+                     np.sin(two_s) * np.sin(psi)), axis=-1)
+
+
+def _omega_gram(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The Gram matrices sum_k weights[..., k] basis[..., k, :, :].
+
+    weights of shape (..., p, 4) against a C-contiguous basis of shape
+    (..., 4, n, n), leading axes broadcast, give shape (..., p, n, n): one
+    real matrix product, complex entries viewed as (re, im) float pairs.
+    """
+    n = basis.shape[-1]
+    flat = basis.reshape(basis.shape[:-2] + (n * n,)).view(np.float64)
+    gram = np.matmul(weights, flat).view(np.complex128)
+    return gram.reshape(gram.shape[:-1] + (n, n))
 
 
 def _omega_grid(basis: np.ndarray, s_nodes: np.ndarray, p_nodes: np.ndarray):
@@ -452,36 +476,26 @@ def _omega_grid(basis: np.ndarray, s_nodes: np.ndarray, p_nodes: np.ndarray):
     (pi/2 - s, psi) are adjoints of each other up to a unit phase, so each
     evaluated row is mirrored onto row grid_s - 1 - i (s_nodes must be
     symmetric about pi/4, as linspace(0, pi/2, grid_s) is).  Every chunk's
-    Gram stack is one real product of its weights with a basis; a chunk holds
-    at most _CHUNK_ENTRIES Gram entries and splits no matrix's grid unless
-    that grid alone is larger.  Returns (values of shape
+    Gram stack is one `_omega_gram` of its nodes' weights; a chunk holds at
+    most _CHUNK_ENTRIES Gram entries and splits no matrix's grid unless that
+    grid alone is larger.  Returns (values of shape
     basis.shape[:-3] + (grid_s, grid_psi), grid points evaluated per matrix).
     """
     n = basis.shape[-1]
     grid_s, grid_psi = s_nodes.size, p_nodes.size
     rows = (grid_s + 1) // 2
-    c = np.cos(s_nodes[:rows])[:, None]
-    sigma = np.sin(s_nodes[:rows])[:, None]
-    cs = 2.0 * c * sigma
-    weights = np.empty((rows, grid_psi, 4))
-    weights[..., 0] = c * c
-    weights[..., 1] = sigma * sigma
-    weights[..., 2] = cs * np.cos(p_nodes)
-    weights[..., 3] = -cs * np.sin(p_nodes)
-    weights = weights.reshape(-1, 4)
+    weights = _sphere_weights(s_nodes[:rows, None], p_nodes[None, :]).reshape(-1, 4)
     points = weights.shape[0]
-    # complex entries viewed as (re, im) float pairs: real weights act on both
-    flat = basis.reshape(-1, 4, n * n).view(np.float64)
+    mats = basis.reshape((-1, 4, n, n))
     step = max(1, _CHUNK_ENTRIES // (n * n))
     group = max(1, step // points)
-    tops = np.empty((flat.shape[0], points))
-    for g in range(0, flat.shape[0], group):
+    tops = np.empty((mats.shape[0], points))
+    for g in range(0, mats.shape[0], group):
         for a in range(0, points, step):
             b = min(a + step, points)
             # one expression, so no chunk's Gram stack outlives its eigvalsh
             tops[g:g + group, a:b] = np.linalg.eigvalsh(
-                np.matmul(weights[a:b], flat[g:g + group]).view(np.complex128)
-                .reshape(-1, b - a, n, n))[..., -1]
+                _omega_gram(weights[a:b], mats[g:g + group]))[..., -1]
     half = np.sqrt(np.maximum(tops, 0.0)).reshape(-1, rows, grid_psi)
     vals = np.empty((half.shape[0], grid_s, grid_psi))
     vals[:, :rows] = half
@@ -513,30 +527,23 @@ def _grid_candidates(vals: np.ndarray, top_cells: int):
     return kk[keep], ii[keep], jj[keep]
 
 
-def _sphere_kernels(basis: np.ndarray) -> np.ndarray:
-    """[S, D, X, -Y] per matrix of a (m, 4, n, n) basis, with
-    S = (A*A + AA*)/2, D = (A*A - AA*)/2, X = Re(A*^2) and Y = Im(A*^2), so
-    that the Gram matrix at u = (cos 2s, sin 2s cos psi, sin 2s sin psi) is
-    G(u) = S + u_0 D + u_1 X - u_2 Y."""
-    a, b = basis[:, 0], basis[:, 1]
-    return np.stack(((a + b) / 2, (a - b) / 2, basis[:, 2], -basis[:, 3]), axis=1)
-
-
-def _sphere_eigh(kern: np.ndarray, u: np.ndarray):
+def _sphere_eigh(basis: np.ndarray, u: np.ndarray):
     """Ascending eigenvalues and eigenvectors of G(u) = K_0 + sum_i u_i K_(i+1)
-    for each cell: kern of shape (c, 4, n, n), u of shape (c, 3)."""
-    parts = kern.view(np.float64)
-    w = u[:, :, None, None]
-    g = parts[:, 0] + w[:, 0] * parts[:, 1] + w[:, 1] * parts[:, 2] + w[:, 2] * parts[:, 3]
-    return np.linalg.eigh(g.view(np.complex128))
+    for each cell: basis of shape (c, 4, n, n), u of shape (c, 3)."""
+    weights = np.concatenate((np.ones((u.shape[0], 1)), u), axis=1)
+    return np.linalg.eigh(_omega_gram(weights[:, None, :], basis)[:, 0])
 
 
 # Newton needs lambda_1 - lambda_2 above this times max(1, lambda_1) (the
 # Hessian divides by eigenvalue gaps)
 _NEWTON_GAP = 1e-12
+# a Newton point counts as not lowering lambda_max unless it is lower by
+# more than this times max(1, lambda_1): the rounding of eigh, which would
+# otherwise reject converged Newton points and stop on a shorter ascent step
+_NEWTON_DROP = 1e-14
 
 
-def _sphere_step(kern: np.ndarray, u: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
+def _sphere_step(basis: np.ndarray, u: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     """The next point from each cell's eigendecomposition of G(u): the
     Riemannian Newton point where the tangent Hessian is negative definite
     and the top eigenvalue is simple, otherwise the ascent point v / |v|.
@@ -550,7 +557,7 @@ def _sphere_step(kern: np.ndarray, u: np.ndarray, lam: np.ndarray, vecs: np.ndar
     """
     count, n = lam.shape
     x = vecs[..., -1]
-    kx = (kern[:, 1:] @ x[:, None, :, None])[..., 0]
+    kx = (basis[:, 1:] @ x[:, None, :, None])[..., 0]
     v = (np.conj(x)[:, None, :] * kx).real.sum(axis=-1)
     top = lam[:, -1]
     gap = top - lam[:, -2] if n > 1 else np.full(count, math.inf)
@@ -580,13 +587,14 @@ def _ascent_point(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(size > 0.0, v / np.where(size > 0.0, size, 1.0), u)
 
 
-def _newton_on_sphere(kern, u, lam1, width, refine_tol, max_rounds):
+def _newton_on_sphere(basis, u, lam1, width, refine_tol, max_rounds):
     """Safeguarded Newton ascent of lambda_max(G(u)) over the unit sphere,
     all cells in lockstep: one batched eigh of the live cells per round.
 
     A cell starts at u with the value lam1 and the step length `width`, and
     its start is accepted whatever its eigh gives.  After that a Newton
-    point is accepted only if lambda_max does not drop there; otherwise the
+    point is accepted only if lambda_max does not drop there (by more than
+    _NEWTON_DROP, relative); otherwise the
     cell goes to the ascent point from its last accepted u instead.  A cell
     stops once it accepts a step of length at most `refine_tol`, or after
     `max_rounds` rounds.  Returns (u, lam1, width, eigensolves) per cell,
@@ -601,12 +609,13 @@ def _newton_on_sphere(kern, u, lam1, width, refine_tol, max_rounds):
     for _ in range(max_rounds):
         if live.size == 0:
             break
-        lam, vecs = _sphere_eigh(kern[live], trial[live])
+        lam, vecs = _sphere_eigh(basis[live], trial[live])
         solves[live] += 1
-        ok = sure[live] | (lam[:, -1] >= lam1[live])
+        floor = lam1[live] - _NEWTON_DROP * np.maximum(1.0, lam1[live])
+        ok = sure[live] | (lam[:, -1] >= floor)
         acc, rej = live[ok], live[~ok]
         u[acc], lam1[acc], width[acc] = trial[acc], lam[ok, -1], pending[acc]
-        nxt, grad[acc], newton = _sphere_step(kern[acc], u[acc], lam[ok], vecs[ok])
+        nxt, grad[acc], newton = _sphere_step(basis[acc], u[acc], lam[ok], vecs[ok])
         trial[acc], sure[acc] = nxt, ~newton
         trial[rej], sure[rej] = _ascent_point(u[rej], grad[rej]), True
         pending[live] = np.linalg.norm(trial[live] - u[live], axis=1)
@@ -643,18 +652,17 @@ def omega_norm_many(stack, *, grid_s: int = 96, grid_psi: int = 192,
     grid, points = _omega_grid(basis, s_nodes, p_nodes)
 
     owner, ii, jj = _grid_candidates(grid, top_cells)
-    two_s, psi = 2.0 * s_nodes[ii], p_nodes[jj]
-    start = np.stack((np.cos(two_s), np.sin(two_s) * np.cos(psi),
-                      np.sin(two_s) * np.sin(psi)), axis=1)
+    start = _sphere_weights(s_nodes[ii], p_nodes[jj])[:, 1:]
     cell = 2.0 * max(half_pi / (grid_s - 1), _TWO_PI / grid_psi)
     u, lam1, width, solves = _newton_on_sphere(
-        _sphere_kernels(basis)[owner], start, grid[owner, ii, jj] ** 2,
+        basis[owner], start, grid[owner, ii, jj] ** 2,
         np.full(owner.size, cell), refine_tol, max_rounds)
 
     # per matrix, the highest lambda_max; ties to the earlier candidate
     order = np.lexsort((np.arange(owner.size), -lam1, owner))
     best = order[np.searchsorted(owner[order], np.arange(raw.shape[0]))]
     evaluations = points + np.bincount(owner, weights=solves, minlength=raw.shape[0])
+    values = binary_unscaled(np.sqrt(np.maximum(lam1[best], 0.0)), exponent).tolist()
     results = []
     for k, c in enumerate(best):
         u0, u1, u2 = u[c].tolist()
@@ -662,7 +670,7 @@ def omega_norm_many(stack, *, grid_s: int = 96, grid_psi: int = 192,
         # ||cos(s) A + e^{i psi} sin(s) A*|| == ||cos(s) T + e^{i (psi + 2 gamma)} sin(s) T*||
         psi = (math.atan2(u2, u1) + 2.0 * float(gamma[k])) % _TWO_PI
         results.append(OmegaResult(
-            value=math.ldexp(math.sqrt(max(lam1[c], 0.0)), int(exponent[k])),
+            value=values[k],
             argmax=(0.5 * math.atan2(math.hypot(u1, u2), u0), psi if psi < _TWO_PI else 0.0),
             achieved_cell=float(width[c]), evaluations=int(evaluations[k])))
     return results
@@ -689,8 +697,8 @@ def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
     earlier candidate.
 
     The search runs on T scaled by a power of two so its largest entry part
-    lies in [1/2, 1), and the value is scaled back, so no Gram entry
-    overflows or underflows.  Two exact symmetries are quotiented out: the
+    lies in [1/2, 1), and the value is scaled back (inf past the float
+    range), so no Gram entry overflows or underflows.  Two exact symmetries are quotiented out: the
     global phase of the coefficient pair (zeta is kept real non-negative),
     and the global phase of T itself (the search runs on a
     phase-canonicalized copy and the maximizing psi is mapped back), so
@@ -763,5 +771,4 @@ def hs_radius_sq(T) -> float:
     """
     arr, exponent = binary_scaled(as_matrix(T, square=True))
     tr_sq = complex(np.einsum("ij,ji->", arr, arr))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(0.5 * frobenius_norm(arr) ** 2 + 0.5 * abs(tr_sq), 2 * exponent))
+    return float(binary_unscaled(0.5 * frobenius_norm(arr) ** 2 + 0.5 * abs(tr_sq), 2 * exponent))

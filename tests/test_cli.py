@@ -66,6 +66,18 @@ class TestCompute:
         assert rec["hs_radius_sq"] == {1e-300: 0.0, 1e-160: pytest.approx(1.5e-320, abs=5e-324),
                                        1e160: "inf"}[scale]
 
+    def test_omega_above_the_float_range(self, tmp_path):
+        # Omega = 3 sqrt(2) 5e307 overflows; w = 1.5e308 does not
+        path = tmp_path / "huge.json"
+        save_matrix(path, 5e307 * np.ones((3, 3), dtype=complex))
+        code, text = run_cli(["compute", "--matrix", str(path),
+                              "--format", "machine"], tmp_path)
+        assert code == 0
+        (rec,) = machine_records(text)
+        assert rec["omega"] == "inf" and rec["w_omega"] == "inf"
+        assert rec["w"] == pytest.approx(1.5e308, rel=1e-12)
+        assert rec["operator_norm"] == pytest.approx(1.5e308, rel=1e-12)
+
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "zero.json"
         save_matrix(path, np.zeros((2, 2)))

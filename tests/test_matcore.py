@@ -190,6 +190,14 @@ class TestScaleSafeNorms:
         assert matcore.spectral_norm(scale * WORKED) == pytest.approx(
             scale * math.sqrt(2.0), rel=1e-15)
 
+    def test_overflow_to_inf_and_empty_stack(self):
+        huge = 1e308 * np.ones((2, 2))
+        assert matcore.frobenius_norm(huge) == math.inf
+        assert matcore.spectral_norm(huge) == math.inf
+        np.testing.assert_array_equal(matcore.spectral_norm_many(np.stack([huge, np.eye(2)])),
+                                      [math.inf, 1.0])
+        assert matcore.spectral_norm_many(np.zeros((0, 3, 3))).shape == (0,)
+
     def test_binary_scaled_is_exact(self):
         a = _ginibre(3, 121) * 1e-200
         scaled, exponent = matcore.binary_scaled(a)

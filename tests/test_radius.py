@@ -454,8 +454,8 @@ class TestOmegaGramGrid:
             # the sphere point of (s, psi) and the Gram matrix G(u) there
             u = np.stack((np.cos(2 * s), np.sin(2 * s) * np.cos(psi),
                           np.sin(2 * s) * np.sin(psi)), axis=1)
-            kern = radius._sphere_kernels(radius._omega_basis(a[None]))
-            lam, _ = radius._sphere_eigh(np.repeat(kern, s.size, axis=0), u)
+            basis = radius._omega_basis(a[None])
+            lam, _ = radius._sphere_eigh(np.repeat(basis, s.size, axis=0), u)
             for k in range(s.size):
                 phase = np.exp(1j * psi[k])
                 lhs = _svd_norm(math.cos(s[k]) * a + phase * math.sin(s[k]) * at)
@@ -540,6 +540,13 @@ class TestOmegaNewton:
         res = omega_norm(scale * t)
         assert res.value == pytest.approx(scale * omega_norm(t).value, rel=1e-14)
         assert res.argmax == pytest.approx(omega_norm(t).argmax, abs=1e-12)
+
+    def test_value_above_the_float_range_is_inf(self):
+        # Omega(c J) = 3 sqrt(2) c for the all-ones J, past the largest float
+        res = omega_norm(5e307 * np.ones((3, 3)))
+        assert res.value == math.inf
+        eye, huge = radius.omega_norm_many(np.stack([np.eye(3), 5e307 * np.ones((3, 3))]))
+        assert eye.value == pytest.approx(math.sqrt(2.0), rel=1e-12) and huge.value == math.inf
 
     def test_many_is_the_one_matrix_path(self):
         stack = np.stack([generate(EnsembleSpec("ginibre", 3, 1240 + k)) for k in range(4)])
