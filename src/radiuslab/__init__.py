@@ -50,7 +50,6 @@ from .radius import (
 )
 from .inequalities import (
     CheckInapplicable,
-    CheckOpts,
     InequalityReport,
     RequiresAlgebraNorm,
     RequiresCommutation,

@@ -25,11 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .ensembles import EnsembleSpec, parse_ensemble_id
-from .inequalities import (
-    DEFAULT_CHECK_NAMES,
-    CheckOpts,
-    run_suite,
-)
+from .inequalities import DEFAULT_CHECK_NAMES, run_suite
 from .matcore import (MatrixShapeError, NonFiniteEntry, frobenius_norm, hermitian_norm,
                       im_part, re_part, spectral_norm)
 from .matfile import MatrixFormatError, load_matrix
@@ -251,8 +247,7 @@ def cmd_verify(config: RunConfig) -> int:
         except UnknownNormId as exc:
             raise UsageError(f"norm: {exc}")
     report = run_suite(specs, checks=checks, trials=config.trials,
-                       tol=config.tol, opts=CheckOpts(), include_golden=True,
-                       norm=norm)
+                       tol=config.tol, include_golden=True, norm=norm)
     if config.format == "machine":
         # one JSON field per dataclass field, in declaration order
         for rec in report.records:
@@ -302,7 +297,7 @@ def cmd_paper_example(config: RunConfig) -> int:
     re_n = rotated_objective(arr, spectral_norm)
     im_n = rotated_objective(arr, spectral_norm, coefficients=im_coefficients)
     _, inf_v, _, _ = minimize_on_circle(lambda phi: np.hypot(re_n(phi), im_n(phi)),
-                                        math.pi, 360, 1e-10, 5)
+                                        even=True)
     total = re_norm + im_norm
 
     expect_w = (1.0 + math.sqrt(2.0)) / 2.0

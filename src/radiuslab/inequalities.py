@@ -50,6 +50,7 @@ from .ensembles import (
 )
 from .norms import NormSpec, registry
 from .radius import (
+    CIRCLE_GRID,
     generalized_radius,
     im_coefficients,
     maximize_on_circle,
@@ -88,21 +89,11 @@ class RequiresStructure(CheckInapplicable):
     """A structural hypothesis (normality, T^2 = 0, self-adjointness) fails."""
 
 
-@dataclass(frozen=True)
-class CheckOpts:
-    """Optimizer settings shared by the checks."""
-
-    grid: int = 720
-    refine_tol: float = 1e-10
-    top_brackets: int = 5
-    omega_grid_s: int = 96
-    omega_grid_psi: int = 192
-    omega_refine_tol: float = 1e-9
-    omega_top_cells: int = 5
-
-
-DEFAULT_OPTS = CheckOpts()
 DEFAULT_TOL = 1e-9
+# relative tolerance of the omega-equality conditions
+_EQUALITY_TOL = 1e-7
+# relative tolerance of the special-forms closed forms
+_FORM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ class InequalityReport:
     lhs, rhs and slack are normalized by max(1, scale); slack == rhs - lhs
     and holds == (slack >= -tolerance), exactly.  `terms` carries every
     intermediate (raw values, per-link slacks, the scale) and is a pure
-    function of the inputs and options.
+    function of the inputs.
     """
 
     name: str
@@ -161,30 +152,14 @@ def _report(name: str, tag: str, comparisons, scale: float, tol: float,
     )
 
 
-def _w(arr, opts: CheckOpts) -> float:
-    return numerical_radius(arr, refine_tol=opts.refine_tol).value
-
-
-def _wn(arr, norm: NormSpec, opts: CheckOpts) -> float:
-    return generalized_radius(arr, norm, grid=opts.grid, refine_tol=opts.refine_tol,
-                              top_brackets=opts.top_brackets).value
-
-
-def _omega(arr, opts: CheckOpts) -> float:
-    return omega_norm(arr, grid_s=opts.omega_grid_s, grid_psi=opts.omega_grid_psi,
-                      refine_tol=opts.omega_refine_tol,
-                      top_cells=opts.omega_top_cells).value
-
-
-def check_basic_bounds(T, *, opts: CheckOpts = DEFAULT_OPTS,
-                       tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_basic_bounds(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """||T||/2 <= w(T) <= ||T||, the two-sided norm equivalence.
 
     The left side is sharp on square-zero inputs, the right side on normal
     ones.
     """
     arr = as_matrix(T, square=True)
-    w = _w(arr, opts)
+    w = numerical_radius(arr).value
     nrm = spectral_norm(arr)
     comparisons = [("lower", 0.5 * nrm, w), ("upper", w, nrm)]
     terms = {"w": w, "operator_norm": nrm}
@@ -192,45 +167,39 @@ def check_basic_bounds(T, *, opts: CheckOpts = DEFAULT_OPTS,
                    terms, _digest([arr]))
 
 
-def check_kittaneh(T, *, opts: CheckOpts = DEFAULT_OPTS,
-                   tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_kittaneh(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Kittaneh's refinement w(T) <= sqrt(||T T* + T* T||) / sqrt(2)."""
     arr = as_matrix(T, square=True)
-    w = _w(arr, opts)
+    w = numerical_radius(arr).value
     bound = math.sqrt(spectral_norm(arr @ adjoint(arr) + adjoint(arr) @ arr)) / _SQRT2
     terms = {"w": w, "bound": bound}
     return _report("kittaneh", "kittaneh-sqrt-refinement", [("upper", w, bound)],
                    max(w, bound), tol, terms, _digest([arr]))
 
 
-def check_dragomir(T, *, opts: CheckOpts = DEFAULT_OPTS,
-                   tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_dragomir(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Dragomir's Buzano-based refinement
     w(T) <= sqrt(||T||^2 + w(T^2)) / sqrt(2)."""
     arr = as_matrix(T, square=True)
-    w = _w(arr, opts)
-    w_sq = _w(arr @ arr, opts)
+    w = numerical_radius(arr).value
+    w_sq = numerical_radius(arr @ arr).value
     bound = math.sqrt(spectral_norm(arr) ** 2 + w_sq) / _SQRT2
     terms = {"w": w, "w_of_square": w_sq, "bound": bound}
     return _report("dragomir", "dragomir-buzano-refinement", [("upper", w, bound)],
                    max(w, bound), tol, terms, _digest([arr]))
 
 
-def check_inf_upper(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
-                    tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_inf_upper(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The Cauchy-Schwarz upper bound
     w_N(T) <= inf_phi sqrt(N^2(Re(e^{i phi}T)) + N^2(Im(e^{i phi}T))),
     reported together with its coarsenings at phi = 0:
     inf <= sqrt(N^2(Re T) + N^2(Im T)) <= N(Re T) + N(Im T)."""
     arr = as_matrix(T, square=True)
-    w_n = _wn(arr, norm, opts)
+    w_n = generalized_radius(arr, norm).value
     re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
     im_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many, im_coefficients)
-    period = math.pi if norm.even else _TWO_PI
-    points = max(8, opts.grid // 2 if norm.even else opts.grid)
     phi, inf_v, _, _ = minimize_on_circle(lambda phis: np.hypot(re_n(phis), im_n(phis)),
-                                          period, points, opts.refine_tol,
-                                          opts.top_brackets)
+                                          norm.even)
     n_re, n_im = norm.evaluate(re_part(arr)), norm.evaluate(im_part(arr))
     mid1 = math.hypot(n_re, n_im)
     mid2 = n_re + n_im
@@ -242,22 +211,18 @@ def check_inf_upper(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
                    max(w_n, mid2), tol, terms, _digest([arr], norm.id))
 
 
-def check_lower_bound(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
-                      tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_lower_bound(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The algebra-norm lower bound
     N(TT* + T*T)/4 + sup_phi |N^2(Re(e^{i phi}T)) - N^2(Im(e^{i phi}T))|/2
     <= w_N(T)^2, together with the weaker N(TT* + T*T)/4 <= w_N(T)^2."""
     if not norm.algebra:
         raise RequiresAlgebraNorm(f"norm {norm.id!r} does not declare the algebra flag")
     arr = as_matrix(T, square=True)
-    w_n = _wn(arr, norm, opts)
+    w_n = generalized_radius(arr, norm).value
     re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
     im_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many, im_coefficients)
-    period = math.pi if norm.even else _TWO_PI
-    points = max(8, opts.grid // 2 if norm.even else opts.grid)
     phi, sup_v, _, _ = maximize_on_circle(lambda phis: abs(re_n(phis) ** 2 - im_n(phis) ** 2),
-                                          period, points, opts.refine_tol,
-                                          opts.top_brackets)
+                                          norm.even)
     quarter = norm.evaluate(arr @ adjoint(arr) + adjoint(arr) @ arr) / 4.0
     lhs = quarter + 0.5 * sup_v
     rhs = w_n ** 2
@@ -283,19 +248,18 @@ def _require_flags(norm: NormSpec, *, self_adjoint=False, algebra=False,
         raise RequiresFlags(f"norm {norm.id!r} lacks: {', '.join(missing)}")
 
 
-def check_norm_chain(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
-                     tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_norm_chain(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """For a self-adjoint algebra norm, the four-link product chain
     w_N(TS) <= N(TS) <= N(T) N(S) <= 2 N(T) w_N(S) <= 4 w_N(T) w_N(S)."""
     _require_flags(norm, self_adjoint=True, algebra=True)
     t = as_matrix(T, square=True)
     s = as_matrix(S, square=True)
     ts = t @ s
-    w_ts = _wn(ts, norm, opts)
+    w_ts = generalized_radius(ts, norm).value
     n_ts = norm.evaluate(ts)
     n_t, n_s = norm.evaluate(t), norm.evaluate(s)
-    w_s = _wn(s, norm, opts)
-    w_t = _wn(t, norm, opts)
+    w_s = generalized_radius(s, norm).value
+    w_t = generalized_radius(t, norm).value
     vals = [w_ts, n_ts, n_t * n_s, 2.0 * n_t * w_s, 4.0 * w_t * w_s]
     labels = ["radius-vs-norm", "submultiplicative", "half-bound", "quarter-bound"]
     comparisons = [(labels[i], vals[i], vals[i + 1]) for i in range(4)]
@@ -305,8 +269,7 @@ def check_norm_chain(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
                    max(vals), tol, terms, _digest([t, s], norm.id))
 
 
-def check_commutator(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
-                     tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_commutator(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """For an algebra norm, w_N(TS +/- ST*) <= w_N(S) (N(T) + N(T*));
     for a self-adjoint algebra norm also <= 2 w_N(S) N(T)."""
     if not norm.algebra:
@@ -315,10 +278,10 @@ def check_commutator(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
     s = as_matrix(S, square=True)
     if t.shape != s.shape:
         raise ValueError("T and S must have the same shape")
-    w_s = _wn(s, norm, opts)
+    w_s = generalized_radius(s, norm).value
     rhs = w_s * (norm.evaluate(t) + norm.evaluate(adjoint(t)))
-    lhs_plus = _wn(t @ s + s @ adjoint(t), norm, opts)
-    lhs_minus = _wn(t @ s - s @ adjoint(t), norm, opts)
+    lhs_plus = generalized_radius(t @ s + s @ adjoint(t), norm).value
+    lhs_minus = generalized_radius(t @ s - s @ adjoint(t), norm).value
     comparisons = [("plus", lhs_plus, rhs), ("minus", lhs_minus, rhs)]
     terms = {"w_N_S": w_s, "rhs": rhs, "lhs_plus": lhs_plus, "lhs_minus": lhs_minus}
     if norm.self_adjoint:
@@ -342,7 +305,7 @@ def _require_hermitian_contraction(arr, what: str) -> np.ndarray:
     return h
 
 
-def check_unitary_commutator(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
+def check_unitary_commutator(T, S, norm: NormSpec, *,
                              tol: float = DEFAULT_TOL) -> InequalityReport:
     """For Hermitian contractions T, S and a weakly unitarily invariant
     self-adjoint algebra norm,
@@ -362,11 +325,11 @@ def check_unitary_commutator(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_
     n = t.shape[0]
     u = cayley_unitary(s)
     cayley_defect = float(np.linalg.norm(re_part(u) - s, "fro"))
-    w_t = _wn(t, norm, opts)
-    w_s = _wn(s, norm, opts)
+    w_t = generalized_radius(t, norm).value
+    w_s = generalized_radius(s, norm).value
     rhs = min(w_t, w_s) * 2.0 * float(norm.unitary_sup(n))
-    lhs_plus = _wn(t @ s + s @ t, norm, opts)
-    lhs_minus = _wn(t @ s - s @ t, norm, opts)
+    lhs_plus = generalized_radius(t @ s + s @ t, norm).value
+    lhs_minus = generalized_radius(t @ s - s @ t, norm).value
     comparisons = [("plus", lhs_plus, rhs), ("minus", lhs_minus, rhs),
                    ("cayley-real-part", cayley_defect, 1e-10)]
     terms = {"w_N_T": w_t, "w_N_S": w_s, "rhs": rhs, "lhs_plus": lhs_plus,
@@ -377,8 +340,7 @@ def check_unitary_commutator(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_
                    _digest([t, s], norm.id))
 
 
-def check_self_commutator(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
-                          tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_self_commutator(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """For T in the operator-norm unit ball and a weakly unitarily invariant
     self-adjoint algebra norm, w_N(TT* - T*T) <= 4 N(T) sup_U N(U)."""
     _require_flags(norm, self_adjoint=True, algebra=True,
@@ -388,7 +350,7 @@ def check_self_commutator(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
     if top > 1.0 + 1e-9:
         raise RequiresContraction(f"T has spectral norm {top:.12g} > 1")
     n = arr.shape[0]
-    lhs = _wn(arr @ adjoint(arr) - adjoint(arr) @ arr, norm, opts)
+    lhs = generalized_radius(arr @ adjoint(arr) - adjoint(arr) @ arr, norm).value
     rhs = 4.0 * norm.evaluate(arr) * float(norm.unitary_sup(n))
     terms = {"lhs": lhs, "rhs": rhs, "N_T": norm.evaluate(arr)}
     return _report("self-commutator", "self-commutator-bound",
@@ -396,8 +358,7 @@ def check_self_commutator(T, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
                    _digest([arr], norm.id))
 
 
-def check_product(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
-                  tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_product(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The product refinement for a self-adjoint algebra norm:
     w_N(TS) <= min over the four +/- variants of
     { N(T) w_N(S) + w_N(TS +/- ST*)/2, N(S) w_N(T) + w_N(TS +/- S*T)/2 }
@@ -408,13 +369,13 @@ def check_product(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
     if t.shape != s.shape:
         raise ValueError("T and S must have the same shape")
     ts = t @ s
-    w_ts = _wn(ts, norm, opts)
+    w_ts = generalized_radius(ts, norm).value
     n_t, n_s = norm.evaluate(t), norm.evaluate(s)
-    w_t, w_s = _wn(t, norm, opts), _wn(s, norm, opts)
-    b1_plus = n_t * w_s + 0.5 * _wn(ts + s @ adjoint(t), norm, opts)
-    b1_minus = n_t * w_s + 0.5 * _wn(ts - s @ adjoint(t), norm, opts)
-    b2_plus = n_s * w_t + 0.5 * _wn(ts + adjoint(s) @ t, norm, opts)
-    b2_minus = n_s * w_t + 0.5 * _wn(ts - adjoint(s) @ t, norm, opts)
+    w_t, w_s = generalized_radius(t, norm).value, generalized_radius(s, norm).value
+    b1_plus = n_t * w_s + 0.5 * generalized_radius(ts + s @ adjoint(t), norm).value
+    b1_minus = n_t * w_s + 0.5 * generalized_radius(ts - s @ adjoint(t), norm).value
+    b2_plus = n_s * w_t + 0.5 * generalized_radius(ts + adjoint(s) @ t, norm).value
+    b2_minus = n_s * w_t + 0.5 * generalized_radius(ts - adjoint(s) @ t, norm).value
     level1 = min(b1_plus, b1_minus, b2_plus, b2_minus)
     level2 = 2.0 * min(n_t * w_s, n_s * w_t)
     level3 = 4.0 * w_t * w_s
@@ -428,7 +389,7 @@ def check_product(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
                    max(w_ts, level3), tol, terms, _digest([t, s], norm.id))
 
 
-def check_commuting_product(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_OPTS,
+def check_commuting_product(T, S, norm: NormSpec, *,
                             tol: float = DEFAULT_TOL) -> InequalityReport:
     """For Hermitian T, S with TS = +/- ST and a self-adjoint algebra norm,
     w_N(TS) <= min{N(T) w_N(S), N(S) w_N(T)}."""
@@ -452,9 +413,9 @@ def check_commuting_product(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_O
         raise RequiresCommutation(
             f"pair neither commutes nor anticommutes (residuals {comm:.3e}, {anti:.3e})"
         )
-    lhs = _wn(ts, norm, opts)
-    rhs = min(norm.evaluate(t) * _wn(s, norm, opts),
-              norm.evaluate(s) * _wn(t, norm, opts))
+    lhs = generalized_radius(ts, norm).value
+    rhs = min(norm.evaluate(t) * generalized_radius(s, norm).value,
+              norm.evaluate(s) * generalized_radius(t, norm).value)
     terms = {"lhs": lhs, "rhs": rhs, "mode": mode,
              "commutation_residual": min(comm, anti)}
     return _report("commuting-product", "commuting-product-bound",
@@ -462,34 +423,32 @@ def check_commuting_product(T, S, norm: NormSpec, *, opts: CheckOpts = DEFAULT_O
                    _digest([t, s], norm.id))
 
 
-def _omega_branches(arr, opts: CheckOpts):
+def _omega_branches(arr):
     b1 = math.sqrt(spectral_norm(arr @ adjoint(arr) + adjoint(arr) @ arr))
-    b2 = math.sqrt(spectral_norm(arr) ** 2 + _w(arr @ arr, opts))
+    b2 = math.sqrt(spectral_norm(arr) ** 2 + numerical_radius(arr @ arr).value)
     return b1, b2
 
 
-def check_omega_upper(T, *, opts: CheckOpts = DEFAULT_OPTS,
-                      tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_omega_upper(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Omega(T) <= min{ sqrt(||TT* + T*T||), sqrt(||T||^2 + w(T^2)) }."""
     arr = as_matrix(T, square=True)
-    om = _omega(arr, opts)
-    b1, b2 = _omega_branches(arr, opts)
+    om = omega_norm(arr).value
+    b1, b2 = _omega_branches(arr)
     terms = {"omega": om, "branch_gram": b1, "branch_square": b2}
     return _report("omega-upper", "omega-upper-refinement",
                    [("upper", om, min(b1, b2))], max(om, b1, b2), tol, terms,
                    _digest([arr]))
 
 
-def check_omega_chain(T, *, opts: CheckOpts = DEFAULT_OPTS,
-                      tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_omega_chain(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """w(T) <= Omega(T)/sqrt(2) <= min{...}/sqrt(2), refining both the
     Kittaneh and the Dragomir bound, plus the numeric identity
     w_Omega(T) = sqrt(2) w(T) verified through the slow generalized-radius
     path with Omega as the plugged-in norm."""
     arr = as_matrix(T, square=True)
-    w = _w(arr, opts)
-    om = _omega(arr, opts)
-    b1, b2 = _omega_branches(arr, opts)
+    w = numerical_radius(arr).value
+    om = omega_norm(arr).value
+    b1, b2 = _omega_branches(arr)
     half = _SQRT2 / 2.0
     slow = omega_radius_slow(arr)
     agreement = abs(_SQRT2 * w - slow)
@@ -504,22 +463,20 @@ def check_omega_chain(T, *, opts: CheckOpts = DEFAULT_OPTS,
                    _digest([arr]))
 
 
-def check_omega_equality(T, *, opts: CheckOpts = DEFAULT_OPTS,
-                         tol: float = DEFAULT_TOL,
-                         equality_tol: float = 1e-7) -> InequalityReport:
+def check_omega_equality(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The equivalence: w_Omega(T) = Omega(T)/2 holds iff
     Omega(T) = 2 sqrt(2) ||Re(e^{i theta} T)|| for every theta.
 
-    Both conditions are evaluated at `equality_tol` (relative to Omega);
+    Both conditions are evaluated at _EQUALITY_TOL (relative to Omega);
     the check passes iff they agree.  Inputs within 1e-4 of the first
     equality are flagged in terms["near_equality"] for later study, since
     no nonzero finite-dimensional example is known.
     """
     arr = as_matrix(T, square=True)
-    om = _omega(arr, opts)
-    w = _w(arr, opts)
+    om = omega_norm(arr).value
+    w = numerical_radius(arr).value
     w_om = _SQRT2 * w
-    thetas = np.arange(720) * (_TWO_PI / 720)
+    thetas = np.arange(CIRCLE_GRID) * (_TWO_PI / CIRCLE_GRID)
     norms_grid = rotated_objective(arr, hermitian_norm, hermitian_norm)(thetas)
     max_dev = float(np.abs(om - 2.0 * _SQRT2 * norms_grid).max())
     if om == 0.0:
@@ -527,8 +484,8 @@ def check_omega_equality(T, *, opts: CheckOpts = DEFAULT_OPTS,
         residual_i = 0.0
     else:
         residual_i = abs(w_om - om / 2.0)
-        cond_i = residual_i <= equality_tol * om
-        cond_ii = max_dev <= equality_tol * om
+        cond_i = residual_i <= _EQUALITY_TOL * om
+        cond_ii = max_dev <= _EQUALITY_TOL * om
     delta = abs(int(cond_i) - int(cond_ii))
     near = 1.0 if (om > 0.0 and residual_i <= 1e-4 * om) else 0.0
     terms = {"omega": om, "w_omega": w_om, "residual_halving": residual_i,
@@ -542,9 +499,7 @@ def check_omega_equality(T, *, opts: CheckOpts = DEFAULT_OPTS,
 _SPECIAL_KINDS = ("normal", "square_zero", "self_adjoint")
 
 
-def check_special_forms(T, kind: str, *, opts: CheckOpts = DEFAULT_OPTS,
-                        tol: float = DEFAULT_TOL,
-                        form_tol: float = 1e-7) -> InequalityReport:
+def check_special_forms(T, kind: str, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Closed forms on structured inputs: normal -> Omega = sqrt(2) ||T||
     and w_Omega = Omega; square-zero -> Omega = ||T|| and
     w_Omega = Omega / sqrt(2); self-adjoint -> Omega = sqrt(2) ||T||.
@@ -569,31 +524,30 @@ def check_special_forms(T, kind: str, *, opts: CheckOpts = DEFAULT_OPTS,
         residual = hermitian_defect(arr)
         if residual > 1e-8 * max(1.0, fro):
             raise RequiresStructure(f"hermiticity defect {residual:.3e} too large")
-    om = _omega(arr, opts)
-    w = _w(arr, opts)
+    om = omega_norm(arr).value
+    w = numerical_radius(arr).value
     nrm = spectral_norm(arr)
     comparisons = []
     terms = {"omega": om, "w": w, "operator_norm": nrm,
              "structural_residual": residual}
     if kind in ("normal", "self_adjoint"):
         ref = _SQRT2 * nrm
-        comparisons.append(("omega-form", abs(om - ref), form_tol * max(1.0, ref)))
+        comparisons.append(("omega-form", abs(om - ref), _FORM_TOL * max(1.0, ref)))
         terms["omega_reference"] = ref
     else:
-        comparisons.append(("omega-form", abs(om - nrm), form_tol * max(1.0, nrm)))
+        comparisons.append(("omega-form", abs(om - nrm), _FORM_TOL * max(1.0, nrm)))
         terms["omega_reference"] = nrm
     if kind == "normal":
         comparisons.append(("radius-form", abs(_SQRT2 * w - om),
-                            form_tol * max(1.0, om)))
+                            _FORM_TOL * max(1.0, om)))
     elif kind == "square_zero":
         comparisons.append(("radius-form", abs(_SQRT2 * w - om / _SQRT2),
-                            form_tol * max(1.0, om)))
+                            _FORM_TOL * max(1.0, om)))
     return _report("special-forms", "omega-closed-forms", comparisons,
                    max(om, _SQRT2 * nrm), tol, terms, _digest([arr], kind))
 
 
-def check_hs_pair(T, S, *, opts: CheckOpts = DEFAULT_OPTS,
-                  tol: float = DEFAULT_TOL) -> InequalityReport:
+def check_hs_pair(T, S, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The Hilbert-Schmidt (Frobenius) trace bounds:
 
     (i)  ||TT* + T*T||_F + sup_phi |tr((e^{i phi}T)^2 + (e^{-i phi}T*)^2)|
@@ -617,8 +571,7 @@ def check_hs_pair(T, S, *, opts: CheckOpts = DEFAULT_OPTS,
         ph = np.exp(2j * phis)
         return np.abs(ph * tr_t2 + np.conj(ph) * tr_t2_adj)
 
-    phi, sup_grid, _, _ = maximize_on_circle(q, math.pi, max(8, opts.grid // 2),
-                                             opts.refine_tol, opts.top_brackets)
+    phi, sup_grid, _, _ = maximize_on_circle(q, even=True)
     closed = 2.0 * abs(tr_t2)
     lhs_i = frobenius_norm(t @ adjoint(t) + adjoint(t) @ t) + sup_grid
     rhs_i = 2.0 * (frobenius_norm(t) ** 2 + abs(tr_t2))
@@ -888,23 +841,22 @@ def _draw(defn: CheckDef, spec: EnsembleSpec) -> list:
 
 
 def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
-             kind: Optional[str], opts: CheckOpts, tol: float) -> InequalityReport:
+             kind: Optional[str], tol: float) -> InequalityReport:
     args = list(matrices)
     if defn.runner is check_special_forms:
-        return defn.runner(args[0], kind, opts=opts, tol=tol)
+        return defn.runner(args[0], kind, tol=tol)
     if norm is not None:
         args.append(norm)
-    return defn.runner(*args, opts=opts, tol=tol)
+    return defn.runner(*args, tol=tol)
 
 
 def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
-              tol: float = DEFAULT_TOL, opts: CheckOpts = DEFAULT_OPTS,
-              include_golden: bool = False,
+              tol: float = DEFAULT_TOL, include_golden: bool = False,
               norm: Optional[NormSpec] = None) -> SuiteReport:
     """Run the selected checks over every applicable ensemble.
 
     Trial i of an ensemble uses seed `spec.seed + i`, so reports are pure
-    functions of (ensembles, checks, trials, tol, opts) and aggregation is
+    functions of (ensembles, checks, trials, tol) and aggregation is
     order-independent.  Every cell, golden or drawn, goes through
     `_cell_record`: hypothesis failures become "inapplicable" records, and
     unexpected exceptions, a failed draw included, become "error" records
@@ -946,7 +898,7 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
                 case_norm = norm_specs[case.norm_id] if case.norm_id else None
                 rec, report = _cell_record(
                     defn, case.norm_id, "golden", idx, 0, tol,
-                    lambda: _run_one(defn, case.matrices, case_norm, case.kind, opts, tol),
+                    lambda: _run_one(defn, case.matrices, case_norm, case.kind, tol),
                     note=case.label)
                 if report is not None and report.terms.get("near_equality"):
                     near.append(f"{rec.name} golden:{case.label}")
@@ -966,7 +918,7 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
                     trial_norm = norm_specs[norm_id] if norm_id else None
                     rec, report = _cell_record(
                         defn, norm_id, ens_name, trial, seed, tol,
-                        lambda: _run_one(defn, draw(), trial_norm, kind_arg, opts, tol))
+                        lambda: _run_one(defn, draw(), trial_norm, kind_arg, tol))
                     if report is not None and report.terms.get("near_equality"):
                         near.append(f"{rec.name} {ens_name} trial {trial} "
                                     f"seed {seed} digest {report.input_digest}")

@@ -110,7 +110,7 @@ def frobenius_norm_spec() -> NormSpec:
     return schatten_norm_spec(2.0)
 
 
-def numerical_radius_norm_spec(*, refine_tol: float = 1e-10) -> NormSpec:
+def numerical_radius_norm_spec() -> NormSpec:
     """The numerical radius w as a norm.
 
     Self-adjoint and weakly unitarily invariant, but NOT an algebra norm:
@@ -121,7 +121,7 @@ def numerical_radius_norm_spec(*, refine_tol: float = 1e-10) -> NormSpec:
     def evaluate(a) -> float:
         from .radius import numerical_radius
 
-        return numerical_radius(a, refine_tol=refine_tol).value
+        return numerical_radius(a).value
 
     return NormSpec(
         id="wnum",
@@ -134,9 +134,9 @@ def numerical_radius_norm_spec(*, refine_tol: float = 1e-10) -> NormSpec:
     )
 
 
-def omega_norm_spec(*, grid_s: int = 96, grid_psi: int = 192,
-                    refine_tol: float = 1e-9, top_cells: int = 5) -> NormSpec:
-    """The Omega norm: sup of ||zeta T + eta T*|| over the coefficient ball.
+def omega_norm_spec(**opts) -> NormSpec:
+    """The Omega norm: sup of ||zeta T + eta T*|| over the coefficient ball,
+    evaluated with the keyword options `opts` of `omega_norm_many`.
 
     Self-adjoint and weakly unitarily invariant (conjugation commutes with
     the coefficient combination); not declared an algebra norm.  Every
@@ -145,9 +145,6 @@ def omega_norm_spec(*, grid_s: int = 96, grid_psi: int = 192,
     at modulus sqrt(2) on the corresponding eigenvector.  `evaluate_many`
     solves a whole stack in one `omega_norm_many` call.
     """
-    opts = {"grid_s": grid_s, "grid_psi": grid_psi, "refine_tol": refine_tol,
-            "top_cells": top_cells}
-
     def evaluate(a) -> float:
         from .radius import omega_norm
 

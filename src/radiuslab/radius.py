@@ -19,17 +19,18 @@ the unit circle count, M being the shift-inverted matrix of the pencil of
 T / max |T_ij|, so the tolerance is scale-free.  The midpoints of the
 intervals between crossings, evaluated in one batched eigvalsh, give the
 next level, and the iteration ends when a level has no crossings or raises
-r by at most `refine_tol` * max(1, r).  A pencil too close to singular to
+r by at most CIRCLE_TOL * max(1, r).  A pencil too close to singular to
 resolve crossings (flat lambda_max, as for square-zero T) hands the search
 to the grid optimizer below.  Ties go to the smallest angle.
 
 Every other supremum over one angle uses a uniform grid over the period
-followed by golden-section refinement of the best few local brackets, which
-is derivative-free (eigenvalue branches may cross non-smoothly) and
-deterministic for fixed options.  Because every norm satisfies
-N(-A) = N(A), the angle objective has period pi; the optimizers exploit
-that only when the norm declares it (`even` flag), never for user-supplied
-evaluators.
+followed by golden-section refinement of the best few local brackets
+(`maximize_on_circle`), which is derivative-free (eigenvalue branches may
+cross non-smoothly) and deterministic.  Its settings are CIRCLE_GRID points
+over 2 pi, brackets refined to width CIRCLE_TOL, and the CIRCLE_BRACKETS
+best of them.  Because every norm satisfies N(-A) = N(A), the angle
+objective has period pi; the optimizers exploit that only when the norm
+declares it (`even` flag), never for user-supplied evaluators.
 
 An angle objective is one function F from a 1-d array of angles to values:
 the coarse grid calls it once on all grid angles, and the brackets are
@@ -80,6 +81,19 @@ _TWO_PI = 2.0 * math.pi
 # cap on complex entries held by one batched grid evaluation (~32 MB)
 _CHUNK_ENTRIES = 2_000_000
 
+# The one-angle search: grid points over 2 pi (over pi for an even
+# objective, at the same resolution), golden-section width, brackets refined
+CIRCLE_GRID = 720
+CIRCLE_TOL = 1e-10
+CIRCLE_BRACKETS = 5
+# The Omega search: (s, psi) grid, Newton's stopping step, candidate cells
+# refined, and the cap on Newton rounds
+OMEGA_GRID_S = 96
+OMEGA_GRID_PSI = 192
+OMEGA_TOL = 1e-9
+OMEGA_CELLS = 5
+_NEWTON_ROUNDS = 100
+
 
 @dataclass(frozen=True)
 class RadiusResult:
@@ -104,11 +118,14 @@ class OmegaResult:
     evaluations: int
 
 
-def maximize_on_circle(F, period: float, points: int, refine_tol: float,
-                       top_brackets: int):
-    """Grid-plus-refinement maximum of a periodic objective.
+def maximize_on_circle(F, even: bool, grid: int = CIRCLE_GRID,
+                       refine_tol: float = CIRCLE_TOL,
+                       top_brackets: int = CIRCLE_BRACKETS):
+    """Grid-plus-refinement maximum of an objective of period 2 pi, or of
+    period pi where `even` declares it.
 
-    Evaluates F on `points` uniform samples of one period in one call and
+    Evaluates F in one call on `points` uniform samples of one period,
+    max(8, grid) over 2 pi or, for an even F, max(8, grid // 2) over pi, and
     picks the `top_brackets` best cyclic local maxima (ties to the smaller
     angle).  Each bracket [center - h, center + h], h = period / points,
     is then refined by golden section to width `refine_tol` (at most
@@ -118,8 +135,8 @@ def maximize_on_circle(F, period: float, points: int, refine_tol: float,
     (argmax, value, final_width, evaluations); the best evaluated point
     wins, ties to the smaller angle.
     """
-    if points < 4:
-        raise ValueError("need at least 4 grid points")
+    period = math.pi if even else _TWO_PI
+    points = max(8, grid // 2 if even else grid)
     thetas = np.arange(points) * (period / points)
     vals = np.asarray(F(thetas), dtype=float)
     prev = np.roll(vals, 1)
@@ -173,11 +190,9 @@ def _values(F, angles: list) -> list:
     return np.asarray(F(np.array(angles)), dtype=float).tolist()
 
 
-def minimize_on_circle(F, period: float, points: int, refine_tol: float,
-                       top_brackets: int):
+def minimize_on_circle(F, even: bool):
     """Counterpart of maximize_on_circle for infima."""
-    x, v, w, e = maximize_on_circle(lambda angles: -F(angles), period, points,
-                                    refine_tol, top_brackets)
+    x, v, w, e = maximize_on_circle(lambda angles: -F(angles), even)
     return x, -v, w, e
 
 
@@ -227,17 +242,13 @@ def rotated_objective(T, evaluate, evaluate_many=None, coefficients=_real_coeffi
     return F
 
 
-def generalized_radius(T, norm, *, grid: int = 720, refine_tol: float = 1e-10,
-                       top_brackets: int = 5) -> RadiusResult:
-    """w_N(T): maximize N(Re(exp(i theta) T)) over theta.
-
-    `grid` counts points over the full 2 pi period; norms declaring
-    `even` are sampled at the same resolution over [0, pi) only.
+def generalized_radius(T, norm, *, grid: int = CIRCLE_GRID, refine_tol: float = CIRCLE_TOL,
+                       top_brackets: int = CIRCLE_BRACKETS) -> RadiusResult:
+    """w_N(T): maximize N(Re(exp(i theta) T)) over theta by
+    `maximize_on_circle`, over [0, pi) for norms declaring `even`.
     """
-    period = math.pi if norm.even else _TWO_PI
-    points = max(8, grid // 2 if norm.even else grid)
     F = rotated_objective(T, norm.evaluate, norm.evaluate_many)
-    x, v, width, evals = maximize_on_circle(F, period, points, refine_tol, top_brackets)
+    x, v, width, evals = maximize_on_circle(F, norm.even, grid, refine_tol, top_brackets)
     return RadiusResult(value=v, argmax_theta=x % _TWO_PI,
                         achieved_interval=width, evaluations=evals)
 
@@ -264,9 +275,6 @@ _MAX_CONDITION = 1e6
 # that pair must still count
 _UNIMODULAR_TOL = 1e-6
 _MAX_LEVELS = 50
-# the grid optimizer that takes over where crossings are not resolved
-_FLAT_GRID = 720
-_FLAT_BRACKETS = 5
 
 
 def _level_crossings(that: np.ndarray, level: float) -> np.ndarray | None:
@@ -308,7 +316,7 @@ def _level_crossings(that: np.ndarray, level: float) -> np.ndarray | None:
     return np.sort(np.angle(num[on_circle] * np.conj(mu[on_circle])) % _TWO_PI)
 
 
-def numerical_radius(T, *, refine_tol: float = 1e-10) -> RadiusResult:
+def numerical_radius(T) -> RadiusResult:
     """w(T) = max over theta of lambda_max(H(theta)), where
     H(theta) = Re(exp(i theta) T) = cos(theta) Re(T) - sin(theta) Im(T),
     by level sets (He & Watson 1997; Mengi & Overton 2005).
@@ -325,11 +333,11 @@ def numerical_radius(T, *, refine_tol: float = 1e-10) -> RadiusResult:
 
     The iteration stops when a level has no crossings (then, up to rounding,
     no angle rises above it: a certificate that r = w), or when its best
-    midpoint raises r by at most `refine_tol` * max(1, r).  Where the pencil
+    midpoint raises r by at most CIRCLE_TOL * max(1, r).  Where the pencil
     is too close to singular to resolve crossings (lambda_max flat to about
     1e-6 relative, as for square-zero or nilpotent T), the grid-and-golden
-    optimizer `maximize_on_circle` (720 angles, 5 brackets) finishes the
-    search and the better of the two results is kept.  The zero matrix
+    optimizer `maximize_on_circle` finishes the search over the full circle
+    and the better of the two results is kept.  The zero matrix
     gives exactly 0.
 
     `value` is lambda_max(H(argmax_theta)) as evaluated; ties go to the
@@ -355,8 +363,7 @@ def numerical_radius(T, *, refine_tol: float = 1e-10) -> RadiusResult:
     for _ in range(_MAX_LEVELS):
         cross = _level_crossings(that, value / scale)
         if cross is None:
-            x, _, width, ev = maximize_on_circle(F, _TWO_PI, _FLAT_GRID, refine_tol,
-                                                 _FLAT_BRACKETS)
+            x, _, width, ev = maximize_on_circle(F, even=False)
             # evaluated again at the wrapped angle, so that value is
             # lambda_max(H(argmax_theta)) exactly
             x %= _TWO_PI
@@ -378,7 +385,7 @@ def numerical_radius(T, *, refine_tol: float = 1e-10) -> RadiusResult:
             value, theta = float(vals[k]), float(mids[k])
         j = int(np.searchsorted(cross, theta, side="right")) - 1
         width = float(ends[j] - cross[j])
-        if gain <= refine_tol * max(1.0, value):
+        if gain <= CIRCLE_TOL * max(1.0, value):
             break
     return RadiusResult(value=value, argmax_theta=theta,
                         achieved_interval=width, evaluations=evaluations)
@@ -401,14 +408,11 @@ def numerical_radius_oracle(T, grid: int = 200000) -> float:
     return best
 
 
-def alphabeta_radius(T, norm, grid: int = 720, *, refine_tol: float = 1e-10,
-                     top_brackets: int = 5) -> float:
+def alphabeta_radius(T, norm) -> float:
     """sup of N(alpha Re(T) + beta Im(T)) over the real unit circle
     (alpha, beta) = (cos t, sin t); equals w_N(T)."""
-    period = math.pi if norm.even else _TWO_PI
-    points = max(8, grid // 2 if norm.even else grid)
     F = rotated_objective(T, norm.evaluate, norm.evaluate_many, lambda c, s: (c, -s))
-    _, v, _, _ = maximize_on_circle(F, period, points, refine_tol, top_brackets)
+    _, v, _, _ = maximize_on_circle(F, norm.even)
     return float(v)
 
 
@@ -587,7 +591,7 @@ def _ascent_point(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(size > 0.0, v / np.where(size > 0.0, size, 1.0), u)
 
 
-def _newton_on_sphere(basis, u, lam1, width, refine_tol, max_rounds):
+def _newton_on_sphere(basis, u, lam1, width, refine_tol):
     """Safeguarded Newton ascent of lambda_max(G(u)) over the unit sphere,
     all cells in lockstep: one batched eigh of the live cells per round.
 
@@ -597,7 +601,7 @@ def _newton_on_sphere(basis, u, lam1, width, refine_tol, max_rounds):
     _NEWTON_DROP, relative); otherwise the
     cell goes to the ascent point from its last accepted u instead.  A cell
     stops once it accepts a step of length at most `refine_tol`, or after
-    `max_rounds` rounds.  Returns (u, lam1, width, eigensolves) per cell,
+    _NEWTON_ROUNDS rounds.  Returns (u, lam1, width, eigensolves) per cell,
     `width` being the length of the last accepted step.
     """
     u, lam1, width = u.copy(), lam1.copy(), width.copy()
@@ -606,7 +610,7 @@ def _newton_on_sphere(basis, u, lam1, width, refine_tol, max_rounds):
     sure = np.ones(u.shape[0], dtype=bool)   # trial cannot lower lambda_max
     solves = np.zeros(u.shape[0], dtype=int)
     live = np.arange(u.shape[0])
-    for _ in range(max_rounds):
+    for _ in range(_NEWTON_ROUNDS):
         if live.size == 0:
             break
         lam, vecs = _sphere_eigh(basis[live], trial[live])
@@ -623,9 +627,9 @@ def _newton_on_sphere(basis, u, lam1, width, refine_tol, max_rounds):
     return u, lam1, width, solves
 
 
-def omega_norm_many(stack, *, grid_s: int = 96, grid_psi: int = 192,
-                    refine_tol: float = 1e-9, top_cells: int = 5,
-                    max_rounds: int = 100) -> list[OmegaResult]:
+def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_GRID_PSI,
+                    refine_tol: float = OMEGA_TOL,
+                    top_cells: int = OMEGA_CELLS) -> list[OmegaResult]:
     """Omega of each matrix of a (m, n, n) stack; see `omega_norm`.
 
     The grid, the candidate cells and the Newton refinement run for the
@@ -656,7 +660,7 @@ def omega_norm_many(stack, *, grid_s: int = 96, grid_psi: int = 192,
     cell = 2.0 * max(half_pi / (grid_s - 1), _TWO_PI / grid_psi)
     u, lam1, width, solves = _newton_on_sphere(
         basis[owner], start, grid[owner, ii, jj] ** 2,
-        np.full(owner.size, cell), refine_tol, max_rounds)
+        np.full(owner.size, cell), refine_tol)
 
     # per matrix, the highest lambda_max; ties to the earlier candidate
     order = np.lexsort((np.arange(owner.size), -lam1, owner))
@@ -676,15 +680,15 @@ def omega_norm_many(stack, *, grid_s: int = 96, grid_psi: int = 192,
     return results
 
 
-def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
-               refine_tol: float = 1e-9, top_cells: int = 5,
-               max_rounds: int = 100) -> OmegaResult:
-    """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*||.
+def omega_norm(T, **opts) -> OmegaResult:
+    """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*||; `opts` are
+    the keyword options of `omega_norm_many`.
 
     With u = (cos 2s, sin 2s cos psi, sin 2s sin psi) on the unit sphere,
     ||.||^2 = lambda_max(G(u)), G(u) = S + u_0 D + u_1 X - u_2 Y, the four
-    Hermitian matrices coming from `_omega_basis`.  A coarse grid over
-    [0, pi/2] x [0, 2 pi) (only its rows s <= pi/4 are evaluated, the rest
+    Hermitian matrices coming from `_omega_basis`.  A coarse grid_s x
+    grid_psi grid over [0, pi/2] x [0, 2 pi) (by default OMEGA_GRID_S x
+    OMEGA_GRID_PSI; only its rows s <= pi/4 are evaluated, the rest
     mirrored) gives the candidates: the `top_cells` best distinct local
     maxima of the evaluated rows, best grid value first, then smaller s,
     then smaller psi.  Each is refined by a safeguarded Newton ascent on the
@@ -692,9 +696,9 @@ def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
     gradient and its Hessian; the Newton point is taken where the tangent
     Hessian is negative definite, the top eigenvalue simple and lambda_max
     does not drop, and the ascent point v / |v| otherwise.  A cell stops
-    once it accepts a step of length at most `refine_tol` (or after
-    `max_rounds` eigensolves).  The highest refined value wins, ties to the
-    earlier candidate.
+    once it accepts a step of length at most `refine_tol` (OMEGA_TOL by
+    default), or after _NEWTON_ROUNDS eigensolves.  The highest refined
+    value wins, ties to the earlier candidate.
 
     The search runs on T scaled by a power of two so its largest entry part
     lies in [1/2, 1), and the value is scaled back (inf past the float
@@ -710,9 +714,7 @@ def omega_norm(T, *, grid_s: int = 96, grid_psi: int = 192,
     counts grid points plus eigensolves.  This is the one-matrix case of
     `omega_norm_many`.
     """
-    return omega_norm_many(as_matrix(T, square=True)[None], grid_s=grid_s,
-                           grid_psi=grid_psi, refine_tol=refine_tol,
-                           top_cells=top_cells, max_rounds=max_rounds)[0]
+    return omega_norm_many(as_matrix(T, square=True)[None], **opts)[0]
 
 
 def omega_vector_lower_bound(T, samples: int, seed: int) -> float:
@@ -742,21 +744,20 @@ SLOW_OMEGA_OUTER = {"grid": 96, "refine_tol": 1e-6, "top_brackets": 3}
 SLOW_OMEGA_INNER = {"grid_s": 13, "grid_psi": 24, "refine_tol": 1e-4, "top_cells": 2}
 
 
-def omega_radius(T, *, refine_tol: float = 1e-10) -> float:
+def omega_radius(T) -> float:
     """w_Omega(T) = sqrt(2) w(T) (the Omega radius collapses to the
     numerical radius because Omega doubles to sqrt(2) times the operator
     norm on Hermitian matrices)."""
-    return math.sqrt(2.0) * numerical_radius(T, refine_tol=refine_tol).value
+    return math.sqrt(2.0) * numerical_radius(T).value
 
 
-def omega_radius_slow(T, outer: dict | None = None, inner: dict | None = None) -> float:
+def omega_radius_slow(T) -> float:
     """w_Omega(T) computed the long way: generalized_radius with the Omega
-    norm itself as N.  Cross-validates omega_radius."""
+    norm itself as N, at the SLOW_OMEGA_* settings.  Cross-validates
+    omega_radius."""
     from .norms import omega_norm_spec
 
-    outer_opts = dict(SLOW_OMEGA_OUTER if outer is None else outer)
-    inner_opts = dict(SLOW_OMEGA_INNER if inner is None else inner)
-    return generalized_radius(T, omega_norm_spec(**inner_opts), **outer_opts).value
+    return generalized_radius(T, omega_norm_spec(**SLOW_OMEGA_INNER), **SLOW_OMEGA_OUTER).value
 
 
 def hs_radius_sq(T) -> float:

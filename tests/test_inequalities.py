@@ -381,8 +381,8 @@ class TestSuiteRunner:
         assert [r.seed for r in rep.records] == [5000, 5001, 5002]
 
     def test_corrupted_check_surfaces_witness(self):
-        def broken(T, *, opts, tol):
-            report = iq.check_basic_bounds(T, opts=opts, tol=tol)
+        def broken(T, *, tol):
+            report = iq.check_basic_bounds(T, tol=tol)
             return dataclasses.replace(report, rhs=report.rhs - 1.0,
                                        slack=report.slack - 1.0, holds=False)
 
@@ -401,7 +401,7 @@ class TestSuiteRunner:
             iq.run_suite([], checks=["nope"], trials=1)
 
     def test_inapplicable_recorded(self):
-        def picky(T, *, opts, tol):
+        def picky(T, *, tol):
             raise iq.RequiresContraction("always")
 
         defn = iq.CheckDef(name="picky", tag="selftest", runner=picky,
@@ -413,13 +413,13 @@ class TestSuiteRunner:
     def test_error_recorded_without_aborting(self):
         calls = {"n": 0}
 
-        def flaky(T, *, opts, tol):
+        def flaky(T, *, tol):
             if np.array_equal(T, E12):
                 raise RuntimeError("golden boom")
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("boom")
-            return iq.check_basic_bounds(T, opts=opts, tol=tol)
+            return iq.check_basic_bounds(T, tol=tol)
 
         defn = iq.CheckDef(name="flaky", tag="selftest", runner=flaky,
                            kinds=("ginibre",), golden=(iq.GoldenCase("e12", (E12,)),))

@@ -311,7 +311,7 @@ class TestLockstepBrackets:
         F = radius.rotated_objective(a, spec.evaluate, spec.evaluate_many)
         for points, tol, brackets in ((720, 1e-10, 5), (96, 1e-6, 3), (16, 1e-3, 8),
                                       (8, 10.0, 2)):
-            lockstep = radius.maximize_on_circle(F, math.pi, points, tol, brackets)
+            lockstep = radius.maximize_on_circle(F, True, 2 * points, tol, brackets)
             assert lockstep == _scalar_maximize_on_circle(F, math.pi, points, tol, brackets)
 
     def test_ties_and_probe_cap(self):
@@ -319,7 +319,7 @@ class TestLockstepBrackets:
         def F(angles):
             return np.cos(4.0 * angles)
 
-        lockstep = radius.maximize_on_circle(F, 2 * math.pi, 64, 0.0, 4)
+        lockstep = radius.maximize_on_circle(F, False, 64, 0.0, 4)
         assert lockstep == _scalar_maximize_on_circle(F, 2 * math.pi, 64, 0.0, 4)
         assert lockstep[3] == 64 + 4 * radius._MAX_PROBES
         assert lockstep[0] == pytest.approx(0.0, abs=1e-8)
@@ -331,7 +331,7 @@ class TestLockstepBrackets:
             calls.append(angles.size)
             return -np.cos(3.0 * angles) + 0.1 * np.sin(angles)
 
-        radius.maximize_on_circle(F, 2 * math.pi, 96, 1e-8, 3)
+        radius.maximize_on_circle(F, False, 96, 1e-8, 3)
         assert calls[:2] == [96, 6]
         assert set(calls[2:]) == {3}
 
@@ -476,8 +476,10 @@ class TestOmegaGramGrid:
 
     @pytest.mark.parametrize("grid_s, rows", [(13, 7), (12, 6)])
     def test_evaluations_count_half_grid(self, grid_s, rows):
-        res = omega_norm(WORKED, grid_s=grid_s, grid_psi=24, top_cells=1, max_rounds=0)
-        assert res.evaluations == rows * 24
+        # the zero matrix's one candidate stops after two eigensolves: its
+        # start, then the zero-length step the zero gradient gives
+        res = omega_norm(np.zeros((2, 2)), grid_s=grid_s, grid_psi=24, top_cells=1)
+        assert res.evaluations == rows * 24 + 2
 
 
 def _attained(t, res):
