@@ -13,13 +13,11 @@ from .matcore import (
     cayley_unitary,
     frobenius_norm,
     hermitian_eigs,
-    hermitian_sqrt_defect,
     im_part,
     re_part,
     rotate,
     singular_values,
     spectral_norm,
-    trace,
 )
 from .matfile import MatrixFormatError, load_matrix, loads_matrix, dumps_matrix, save_matrix
 from .ensembles import EnsembleSpec, generate, generate_pair, parse_ensemble_id, splitmix64
@@ -46,7 +44,6 @@ from .radius import (
     omega_norm,
     omega_radius,
     omega_radius_slow,
-    omega_vector_lower_bound,
 )
 from .inequalities import (
     CheckInapplicable,

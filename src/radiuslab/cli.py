@@ -25,18 +25,17 @@ from typing import Optional
 import numpy as np
 
 from .ensembles import EnsembleSpec, parse_ensemble_id
-from .inequalities import DEFAULT_CHECK_NAMES, run_suite
+from .inequalities import DEFAULT_CHECK_NAMES, check_inf_upper, run_suite
 from .matcore import (MatrixShapeError, NonFiniteEntry, frobenius_norm, hermitian_norm,
                       im_part, re_part, spectral_norm)
 from .matfile import MatrixFormatError, load_matrix
-from .norms import UnknownNormId, omega_norm_spec, parse_norm_id, registry, validate_norm
+from .norms import (UnknownNormId, omega_norm_spec, operator_norm_spec, parse_norm_id,
+                    registry, validate_norm)
 from .radius import (
     SLOW_OMEGA_INNER,
     SLOW_OMEGA_OUTER,
     generalized_radius,
     hs_radius_sq,
-    im_coefficients,
-    minimize_on_circle,
     numerical_radius,
     omega_norm,
     rotated_objective,
@@ -285,20 +284,14 @@ def cmd_paper_example(config: RunConfig) -> int:
     arr = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     tol = config.tol
     w = numerical_radius(arr).value
-    re_norm = spectral_norm(re_part(arr))
-    im_norm = spectral_norm(im_part(arr))
+    terms = check_inf_upper(arr, operator_norm_spec()).terms
+    inf_v, re_norm, im_norm, total = (terms[k] for k in ("inf", "re_norm", "im_norm", "sum"))
 
     phis = np.arange(360) * (2.0 * math.pi / 360)
     grid_sq = rotated_objective(arr, hermitian_norm, hermitian_norm)(phis) ** 2
     c2 = np.cos(phis) ** 2
     formula = (1.0 + 2.0 * c2) / 4.0 + np.sqrt(c2 + c2 ** 2) / 2.0
     formula_dev = float(np.abs(grid_sq - formula).max())
-
-    re_n = rotated_objective(arr, spectral_norm)
-    im_n = rotated_objective(arr, spectral_norm, coefficients=im_coefficients)
-    _, inf_v, _, _ = minimize_on_circle(lambda phi: np.hypot(re_n(phi), im_n(phi)),
-                                        even=True)
-    total = re_norm + im_norm
 
     expect_w = (1.0 + math.sqrt(2.0)) / 2.0
     expect_re = math.sqrt(3.0 + 2.0 * math.sqrt(2.0)) / 2.0

@@ -52,9 +52,7 @@ from .norms import NormSpec, registry
 from .radius import (
     CIRCLE_GRID,
     generalized_radius,
-    im_coefficients,
     maximize_on_circle,
-    minimize_on_circle,
     numerical_radius,
     omega_norm,
     omega_radius_slow,
@@ -197,9 +195,10 @@ def check_inf_upper(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequalit
     arr = as_matrix(T, square=True)
     w_n = generalized_radius(arr, norm).value
     re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
-    im_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many, im_coefficients)
-    phi, inf_v, _, _ = minimize_on_circle(lambda phis: np.hypot(re_n(phis), im_n(phis)),
-                                          norm.even)
+    # the infimum as the maximum of the negated objective
+    phi, neg_inf, _, _ = maximize_on_circle(
+        lambda phis: -np.hypot(re_n(phis), re_n(phis - math.pi / 2)), norm.even)
+    inf_v = -neg_inf
     n_re, n_im = norm.evaluate(re_part(arr)), norm.evaluate(im_part(arr))
     mid1 = math.hypot(n_re, n_im)
     mid2 = n_re + n_im
@@ -220,9 +219,8 @@ def check_lower_bound(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequal
     arr = as_matrix(T, square=True)
     w_n = generalized_radius(arr, norm).value
     re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
-    im_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many, im_coefficients)
-    phi, sup_v, _, _ = maximize_on_circle(lambda phis: abs(re_n(phis) ** 2 - im_n(phis) ** 2),
-                                          norm.even)
+    phi, sup_v, _, _ = maximize_on_circle(
+        lambda phis: abs(re_n(phis) ** 2 - re_n(phis - math.pi / 2) ** 2), norm.even)
     quarter = norm.evaluate(arr @ adjoint(arr) + adjoint(arr) @ arr) / 4.0
     lhs = quarter + 0.5 * sup_v
     rhs = w_n ** 2

@@ -108,11 +108,6 @@ def frobenius_norm(a) -> float:
     return float(binary_unscaled(np.linalg.norm(arr, "fro"), exponent))
 
 
-def trace(a) -> complex:
-    arr = as_matrix(a, square=True)
-    return complex(np.trace(arr))
-
-
 def hermitian_defect(a: np.ndarray) -> float:
     """Frobenius distance from A to its Hermitian part's symmetrization, ||A - A*||_F."""
     arr = np.asarray(a, dtype=np.complex128)
@@ -191,23 +186,6 @@ def hermitian_norm(h: np.ndarray):
     """Operator norm of a Hermitian matrix, or of each matrix of a stack of
     them: the largest |eigenvalue|."""
     return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
-
-
-def hermitian_sqrt_defect(s, tol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """(I - S^2)^(1/2) for a Hermitian contraction S.
-
-    Computed on the eigenbasis of S with eigenvalues clamped into [-1, 1],
-    so rounding-level overshoot of the contraction bound is absorbed.
-    """
-    h = require_hermitian(s, tol)
-    eig = hermitian_eigs(h, tol)
-    top = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
-    if top > 1.0 + CONTRACTION_RTOL:
-        raise NotAContraction(f"spectral norm {top:.12g} exceeds 1 + {CONTRACTION_RTOL:g}")
-    lam = np.clip(eig.eigenvalues, -1.0, 1.0)
-    roots = np.sqrt(1.0 - lam * lam)
-    v = eig.eigenvectors
-    return (v * roots[None, :]) @ adjoint(v)
 
 
 def cayley_unitary(s, tol: float = HERMITIAN_RTOL) -> np.ndarray:

@@ -190,12 +190,6 @@ def _values(F, angles: list) -> list:
     return np.asarray(F(np.array(angles)), dtype=float).tolist()
 
 
-def minimize_on_circle(F, even: bool):
-    """Counterpart of maximize_on_circle for infima."""
-    x, v, w, e = maximize_on_circle(lambda angles: -F(angles), even)
-    return x, -v, w, e
-
-
 def evaluate_chunked(fn, count: int, entry_size: int) -> np.ndarray:
     """The values fn(lo, hi) of grid points lo..hi-1, for all `count` points,
     computed in chunks of at most _CHUNK_ENTRIES // entry_size points so a
@@ -208,19 +202,10 @@ def evaluate_chunked(fn, count: int, entry_size: int) -> np.ndarray:
     return out
 
 
-def _real_coefficients(c, s):
-    return c, s
-
-
-def im_coefficients(c, s):
-    """Coefficients of Im(exp(i t) T) = sin(t) Re(T) + cos(t) Im(T) for
-    `rotated_objective`."""
-    return s, -c
-
-
-def rotated_objective(T, evaluate, evaluate_many=None, coefficients=_real_coefficients):
-    """The angle objective F(t) = evaluate(a Re(T) - b Im(T)), where
-    (a, b) = coefficients(cos t, sin t); the default gives Re(exp(i t) T).
+def rotated_objective(T, evaluate, evaluate_many=None):
+    """The angle objective F(t) = evaluate(Re(exp(i t) T)), the operand being
+    cos(t) Re(T) - sin(t) Im(T).  Im(exp(i t) T) = Re(exp(i (t - pi/2)) T)
+    is F(t - pi/2).
 
     F takes a 1-d array of angles and returns evaluate_many of the stacked
     operands, chunked by `evaluate_chunked`, or without `evaluate_many` one
@@ -230,7 +215,7 @@ def rotated_objective(T, evaluate, evaluate_many=None, coefficients=_real_coeffi
     re, im = re_part(arr), im_part(arr)
 
     def F(angles):
-        a, b = coefficients(np.cos(angles), np.sin(angles))
+        a, b = np.cos(angles), np.sin(angles)
         if evaluate_many is None:
             return np.array([float(evaluate(x * re - y * im)) for x, y in zip(a, b)])
 
@@ -410,9 +395,10 @@ def numerical_radius_oracle(T, grid: int = 200000) -> float:
 
 def alphabeta_radius(T, norm) -> float:
     """sup of N(alpha Re(T) + beta Im(T)) over the real unit circle
-    (alpha, beta) = (cos t, sin t); equals w_N(T)."""
-    F = rotated_objective(T, norm.evaluate, norm.evaluate_many, lambda c, s: (c, -s))
-    _, v, _, _ = maximize_on_circle(F, norm.even)
+    (alpha, beta) = (cos t, sin t), which is the angle objective at -t;
+    equals w_N(T)."""
+    F = rotated_objective(T, norm.evaluate, norm.evaluate_many)
+    _, v, _, _ = maximize_on_circle(lambda t: F(-t), norm.even)
     return float(v)
 
 
@@ -715,23 +701,6 @@ def omega_norm(T, **opts) -> OmegaResult:
     `omega_norm_many`.
     """
     return omega_norm_many(as_matrix(T, square=True)[None], **opts)[0]
-
-
-def omega_vector_lower_bound(T, samples: int, seed: int) -> float:
-    """Monte-Carlo lower bound for Omega(T): the best of
-    sqrt(|<Ty, x>|^2 + |<T*y, x>|^2) over `samples` seeded unit pairs."""
-    from .ensembles import random_unit_vectors
-
-    arr = as_matrix(T, square=True)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    vecs = random_unit_vectors(seed, 2 * samples, arr.shape[0])
-    x, y = vecs[0::2], vecs[1::2]
-    ty = y @ arr.T
-    tsy = y @ np.conj(arr)
-    a = np.sum(np.conj(x) * ty, axis=1)
-    b = np.sum(np.conj(x) * tsy, axis=1)
-    return float(np.sqrt(np.max(np.abs(a) ** 2 + np.abs(b) ** 2)))
 
 
 # Reduced (but still refined) settings for the slow w_Omega path: the

@@ -27,3 +27,23 @@ TARGETS = ([(mod, attr) for mod, attr, _ in tracing.SPAN_TARGETS + tracing.AGGRE
 def test_traced_target_resolves(module, attr):
     mod = importlib.import_module(f"radiuslab.{module}")
     assert callable(getattr(mod, attr, None)), f"radiuslab.{module}.{attr}"
+
+
+def test_check_runners_are_swappable_module_functions(monkeypatch):
+    # the tracer times each check by swapping its runner, by identity, for a
+    # wrapper in the module dicts; that only reaches the suite when every
+    # runner is a module attribute under its own name and default_checks()
+    # reads those attributes at call time
+    from radiuslab import inequalities
+
+    for defn in inequalities.default_checks():
+        name = defn.runner.__name__
+        assert getattr(inequalities, name, None) is defn.runner, defn.name
+
+        def stand_in(*args, **kwargs):
+            raise AssertionError("not called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, name, stand_in)
+            swapped = {d.name: d.runner for d in inequalities.default_checks()}
+        assert swapped[defn.name] is stand_in, defn.name

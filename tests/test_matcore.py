@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radiuslab import matcore
+from radiuslab import matcore, radius
 from radiuslab.ensembles import EnsembleSpec, generate, random_unit_vectors
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -209,8 +209,9 @@ class TestScaleSafeNorms:
 
 class TestFrobeniusAndTrace:
     def test_trace_of_square(self):
+        # w_2(D)^2 = ||D||_F^2 / 2 + |tr(D^2)| / 2 = 1 + 1
         d = np.diag([1.0, -1.0]).astype(complex)
-        assert matcore.trace(d @ d) == pytest.approx(2.0)
+        assert radius.hs_radius_sq(d) == pytest.approx(2.0)
 
     def test_unit_frobenius(self):
         assert matcore.frobenius_norm(E12) == 1.0
@@ -228,21 +229,9 @@ class TestFrobeniusAndTrace:
 
 
 class TestSqrtDefectAndCayley:
-    def test_zero(self):
-        np.testing.assert_allclose(matcore.hermitian_sqrt_defect(np.zeros((3, 3))),
-                                   np.eye(3), atol=1e-14)
-
-    def test_extreme_spectrum(self):
-        s = np.diag([1.0, -1.0]).astype(complex)
-        assert np.abs(matcore.hermitian_sqrt_defect(s)).max() <= 1e-12
-
-    def test_three_four_five(self):
-        np.testing.assert_allclose(matcore.hermitian_sqrt_defect(np.diag([0.6])),
-                                   np.diag([0.8]), atol=1e-14)
-
     def test_not_a_contraction(self):
         with pytest.raises(matcore.NotAContraction):
-            matcore.hermitian_sqrt_defect(np.diag([1.1]))
+            matcore.cayley_unitary(np.diag([1.1]))
 
     def test_cayley_zero(self):
         np.testing.assert_allclose(matcore.cayley_unitary(np.zeros((2, 2))),

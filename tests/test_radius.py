@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from radiuslab import matcore, radius
-from radiuslab.ensembles import EnsembleSpec, generate
+from radiuslab.ensembles import EnsembleSpec, generate, random_unit_vectors
 from radiuslab.norms import (
     frobenius_norm_spec,
     numerical_radius_norm_spec,
@@ -23,7 +23,6 @@ from radiuslab.radius import (
     omega_norm,
     omega_radius,
     omega_radius_slow,
-    omega_vector_lower_bound,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -81,9 +80,13 @@ class TestRotatedObjective:
         np.testing.assert_array_equal(F(self.ANGLES), spec.evaluate_many(stack))
 
     def test_imaginary_part_coefficients(self):
+        # Im(exp(i phi) T) = Re(exp(i (phi - pi/2)) T)
         a = generate(EnsembleSpec("ginibre", 4, 42))
-        F = radius.rotated_objective(a, _top_eigenvalue, _top_eigenvalue,
-                                     radius.im_coefficients)
+        re_F = radius.rotated_objective(a, _top_eigenvalue, _top_eigenvalue)
+
+        def F(angles):
+            return re_F(angles - math.pi / 2)
+
         expected = [float(_top_eigenvalue(matcore.im_part(matcore.rotate(a, phi))))
                     for phi in self.ANGLES]
         atol = 1e-14 * max(1.0, matcore.spectral_norm(a))
@@ -575,6 +578,21 @@ class TestOmegaNewton:
                 rows = [max(i - 1, 0), i, i + 1]
                 cols = [(j - 1) % grid_psi, j, (j + 1) % grid_psi]
                 assert vals[i, j] >= vals[np.ix_(rows, cols)].max()
+
+
+def omega_vector_lower_bound(T, samples: int, seed: int) -> float:
+    """Monte-Carlo lower bound for Omega(T): the best of
+    sqrt(|<Ty, x>|^2 + |<T*y, x>|^2) over `samples` seeded unit pairs."""
+    arr = matcore.as_matrix(T, square=True)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    vecs = random_unit_vectors(seed, 2 * samples, arr.shape[0])
+    x, y = vecs[0::2], vecs[1::2]
+    ty = y @ arr.T
+    tsy = y @ np.conj(arr)
+    a = np.sum(np.conj(x) * ty, axis=1)
+    b = np.sum(np.conj(x) * tsy, axis=1)
+    return float(np.sqrt(np.max(np.abs(a) ** 2 + np.abs(b) ** 2)))
 
 
 class TestOmegaVectorLowerBound:
