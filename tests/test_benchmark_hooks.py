@@ -36,13 +36,12 @@ def test_check_runners_are_swappable_module_functions(monkeypatch):
     # reads those attributes at call time
     from radiuslab import inequalities
 
+    def stand_in(*args, **kwargs):
+        raise AssertionError("not called")
+
     for defn in inequalities.default_checks():
         name = defn.runner.__name__
         assert getattr(inequalities, name, None) is defn.runner, defn.name
-
-        def stand_in(*args, **kwargs):
-            raise AssertionError("not called")
-
         with monkeypatch.context() as patch:
             patch.setattr(inequalities, name, stand_in)
             swapped = {d.name: d.runner for d in inequalities.default_checks()}
