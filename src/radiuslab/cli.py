@@ -38,6 +38,7 @@ from .radius import (
     hs_radius_sq,
     numerical_radius,
     omega_norm,
+    result_memo,
     rotated_objective,
 )
 
@@ -175,6 +176,7 @@ def _load_square_matrix(config: RunConfig) -> np.ndarray:
     return arr
 
 
+@result_memo()
 def cmd_compute(config: RunConfig) -> int:
     arr = _load_square_matrix(config)
     norm_id = config.norm_id or "op"
@@ -183,17 +185,13 @@ def cmd_compute(config: RunConfig) -> int:
     except UnknownNormId as exc:
         raise UsageError(f"norm: {exc}")
     w = numerical_radius(arr)
-    if norm_id == "op":
-        w_n_value, w_n_theta = w.value, w.argmax_theta
-    elif norm_id == "omega":
+    if norm_id == "omega":
         # the Omega norm as N(.) is itself a 2-D optimization; the reduced
         # slow-path settings keep this interactive while staying refined
-        res = generalized_radius(arr, omega_norm_spec(**SLOW_OMEGA_INNER),
-                                 **SLOW_OMEGA_OUTER)
-        w_n_value, w_n_theta = res.value, res.argmax_theta
+        w_n = generalized_radius(arr, omega_norm_spec(**SLOW_OMEGA_INNER), **SLOW_OMEGA_OUTER)
     else:
-        res = generalized_radius(arr, norm)
-        w_n_value, w_n_theta = res.value, res.argmax_theta
+        # op and schatten:inf declare w as their radius: shared with w above
+        w_n = generalized_radius(arr, norm)
     om = omega_norm(arr)
     quantities = [
         ("operator_norm", spectral_norm(arr)),
@@ -202,8 +200,8 @@ def cmd_compute(config: RunConfig) -> int:
         ("im_norm", spectral_norm(im_part(arr))),
         ("w", w.value),
         ("w_argmax_theta", w.argmax_theta),
-        (f"w_N[{norm_id}]", w_n_value),
-        (f"w_N[{norm_id}]_argmax_theta", w_n_theta),
+        (f"w_N[{norm_id}]", w_n.value),
+        (f"w_N[{norm_id}]_argmax_theta", w_n.argmax_theta),
         ("omega", om.value),
         ("omega_argmax_s", om.argmax[0]),
         ("omega_argmax_psi", om.argmax[1]),

@@ -56,6 +56,7 @@ from .radius import (
     numerical_radius,
     omega_norm,
     omega_radius_slow,
+    result_memo,
     rotated_objective,
 )
 
@@ -848,6 +849,7 @@ def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
     return defn.runner(*args, tol=tol)
 
 
+@result_memo()
 def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
               tol: float = DEFAULT_TOL, include_golden: bool = False,
               norm: Optional[NormSpec] = None) -> SuiteReport:
@@ -863,7 +865,8 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
     run once each under the pseudo-ensemble "golden" (the CLI default).
     A given `norm` replaces the norm sweep of every norm-sweeping check,
     and golden cases pinned to another norm are skipped; checks without a
-    norm sweep are unaffected.
+    norm sweep are unaffected.  The run is one `result_memo` block, so a
+    radius or Omega value that several cells need is computed once.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .matcore import adjoint, frobenius_norm, singular_values, spectral_norm, spectral_norm_many
 from .ensembles import EnsembleSpec, generate
+from .radius import RadiusResult, numerical_radius, omega_norm, omega_norm_many
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,8 @@ class NormSpec:
     sup { N(U) : U unitary } or is None when no closed form is known.
     `even` declares N(-A) == N(A), which lets the radius optimizers halve
     their search period; it is never assumed for norms that do not set it.
+    `radius`, when given, computes w_N(T) (a RadiusResult) itself, and
+    `generalized_radius` returns it instead of searching the angle grid.
     """
 
     id: str
@@ -42,6 +45,7 @@ class NormSpec:
     unitary_sup: Optional[Callable[[int], float]] = None
     evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     even: bool = False
+    radius: Optional[Callable[[np.ndarray], RadiusResult]] = None
 
 
 class UnknownNormId(ValueError):
@@ -49,7 +53,9 @@ class UnknownNormId(ValueError):
 
 
 def operator_norm_spec() -> NormSpec:
-    """The usual operator norm: largest singular value."""
+    """The usual operator norm: largest singular value.  Its radius is the
+    numerical radius, since ||H|| = max(lambda_max(H), lambda_max(-H)) for
+    Hermitian H and Re(exp(i (theta + pi)) T) = -Re(exp(i theta) T)."""
     return NormSpec(
         id="op",
         evaluate=spectral_norm,
@@ -59,6 +65,8 @@ def operator_norm_spec() -> NormSpec:
         unitary_sup=lambda n: 1.0,
         evaluate_many=spectral_norm_many,
         even=True,
+        # looked up when called, so a rebinding of numerical_radius reaches it
+        radius=lambda a: numerical_radius(a),
     )
 
 
@@ -119,8 +127,6 @@ def numerical_radius_norm_spec() -> NormSpec:
     normal), so the unitary supremum is 1.
     """
     def evaluate(a) -> float:
-        from .radius import numerical_radius
-
         return numerical_radius(a).value
 
     return NormSpec(
@@ -146,13 +152,9 @@ def omega_norm_spec(**opts) -> NormSpec:
     solves a whole stack in one `omega_norm_many` call.
     """
     def evaluate(a) -> float:
-        from .radius import omega_norm
-
         return omega_norm(a, **opts).value
 
     def evaluate_many(stack):
-        from .radius import omega_norm_many
-
         return np.array([res.value for res in omega_norm_many(stack, **opts)])
 
     return NormSpec(

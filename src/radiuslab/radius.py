@@ -21,7 +21,10 @@ intervals between crossings, evaluated in one batched eigvalsh, give the
 next level, and the iteration ends when a level has no crossings or raises
 r by at most CIRCLE_TOL * max(1, r).  A pencil too close to singular to
 resolve crossings (flat lambda_max, as for square-zero T) hands the search
-to the grid optimizer below.  Ties go to the smallest angle.
+to the grid optimizer below.  Ties go to the smallest angle.  The
+operator norm (and schatten:inf, the same norm) declares this engine as its
+radius (`NormSpec.radius`), because ||Re(exp(i theta) T)|| is the larger of
+lambda_max(H(theta)) and lambda_max(H(theta + pi)); so w_op(T) = w(T).
 
 Every other supremum over one angle uses a uniform grid over the period
 followed by golden-section refinement of the best few local brackets
@@ -52,11 +55,21 @@ cell typically converges in two to seven eigensolves.  `omega_norm_many`
 runs grid, candidates and Newton for a whole stack of matrices at once; it
 is the `evaluate_many` of the Omega norm, so a radius with Omega as N
 solves each grid or golden-section step's operands together.
+
+Inside a `result_memo` block (`inequalities.run_suite` and `cli.cmd_compute`
+each run as one) the results of `numerical_radius`, the grid path of
+`generalized_radius`, `omega_norm` and `omega_radius_slow` are remembered
+per input, norm and settings until the block ends; calls made while one of
+them runs bypass the memo.  Outside a block nothing is remembered.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
+import functools
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -93,6 +106,62 @@ OMEGA_GRID_PSI = 192
 OMEGA_TOL = 1e-9
 OMEGA_CELLS = 5
 _NEWTON_ROUNDS = 100
+
+# The result memo of the running command: None outside `result_memo`, a dict
+# inside it, and _BYPASS while a memoized function runs
+_MEMO = contextvars.ContextVar("radiuslab_result_memo", default=None)
+_BYPASS = object()
+
+
+@contextlib.contextmanager
+def result_memo():
+    """Remember the results of `numerical_radius`, the grid path of
+    `generalized_radius`, `omega_norm` and `omega_radius_slow` for the calls
+    made inside the block, and forget them when it ends.  A block opened
+    while a memo is open (or a memoized call runs) changes nothing."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(fn):
+    """fn(T, *args, **kwargs), its result kept in the open result memo.
+
+    The key is fn, the shape and blake2b digest of as_matrix(T), the other
+    arguments (a norm held by reference) and the keyword settings.  Outside
+    `result_memo` and for every call made while a memoized function runs, fn
+    is called as is; a call that raises, or has an unhashable argument,
+    stores nothing.
+    """
+    @functools.wraps(fn)
+    def memoized(T, *args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None or memo is _BYPASS:
+            return fn(T, *args, **kwargs)
+        arr = as_matrix(T, square=True)
+        key = (fn, arr.shape, hashlib.blake2b(arr.tobytes()).digest(), args,
+               tuple(sorted(kwargs.items())))
+        try:
+            hit = memo.get(key)
+        except TypeError:   # an unhashable argument: nothing is remembered
+            hit = key = None
+        if hit is not None:
+            return hit
+        token = _MEMO.set(_BYPASS)
+        try:
+            result = fn(arr, *args, **kwargs)
+        finally:
+            _MEMO.reset(token)
+        if key is not None:
+            memo[key] = result
+        return result
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -229,9 +298,23 @@ def rotated_objective(T, evaluate, evaluate_many=None):
 
 def generalized_radius(T, norm, *, grid: int = CIRCLE_GRID, refine_tol: float = CIRCLE_TOL,
                        top_brackets: int = CIRCLE_BRACKETS) -> RadiusResult:
-    """w_N(T): maximize N(Re(exp(i theta) T)) over theta by
-    `maximize_on_circle`, over [0, pi) for norms declaring `even`.
+    """w_N(T), the maximum of N(Re(exp(i theta) T)) over theta.
+
+    A norm that declares its own radius gets it from `norm.radius(T)`, and
+    the settings are ignored: `op` and `schatten:inf` declare
+    `numerical_radius`, since ||Re(exp(i theta) T)|| is the larger of
+    lambda_max(H(theta)) and lambda_max(H(theta + pi)).  Every other norm
+    goes through `maximize_on_circle` with these settings, over [0, pi) for
+    norms declaring `even`.
     """
+    if norm.radius is not None:
+        return norm.radius(T)
+    return _circle_radius(T, norm, grid, refine_tol, top_brackets)
+
+
+@_memoized
+def _circle_radius(T, norm, grid, refine_tol, top_brackets) -> RadiusResult:
+    """The grid path of `generalized_radius`."""
     F = rotated_objective(T, norm.evaluate, norm.evaluate_many)
     x, v, width, evals = maximize_on_circle(F, norm.even, grid, refine_tol, top_brackets)
     return RadiusResult(value=v, argmax_theta=x % _TWO_PI,
@@ -301,6 +384,7 @@ def _level_crossings(that: np.ndarray, level: float) -> np.ndarray | None:
     return np.sort(np.angle(num[on_circle] * np.conj(mu[on_circle])) % _TWO_PI)
 
 
+@_memoized
 def numerical_radius(T) -> RadiusResult:
     """w(T) = max over theta of lambda_max(H(theta)), where
     H(theta) = Re(exp(i theta) T) = cos(theta) Re(T) - sin(theta) Im(T),
@@ -400,24 +484,6 @@ def alphabeta_radius(T, norm) -> float:
     F = rotated_objective(T, norm.evaluate, norm.evaluate_many)
     _, v, _, _ = maximize_on_circle(lambda t: F(-t), norm.even)
     return float(v)
-
-
-def _canonical_phase(arr: np.ndarray) -> float:
-    """A phase gamma with Omega(e^{-i gamma} A) == Omega(A), equivariant
-    under scalar rescaling: c A maps (up to positive scale and sign) to the
-    same canonical matrix as A.  This pins the psi-landscape in place, so
-    the Omega search gives consistent results for scalar multiples even on
-    near-flat ridges.  tr(A^2) rotates with twice the phase of A; when it
-    vanishes (square-zero inputs), the largest-modulus entry stands in."""
-    tr_sq = complex(np.einsum("ij,ji->", arr, arr))
-    fro_sq = float(np.sum(np.abs(arr) ** 2))
-    if abs(tr_sq) > 1e-8 * max(fro_sq, 1e-300):
-        return 0.5 * cmath.phase(tr_sq)
-    flat = arr.reshape(-1)
-    k = int(np.argmax(np.abs(flat)))
-    if abs(flat[k]) == 0.0:
-        return 0.0
-    return cmath.phase(complex(flat[k]))
 
 
 def _omega_basis(stack: np.ndarray) -> np.ndarray:
@@ -577,7 +643,7 @@ def _ascent_point(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(size > 0.0, v / np.where(size > 0.0, size, 1.0), u)
 
 
-def _newton_on_sphere(basis, u, lam1, width, refine_tol):
+def _newton_on_sphere(basis, owner, u, lam1, width, refine_tol):
     """Safeguarded Newton ascent of lambda_max(G(u)) over the unit sphere,
     all cells in lockstep: one batched eigh of the live cells per round.
 
@@ -586,15 +652,27 @@ def _newton_on_sphere(basis, u, lam1, width, refine_tol):
     point is accepted only if lambda_max does not drop there (by more than
     _NEWTON_DROP, relative); otherwise the
     cell goes to the ascent point from its last accepted u instead.  A cell
-    stops once it accepts a step of length at most `refine_tol`, or after
-    _NEWTON_ROUNDS rounds.  Returns (u, lam1, width, eigensolves) per cell,
-    `width` being the length of the last accepted step.
+    converges once it accepts a step of length at most `refine_tol`.  It
+    also stops once its last accepted u lies within its start `width` of a
+    converged cell of the same matrix (equal `owner`, which must be sorted)
+    whose value is not lower: at the grid's resolution the two share one
+    peak, and this ends ascent-point crawls along a ridge beside it.  No
+    cell runs more than _NEWTON_ROUNDS rounds.  Returns (u, lam1, width,
+    eigensolves) per cell, `width` being the length of the last accepted
+    step.
     """
     u, lam1, width = u.copy(), lam1.copy(), width.copy()
+    reach = width.copy()
     grad = np.zeros_like(u)
     trial, pending = u.copy(), width.copy()
     sure = np.ones(u.shape[0], dtype=bool)   # trial cannot lower lambda_max
     solves = np.zeros(u.shape[0], dtype=int)
+    converged = np.zeros(u.shape[0], dtype=bool)
+    # every cell's same-matrix cells, padded with the cell itself
+    first = np.searchsorted(owner, owner)
+    end = np.searchsorted(owner, owner, side="right")
+    mates = first[:, None] + np.arange(int((end - first).max(initial=0)))
+    mates = np.where(mates < end[:, None], mates, np.arange(owner.size)[:, None])
     live = np.arange(u.shape[0])
     for _ in range(_NEWTON_ROUNDS):
         if live.size == 0:
@@ -609,7 +687,13 @@ def _newton_on_sphere(basis, u, lam1, width, refine_tol):
         trial[acc], sure[acc] = nxt, ~newton
         trial[rej], sure[rej] = _ascent_point(u[rej], grad[rej]), True
         pending[live] = np.linalg.norm(trial[live] - u[live], axis=1)
-        live = live[~ok | (width[live] > refine_tol)]
+        finished = ok & (width[live] <= refine_tol)
+        converged[live[finished]] = True
+        live = live[~finished]
+        m = mates[live]
+        beside = (converged[m] & (lam1[m] >= lam1[live, None])
+                  & (np.linalg.norm(u[m] - u[live, None], axis=2) <= reach[live, None]))
+        live = live[~beside.any(axis=1)]
     return u, lam1, width, solves
 
 
@@ -632,10 +716,7 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     if raw.shape[0] == 0:
         return []
     scaled, exponent = binary_scaled(raw)
-    gamma = np.array([_canonical_phase(a) for a in scaled])
-    arr = np.stack([a * complex(math.cos(-g), math.sin(-g)) if g != 0.0 else a
-                    for a, g in zip(scaled, gamma)])
-    basis = _omega_basis(arr)
+    basis = _omega_basis(scaled)
     half_pi = math.pi / 2
     s_nodes = np.linspace(0.0, half_pi, grid_s)
     p_nodes = np.arange(grid_psi) * (_TWO_PI / grid_psi)
@@ -645,7 +726,7 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     start = _sphere_weights(s_nodes[ii], p_nodes[jj])[:, 1:]
     cell = 2.0 * max(half_pi / (grid_s - 1), _TWO_PI / grid_psi)
     u, lam1, width, solves = _newton_on_sphere(
-        basis[owner], start, grid[owner, ii, jj] ** 2,
+        basis[owner], owner, start, grid[owner, ii, jj] ** 2,
         np.full(owner.size, cell), refine_tol)
 
     # per matrix, the highest lambda_max; ties to the earlier candidate
@@ -656,9 +737,7 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     results = []
     for k, c in enumerate(best):
         u0, u1, u2 = u[c].tolist()
-        # map the maximizer back to the caller's matrix: for T = e^{i gamma} A,
-        # ||cos(s) A + e^{i psi} sin(s) A*|| == ||cos(s) T + e^{i (psi + 2 gamma)} sin(s) T*||
-        psi = (math.atan2(u2, u1) + 2.0 * float(gamma[k])) % _TWO_PI
+        psi = math.atan2(u2, u1) % _TWO_PI
         results.append(OmegaResult(
             value=values[k],
             argmax=(0.5 * math.atan2(math.hypot(u1, u2), u0), psi if psi < _TWO_PI else 0.0),
@@ -666,6 +745,7 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     return results
 
 
+@_memoized
 def omega_norm(T, **opts) -> OmegaResult:
     """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*||; `opts` are
     the keyword options of `omega_norm_many`.
@@ -688,11 +768,8 @@ def omega_norm(T, **opts) -> OmegaResult:
 
     The search runs on T scaled by a power of two so its largest entry part
     lies in [1/2, 1), and the value is scaled back (inf past the float
-    range), so no Gram entry overflows or underflows.  Two exact symmetries are quotiented out: the
-    global phase of the coefficient pair (zeta is kept real non-negative),
-    and the global phase of T itself (the search runs on a
-    phase-canonicalized copy and the maximizing psi is mapped back), so
-    scalar multiples of one matrix see the same search landscape.
+    range), so no Gram entry overflows or underflows.  The global phase of
+    the coefficient pair drops out (zeta is kept real non-negative).
 
     `value` is sqrt(lambda_max(G(u))) at the returned u, whose (s, psi) is
     `argmax`; `achieved_cell` is the length in u of the last accepted step
@@ -720,6 +797,7 @@ def omega_radius(T) -> float:
     return math.sqrt(2.0) * numerical_radius(T).value
 
 
+@_memoized
 def omega_radius_slow(T) -> float:
     """w_Omega(T) computed the long way: generalized_radius with the Omega
     norm itself as N, at the SLOW_OMEGA_* settings.  Cross-validates

@@ -451,7 +451,7 @@ class TestChunkedGrids:
                 [iq.check_inf_upper(t, norm).terms for norm in (OP, S2, s1)],
                 [iq.check_lower_bound(t, norm).terms for norm in (OP, S2)],
                 iq.check_omega_equality(t).terms,
-                radius.generalized_radius(t, OP),
+                radius.generalized_radius(t, dataclasses.replace(OP, radius=None)),
                 radius.generalized_radius(t, s1),
                 radius.generalized_radius(t, numerical_radius_norm_spec()),
                 [radius.alphabeta_radius(t, norm) for norm in (OP, s1)],

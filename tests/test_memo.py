@@ -1,0 +1,178 @@
+"""The per-command result memo of `radius`: what it remembers, for how
+long, and that a suite run gives the same records with it and without."""
+
+import contextvars
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from radiuslab import cli, inequalities, radius
+from radiuslab.ensembles import EnsembleSpec, generate
+from radiuslab.matfile import save_matrix
+from radiuslab.norms import (NormSpec, numerical_radius_norm_spec, omega_norm_spec,
+                             operator_norm_spec)
+
+SUITE_ENSEMBLES = [EnsembleSpec(kind, n, 31) for kind, n in
+                   (("ginibre", 2), ("normal", 3), ("square_zero", 2),
+                    ("hermitian_contraction", 2), ("commuting_hermitian_pair", 2))]
+
+
+def _memo_off(monkeypatch):
+    # a context var that always reads as "a memoized call is running"
+    monkeypatch.setattr(radius, "_MEMO", contextvars.ContextVar("off", default=radius._BYPASS))
+
+
+def _entries(memo, fn):
+    return [key for key in memo if key[0] is fn.__wrapped__]
+
+
+def test_suite_records_are_the_same_with_the_memo_off(monkeypatch):
+    def run():
+        return inequalities.run_suite(SUITE_ENSEMBLES, trials=1, include_golden=True)
+
+    with_memo = run()
+    _memo_off(monkeypatch)
+    without = run()
+    assert repr(with_memo) == repr(without)
+    assert with_memo.errors == 0 and len(with_memo.records) > 50
+
+
+def test_suite_shares_radii_and_forgets_them(monkeypatch):
+    seen = []
+
+    def spy(T, *, tol=inequalities.DEFAULT_TOL):
+        seen.append(radius._MEMO.get())
+        return inequalities.check_basic_bounds(T, tol=tol)
+
+    defn = inequalities.CheckDef(name="spy", tag="selftest", runner=spy, kinds=("ginibre",))
+    a = generate(EnsembleSpec("ginibre", 3, 40))
+    inequalities.run_suite([EnsembleSpec("ginibre", 3, 40)], checks=["dragomir", defn],
+                           trials=1)
+    memo = seen[0]
+    # dragomir computed w(T) and w(T^2); the spy's basic check reused w(T)
+    assert len(_entries(memo, radius.numerical_radius)) == 2
+    assert radius._MEMO.get() is None
+    # a later call outside the run computes afresh
+    calls = []
+    original = radius._level_crossings
+    monkeypatch.setattr(radius, "_level_crossings",
+                        lambda *args: calls.append(1) or original(*args))
+    radius.numerical_radius(a)
+    assert calls
+
+
+def test_compute_opens_and_closes_a_memo(monkeypatch, tmp_path):
+    path = tmp_path / "t.json"
+    save_matrix(str(path), generate(EnsembleSpec("ginibre", 3, 41)))
+    seen = []
+    original = cli.hs_radius_sq
+
+    def spy(T):
+        seen.append(radius._MEMO.get())
+        return original(T)
+
+    monkeypatch.setattr(cli, "hs_radius_sq", spy)
+    out = tmp_path / "out.txt"
+    assert cli.main(["compute", "--matrix", str(path), "--format", "machine",
+                     "--out", str(out)]) == 0
+    memo = seen[0]
+    # w and w_N[op] are one entry; Omega is the other
+    assert len(_entries(memo, radius.numerical_radius)) == 1
+    assert len(_entries(memo, radius.omega_norm)) == 1
+    assert radius._MEMO.get() is None
+
+
+def test_every_omega_chain_cell_runs_the_slow_path(monkeypatch):
+    slow_runs = []
+    original = radius.generalized_radius
+
+    def counting(T, norm, **settings):
+        if norm.id == "omega":
+            slow_runs.append(1)
+        return original(T, norm, **settings)
+
+    monkeypatch.setattr(radius, "generalized_radius", counting)
+    ensembles = [EnsembleSpec("ginibre", 2, 50), EnsembleSpec("square_zero", 2, 50)]
+    rep = inequalities.run_suite(ensembles, checks=["omega-chain"], trials=2,
+                                 include_golden=True)
+    assert [r.status for r in rep.records] == ["ok"] * 5
+    assert len(slow_runs) == len(rep.records)
+
+
+def test_a_raising_call_is_not_remembered():
+    calls = []
+
+    def flaky(a):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("first call fails")
+        return float(np.linalg.norm(a, 2))
+
+    norm = NormSpec(id="flaky", evaluate=flaky, self_adjoint=True, algebra=True,
+                    weakly_unitarily_invariant=True)
+    a = generate(EnsembleSpec("ginibre", 2, 60))
+    with radius.result_memo():
+        with pytest.raises(RuntimeError):
+            radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3)
+        first = radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3)
+        spent = len(calls)
+        assert radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3) is first
+        assert len(calls) == spent
+
+
+def test_omega_settings_never_share_an_entry():
+    t = generate(EnsembleSpec("ginibre", 2, 70))
+    specs = (omega_norm_spec(), omega_norm_spec(**radius.SLOW_OMEGA_INNER))
+    assert specs[0].id == specs[1].id == "omega"
+    cheap = {"grid": 16, "refine_tol": 1e-3}
+    alone = [(spec.evaluate(t), radius.generalized_radius(t, spec, **cheap))
+             for spec in specs]
+    with radius.result_memo():
+        memo = radius._MEMO.get()
+        for k in (0, 1, 1, 0):
+            spec = specs[k]
+            assert (spec.evaluate(t), radius.generalized_radius(t, spec, **cheap)) == alone[k]
+        assert len(_entries(memo, radius.omega_norm)) == 2
+        assert len(_entries(memo, radius._circle_radius)) == 2
+
+
+def test_nested_calls_bypass_the_memo():
+    t = generate(EnsembleSpec("ginibre", 3, 80))
+    with radius.result_memo():
+        memo = radius._MEMO.get()
+        res = radius.generalized_radius(t, numerical_radius_norm_spec(), grid=16,
+                                        refine_tol=1e-3)
+        # the inner numerical radii of the wnum grid are not remembered
+        assert len(memo) == 1 and len(_entries(memo, radius._circle_radius)) == 1
+        with radius.result_memo():
+            assert radius._MEMO.get() is memo
+    assert res == radius.generalized_radius(t, numerical_radius_norm_spec(), grid=16,
+                                            refine_tol=1e-3)
+
+
+def test_op_radius_is_the_numerical_radius_entry():
+    t = generate(EnsembleSpec("ginibre", 3, 90))
+    with radius.result_memo():
+        w = radius.numerical_radius(t)
+        assert radius.generalized_radius(t, operator_norm_spec()) is w
+        assert radius.omega_radius(t) == math.sqrt(2.0) * w.value
+        assert len(radius._MEMO.get()) == 1
+
+
+def test_an_unhashable_norm_runs_unremembered():
+    @dataclasses.dataclass
+    class Scaled:   # a callable dataclass is unhashable
+        factor: float
+
+        def __call__(self, a):
+            return self.factor * float(np.linalg.norm(a, 2))
+
+    norm = NormSpec(id="scaled", evaluate=Scaled(2.0), self_adjoint=True,
+                    algebra=True, weakly_unitarily_invariant=True)
+    a = generate(EnsembleSpec("ginibre", 2, 100))
+    alone = radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3)
+    with radius.result_memo():
+        assert radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3) == alone
+        assert len(radius._MEMO.get()) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,17 +30,20 @@ E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 WORKED = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
 W_WORKED = (1.0 + math.sqrt(2.0)) / 2.0
 OP = operator_norm_spec()
+# op without its declared radius: generalized_radius takes the grid path,
+# an optimizer independent of the level-set engine
+OP_GRID = dataclasses.replace(OP, radius=None)
 FRO = frobenius_norm_spec()
 
 
 class TestGeneralizedRadius:
     def test_worked_matrix_operator_norm(self):
-        res = generalized_radius(WORKED, OP)
+        res = generalized_radius(WORKED, OP_GRID)
         assert res.value == pytest.approx(W_WORKED, abs=1e-9)
 
     def test_hermitian_reaches_spectral_norm(self):
         h = generate(EnsembleSpec("hermitian", 4, 3))
-        res = generalized_radius(h, OP)
+        res = generalized_radius(h, OP_GRID)
         assert res.value == pytest.approx(matcore.spectral_norm(h), abs=1e-10)
 
     def test_flat_frobenius_objective(self):
@@ -50,12 +54,19 @@ class TestGeneralizedRadius:
     def test_result_invariants(self):
         for seed in range(5):
             a = generate(EnsembleSpec("ginibre", 4, 50 + seed))
-            res = generalized_radius(a, OP, refine_tol=1e-10)
+            res = generalized_radius(a, OP_GRID, refine_tol=1e-10)
             assert res.achieved_interval <= 1e-10
             assert 0.0 <= res.argmax_theta < 2 * math.pi
             re_eval = OP.evaluate(matcore.re_part(matcore.rotate(a, res.argmax_theta)))
             assert abs(res.value - re_eval) <= 1e-12 * max(1.0, res.value)
             assert res.evaluations > 0
+
+    @pytest.mark.parametrize("spec", [OP, schatten_norm_spec(math.inf)])
+    def test_declared_radius_ignores_the_settings(self, spec):
+        a = generate(EnsembleSpec("ginibre", 4, 55))
+        w = numerical_radius(a)
+        assert generalized_radius(a, spec) == w
+        assert generalized_radius(a, spec, grid=8, refine_tol=1.0, top_brackets=1) == w
 
 
 def _top_eigenvalue(h):
@@ -111,7 +122,7 @@ class TestNumericalRadius:
         for seed in range(5):
             a = generate(EnsembleSpec("ginibre", 3, 20 + seed))
             fast = numerical_radius(a).value
-            grid = generalized_radius(a, OP).value
+            grid = generalized_radius(a, OP_GRID).value
             assert abs(fast - grid) <= 1e-10 * max(1.0, fast)
 
 
@@ -230,7 +241,7 @@ class TestLevelSetAgreement:
                 for seed in range(4):
                     a = generate(EnsembleSpec(kind, n, 1000 + 10 * n + seed))
                     w = _engine(a).value
-                    grid = generalized_radius(a, OP).value
+                    grid = generalized_radius(a, OP_GRID).value
                     assert abs(w - grid) <= 1e-12 * max(1.0, w), (kind, n, seed)
                     draws += 1
         assert draws >= 200
@@ -250,7 +261,7 @@ class TestLevelSetAgreement:
     def test_grid_path_never_exceeds_the_engine(self, a):
         # every grid value is attained, so it is a lower bound on w
         w = _engine(a).value
-        assert generalized_radius(a, OP).value <= w + 1e-12 * max(1.0, w)
+        assert generalized_radius(a, OP_GRID).value <= w + 1e-12 * max(1.0, w)
 
 
 def _golden_max(f, lo, hi, tol, seed, max_iter=300):
@@ -508,6 +519,15 @@ class TestOmegaNewton:
         t = generate(EnsembleSpec("ginibre", *draw))
         res = _attained(t, omega_norm(t))
         assert res.value >= attained * (1 - 1e-12)
+
+    # at this phase the ridge draw's best grid cell sits beside the peak that
+    # its second cell converges to, and used to crawl for all _NEWTON_ROUNDS
+    @pytest.mark.parametrize("c", [1.0, 0.9790806804464681 - 0.20347240888258297j])
+    def test_no_crawl_beside_a_converged_peak(self, c):
+        t = c * generate(EnsembleSpec("ginibre", 8, 105))
+        res = _attained(t, omega_norm(t))
+        assert res.value >= 4.7688778795 * (1 - 1e-12)
+        assert res.evaluations - 48 * 192 <= 20
 
     def test_zero_matrix(self):
         res = omega_norm(np.zeros((3, 3)))
