@@ -849,7 +849,6 @@ def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
     return defn.runner(*args, tol=tol)
 
 
-@result_memo()
 def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
               tol: float = DEFAULT_TOL, include_golden: bool = False,
               norm: Optional[NormSpec] = None) -> SuiteReport:
@@ -865,8 +864,10 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
     run once each under the pseudo-ensemble "golden" (the CLI default).
     A given `norm` replaces the norm sweep of every norm-sweeping check,
     and golden cases pinned to another norm are skipped; checks without a
-    norm sweep are unaffected.  The run is one `result_memo` block, so a
-    radius or Omega value that several cells need is computed once.
+    norm sweep are unaffected.  The golden cases run as one `result_memo`
+    block and every trial as one more, so a radius or Omega value that
+    several cells of a trial need is computed once, and the memo never
+    holds more than one trial's values.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -886,44 +887,53 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
     norm_specs = registry()
     if norm is not None:
         norm_specs[norm.id] = norm
-    records = []
-    near = []
+    sweeps = []
     for defn in selected:
         norm_ids = defn.norm_ids if defn.norm_ids else (None,)
         if norm is not None and defn.norm_ids:
             norm_ids = (norm.id,)
-        if include_golden:
-            for idx, case in enumerate(defn.golden):
-                if case.norm_id is not None and case.norm_id not in norm_ids:
-                    continue
-                case_norm = norm_specs[case.norm_id] if case.norm_id else None
-                rec, report = _cell_record(
-                    defn, case.norm_id, "golden", idx, 0, tol,
-                    lambda: _run_one(defn, case.matrices, case_norm, case.kind, tol),
-                    note=case.label)
-                if report is not None and report.terms.get("near_equality"):
-                    near.append(f"{rec.name} golden:{case.label}")
-                records.append(rec)
-        for spec in ensembles:
-            if spec.kind not in defn.kinds:
-                continue
-            ens_name = ensemble_id(spec.kind, spec.dim)
-            kind_arg = _SPECIAL_KIND_MAP.get(spec.kind)
-            for trial in range(trials):
-                seed = spec.seed + trial
-                # drawn once per trial, on first use; a draw that raises
-                # makes an error record for every norm id
-                draw = functools.cache(functools.partial(
-                    _draw, defn, EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)))
-                for norm_id in norm_ids:
-                    trial_norm = norm_specs[norm_id] if norm_id else None
+        sweeps.append(norm_ids)
+    records = []
+    # near-equality notes per check: its golden cases, then one list per
+    # ensemble in trial order; joined in check order at the end
+    notes = [[[] for _ in range(1 + len(ensembles))] for _ in selected]
+    if include_golden:
+        with result_memo():
+            for defn, norm_ids, (near, *_) in zip(selected, sweeps, notes):
+                for idx, case in enumerate(defn.golden):
+                    if case.norm_id is not None and case.norm_id not in norm_ids:
+                        continue
+                    case_norm = norm_specs[case.norm_id] if case.norm_id else None
                     rec, report = _cell_record(
-                        defn, norm_id, ens_name, trial, seed, tol,
-                        lambda: _run_one(defn, draw(), trial_norm, kind_arg, tol))
+                        defn, case.norm_id, "golden", idx, 0, tol,
+                        lambda: _run_one(defn, case.matrices, case_norm, case.kind, tol),
+                        note=case.label)
                     if report is not None and report.terms.get("near_equality"):
-                        near.append(f"{rec.name} {ens_name} trial {trial} "
-                                    f"seed {seed} digest {report.input_digest}")
+                        near.append(f"{rec.name} golden:{case.label}")
                     records.append(rec)
+    for trial in range(trials):
+        with result_memo():
+            for defn, norm_ids, (_, *by_spec) in zip(selected, sweeps, notes):
+                for spec, near in zip(ensembles, by_spec):
+                    if spec.kind not in defn.kinds:
+                        continue
+                    ens_name = ensemble_id(spec.kind, spec.dim)
+                    kind_arg = _SPECIAL_KIND_MAP.get(spec.kind)
+                    seed = spec.seed + trial
+                    # drawn once per trial, on first use; a draw that raises
+                    # makes an error record for every norm id
+                    draw = functools.cache(functools.partial(
+                        _draw, defn, EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)))
+                    for norm_id in norm_ids:
+                        trial_norm = norm_specs[norm_id] if norm_id else None
+                        rec, report = _cell_record(
+                            defn, norm_id, ens_name, trial, seed, tol,
+                            lambda: _run_one(defn, draw(), trial_norm, kind_arg, tol))
+                        if report is not None and report.terms.get("near_equality"):
+                            near.append(f"{rec.name} {ens_name} trial {trial} "
+                                        f"seed {seed} digest {report.input_digest}")
+                        records.append(rec)
+    near = [note for per_check in notes for part in per_check for note in part]
     records.sort(key=lambda r: (r.name, r.ensemble, r.trial))
     by_name = {}
     for rec in records:

@@ -51,16 +51,23 @@ Omega(T)^2 = max over u of lambda_max(S + u_0 D + u_1 X - u_2 Y), four fixed
 Hermitian matrices of T.  A coarse (s, psi) grid picks candidate cells, and
 a safeguarded Newton ascent on the sphere refines them: one eigh gives
 lambda_max, its gradient and its Hessian (eigenvalue perturbation), and a
-cell typically converges in two to seven eigensolves.  `omega_norm_many`
-runs grid, candidates and Newton for a whole stack of matrices at once; it
-is the `evaluate_many` of the Omega norm, so a radius with Omega as N
-solves each grid or golden-section step's operands together.
+cell typically converges in two to seven eigensolves.  The grid is searched
+coarse to fine: lambda_max is L-Lipschitz in u, L = lambda_max(D^2 + X^2 +
+Y^2)^(1/2), so a node whose bound from the coarser nodes around it falls
+below best - L rho (rho the grid's covering radius on the sphere) cannot
+hold the maximum and is never evaluated.  Every evaluated node is bitwise
+the full grid's, and the candidates are the full grid's local maxima above
+best - L rho.  `omega_norm_many` runs
+grid, candidates and Newton for a whole stack of matrices at once; it is the
+`evaluate_many` of the Omega norm, so a radius with Omega as N solves each
+grid or golden-section step's operands together.
 
-Inside a `result_memo` block (`inequalities.run_suite` and `cli.cmd_compute`
-each run as one) the results of `numerical_radius`, the grid path of
-`generalized_radius`, `omega_norm` and `omega_radius_slow` are remembered
-per input, norm and settings until the block ends; calls made while one of
-them runs bypass the memo.  Outside a block nothing is remembered.
+Inside a `result_memo` block (`cli.cmd_compute` runs as one, and
+`inequalities.run_suite` as one per trial) the results of
+`numerical_radius`, the grid path of `generalized_radius`, `omega_norm` and
+`omega_radius_slow` are remembered per input, norm and settings until the
+block ends; calls made while one of them runs bypass the memo.  Outside a
+block nothing is remembered.
 """
 
 from __future__ import annotations
@@ -91,6 +98,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section probes per bracket, at most
 _MAX_PROBES = 300
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 # cap on complex entries held by one batched grid evaluation (~32 MB)
 _CHUNK_ENTRIES = 2_000_000
 
@@ -179,7 +187,7 @@ class RadiusResult:
 class OmegaResult:
     """Optimized Omega norm with its maximizing (s, psi) coefficients, the
     length on the sphere of the last accepted refinement step, and the
-    number of grid points plus eigensolves spent."""
+    number of grid nodes evaluated plus eigensolves spent."""
 
     value: float
     argmax: tuple[float, float]
@@ -524,58 +532,169 @@ def _omega_gram(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return gram.reshape(gram.shape[:-1] + (n, n))
 
 
-def _omega_grid(basis: np.ndarray, s_nodes: np.ndarray, p_nodes: np.ndarray):
-    """||cos(s) A + exp(i psi) sin(s) A*|| on the full s_nodes x p_nodes grid,
-    for the basis of one matrix or of each matrix of a stack.
+# Strides of the nested lattices of the Omega half grid, coarsest first;
+# strides not below the number of evaluated rows are left out
+_OMEGA_STRIDES = (16, 8, 4, 2, 1)
+# A node is evaluated where its bound reaches best - L rho less this times
+# best, the rounding of the grid's eigvalsh, so that every skipped node lies
+# below best - L rho on the full grid as well
+_PRUNE_SLACK = 1e-12
 
-    Only the rows s <= pi/4 are evaluated: the matrices at (s, psi) and
-    (pi/2 - s, psi) are adjoints of each other up to a unit phase, so each
-    evaluated row is mirrored onto row grid_s - 1 - i (s_nodes must be
-    symmetric about pi/4, as linspace(0, pi/2, grid_s) is).  Every chunk's
-    Gram stack is one `_omega_gram` of its nodes' weights; a chunk holds at
-    most _CHUNK_ENTRIES Gram entries and splits no matrix's grid unless that
-    grid alone is larger.  Returns (values of shape
-    basis.shape[:-3] + (grid_s, grid_psi), grid points evaluated per matrix).
+
+@functools.lru_cache(maxsize=4)
+def _omega_lattice(grid_s: int, grid_psi: int):
+    """The coarse-to-fine schedule of the evaluated half (s <= pi/4) of the
+    grid_s x grid_psi Omega grid, built once per grid shape on first use.
+
+    Node i * grid_psi + j is (s_i, psi_j); the row s = 0 is one point of the
+    sphere, node 0.  Returns (weights, levels, rho): the `_sphere_weights` of
+    every node, shape (rows * grid_psi, 4); per lattice, coarsest first, the
+    nodes it adds and, except for the first, their enclosing corners in the
+    lattice before it (node indices, shape (q, 4)) and the distances in u to
+    them; and rho = hypot(ds, dpsi / 2), an upper bound on the distance in u
+    from any point of the sphere to the nearest node of the full grid.  A
+    lattice of stride h holds the rows that are multiples of h, the last
+    evaluated row and the columns that are multiples of h; the last lattice
+    is the whole half grid.
     """
-    n = basis.shape[-1]
-    grid_s, grid_psi = s_nodes.size, p_nodes.size
     rows = (grid_s + 1) // 2
+    s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
+    p_nodes = np.arange(grid_psi) * (_TWO_PI / grid_psi)
     weights = _sphere_weights(s_nodes[:rows, None], p_nodes[None, :]).reshape(-1, 4)
-    points = weights.shape[0]
-    mats = basis.reshape((-1, 4, n, n))
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    group = max(1, step // points)
-    tops = np.empty((mats.shape[0], points))
-    for g in range(0, mats.shape[0], group):
-        for a in range(0, points, step):
-            b = min(a + step, points)
-            # one expression, so no chunk's Gram stack outlives its eigvalsh
-            tops[g:g + group, a:b] = np.linalg.eigvalsh(
-                _omega_gram(weights[a:b], mats[g:g + group]))[..., -1]
-    half = np.sqrt(np.maximum(tops, 0.0)).reshape(-1, rows, grid_psi)
-    vals = np.empty((half.shape[0], grid_s, grid_psi))
-    vals[:, :rows] = half
-    vals[:, rows:] = half[:, : grid_s - rows][:, ::-1]
-    return vals.reshape(basis.shape[:-3] + (grid_s, grid_psi)), half[0].size
+    u = weights[:, 1:]
+    strides = [h for h in _OMEGA_STRIDES if h < rows] or [1]
+    known = np.zeros((rows, grid_psi), dtype=bool)
+    levels = []
+    for h in strides:
+        lat_r = np.union1d(np.arange(0, rows, h), [rows - 1])
+        lat_c = np.arange(0, grid_psi, h)
+        new = np.zeros_like(known)
+        new[np.ix_(lat_r, lat_c)] = True
+        new &= ~known
+        if not levels:
+            new[0] = False
+            nodes = np.concatenate(([0], np.flatnonzero(new)))
+            levels.append((nodes, None, None))
+        else:
+            ii, jj = np.nonzero(new)
+            r0 = prev_r[np.searchsorted(prev_r, ii, side="right") - 1]
+            r1 = prev_r[np.searchsorted(prev_r, ii)]
+            c0 = prev_c[np.searchsorted(prev_c, jj, side="right") - 1]
+            c1 = np.append(prev_c, 0)[np.searchsorted(prev_c, jj)]
+            corners = np.stack([np.where(r == 0, 0, r * grid_psi + c)
+                                for r in (r0, r1) for c in (c0, c1)], axis=1)
+            nodes = ii * grid_psi + jj
+            dist = np.linalg.norm(u[nodes, None] - u[corners], axis=2)
+            levels.append((nodes, corners, dist))
+        known[np.ix_(lat_r, lat_c)] = True
+        known[0] = True
+        prev_r, prev_c = lat_r, lat_c
+    rho = math.hypot(math.pi / 2 / (grid_s - 1), math.pi / grid_psi)
+    return weights, levels, rho
 
 
-def _grid_candidates(vals: np.ndarray, top_cells: int):
-    """(matrix, i, j) of the `top_cells` best local maxima of each matrix's
-    grid (vals of shape (m, grid_s, grid_psi)) among the evaluated rows
-    s <= pi/4, best grid value first, then smaller s, then smaller psi.
+def _node_tops(weights: np.ndarray, mats: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """lambda_max of the Gram matrix at each node (weights of shape (q, 4))
+    for each matrix (basis stack mats of shape (m, 4, n, n)) where need
+    (shape (m, q)) holds, and -inf elsewhere.
 
-    A local maximum is at least every cell of its 3 x 3 neighbourhood, psi
-    wrapping around.  Row 0 (s = 0) is one point, whatever psi: it counts
-    once, as cell (0, 0), when it is at least all of row 1.
+    Each chunk's Gram stack is one `_omega_gram` of the union of its
+    matrices' needed nodes, from which the needed pairs are gathered for one
+    batched eigvalsh; the two hold at most _CHUNK_ENTRIES entries together.
+    A product of at least two rows takes the same gemm whatever the rows,
+    so each value is bitwise the one a full-grid product gives; a one-row
+    product would take numpy's gemv, which rounds differently, so a lone
+    node is doubled.
     """
-    rows = (vals.shape[1] + 1) // 2
-    up = np.concatenate((vals[:, :1], vals[:, :-1]), axis=1)
-    down = np.concatenate((vals[:, 1:], vals[:, -1:]), axis=1)
-    hood = np.maximum(np.maximum(up, vals), down)
+    m, q = need.shape
+    n = mats.shape[-1]
+    out = np.full((m, q), -np.inf)
+    cols = np.flatnonzero(need.any(axis=0))
+    step = max(2, _CHUNK_ENTRIES // (2 * n * n))
+    group = max(1, step // max(1, cols.size))
+    for g in range(0, m, group):
+        for a in range(0, cols.size, step):
+            c = cols[a:a + step]
+            sub = need[g:g + group, c]
+            w = weights[c] if c.size > 1 else np.repeat(weights[c], 2, axis=0)
+            gram = _omega_gram(w, mats[g:g + group])[:, :c.size]
+            picked = gram.reshape(-1, n, n) if sub.all() else gram[sub]
+            tops = np.full(sub.shape, -np.inf)
+            tops[sub] = np.linalg.eigvalsh(picked)[:, -1]
+            out[g:g + group, c] = tops
+    return out
+
+
+def _omega_grid(basis: np.ndarray, grid_s: int, grid_psi: int):
+    """lambda_max(G(u)) = ||cos(s) A + exp(i psi) sin(s) A*||^2 at the nodes
+    of the grid_s x grid_psi grid that can hold the maximum, for the basis
+    of each matrix of a (m, 4, n, n) stack.
+
+    Only the rows s <= pi/4 are searched: the matrices at (s, psi) and
+    (pi/2 - s, psi) are adjoints of each other up to a unit phase.  They are
+    searched coarse to fine over the lattices of `_omega_lattice`.  By
+    Weyl's inequality lambda_max(G(u')) <= lambda_max(G(u)) + L |u' - u|,
+    with L = lambda_max(D^2 + X^2 + Y^2)^(1/2).  So a node of a finer
+    lattice is bounded by the least over its enclosing corners of the
+    corner's value (or bound, where the corner was skipped) plus L times the
+    distance, and it is evaluated only where that bound reaches
+    best - L rho (less the rounding margin _PRUNE_SLACK best), best being
+    the highest node evaluated so far.  Every point of the sphere lies
+    within rho of a node, so a point above the best node has a node above
+    best - L rho within rho, and that node is evaluated.  Each matrix keeps
+    its own bounds and best; the stack's needed nodes are evaluated
+    together (`_node_tops`).
+
+    Returns (tops of shape (m, rows, grid_psi), -inf at every skipped node
+    and row 0 filled with the one value at s = 0; floor = best - L rho, of
+    shape (m,); nodes evaluated per matrix, row 0 counting once).
+    """
+    weights, levels, rho = _omega_lattice(grid_s, grid_psi)
+    m, n = basis.shape[0], basis.shape[-1]
+    k = basis[:, 1:]
+    lip = np.sqrt(np.maximum(np.linalg.eigvalsh((k @ k).sum(axis=1))[:, -1], 0.0))
+    # per node: its value where evaluated, else its bound
+    bound = np.full((m, weights.shape[0]), -np.inf)
+    done = np.zeros(bound.shape, dtype=bool)
+    best = np.full(m, -np.inf)
+    for nodes, corners, dist in levels:
+        if corners is None:
+            est = np.full((m, nodes.size), np.inf)
+        else:
+            est = (bound[:, corners] + lip[:, None, None] * dist).min(axis=2)
+        need = est >= ((1.0 - _PRUNE_SLACK) * best - lip * rho)[:, None]
+        tops = _node_tops(weights[nodes], basis, need)
+        bound[:, nodes] = np.where(need, tops, est)
+        done[:, nodes] = need
+        best = np.maximum(best, tops.max(axis=1, initial=-np.inf))
+    half = np.where(done, bound, -np.inf).reshape(m, -1, grid_psi)
+    half[:, 0] = half[:, 0, :1]
+    return half, best - lip * rho, done.sum(axis=1)
+
+
+def _grid_candidates(half: np.ndarray, floor: np.ndarray, grid_s: int, top_cells: int):
+    """(matrix, i, j) of the `top_cells` best grid local maxima of each
+    matrix whose lambda_max is at least its floor, best grid value
+    ||.|| = sqrt(lambda_max) first, then smaller s, then smaller psi.
+
+    half (shape (m, rows, grid_psi)) and floor are `_omega_grid`'s.  A local
+    maximum is at least every cell of its 3 x 3 neighbourhood, psi wrapping
+    around and the row past the last evaluated one mirrored from row
+    grid_s - 1 - rows.  A node below the floor, skipped or not, is below
+    every such node and counts as -inf.  Row 0 (s = 0) is one point,
+    whatever psi: it counts once, as cell (0, 0), when it is at least all of
+    row 1.
+    """
+    rows = half.shape[1]
+    above = half >= floor[:, None, None]
+    vals = np.where(above, np.sqrt(np.maximum(half, 0.0)), -np.inf)
+    ext = np.concatenate((vals, vals[:, grid_s - 1 - rows][:, None]), axis=1)
+    up = np.concatenate((ext[:, :1], ext[:, :-1]), axis=1)
+    hood = np.maximum(np.maximum(up, ext), np.concatenate((ext[:, 1:], ext[:, -1:]), axis=1))
     hood = np.maximum(np.maximum(np.roll(hood, 1, axis=2), hood), np.roll(hood, -1, axis=2))
-    local = (vals >= hood)[:, :rows]
+    local = (vals >= hood[:, :rows]) & above
     local[:, 0] = False
-    local[:, 0, 0] = vals[:, 0, 0] >= vals[:, 1].max(axis=1)
+    local[:, 0, 0] = above[:, 0, 0] & (vals[:, 0, 0] >= vals[:, 1].max(axis=1))
     kk, ii, jj = np.nonzero(local)
     order = np.lexsort((jj, ii, -vals[kk, ii, jj], kk))
     kk, ii, jj = kk[order], ii[order], jj[order]
@@ -720,13 +839,13 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     half_pi = math.pi / 2
     s_nodes = np.linspace(0.0, half_pi, grid_s)
     p_nodes = np.arange(grid_psi) * (_TWO_PI / grid_psi)
-    grid, points = _omega_grid(basis, s_nodes, p_nodes)
+    tops, floor, points = _omega_grid(basis, grid_s, grid_psi)
 
-    owner, ii, jj = _grid_candidates(grid, top_cells)
+    owner, ii, jj = _grid_candidates(tops, floor, grid_s, top_cells)
     start = _sphere_weights(s_nodes[ii], p_nodes[jj])[:, 1:]
     cell = 2.0 * max(half_pi / (grid_s - 1), _TWO_PI / grid_psi)
     u, lam1, width, solves = _newton_on_sphere(
-        basis[owner], owner, start, grid[owner, ii, jj] ** 2,
+        basis[owner], owner, start, tops[owner, ii, jj],
         np.full(owner.size, cell), refine_tol)
 
     # per matrix, the highest lambda_max; ties to the earlier candidate
@@ -737,10 +856,12 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     results = []
     for k, c in enumerate(best):
         u0, u1, u2 = u[c].tolist()
-        psi = math.atan2(u2, u1) % _TWO_PI
+        radial = math.hypot(u1, u2)
+        # psi is no coordinate at the pole s = 0, reached up to rounding: 0 there
+        psi = math.atan2(u2, u1) % _TWO_PI if radial > _EPS else 0.0
         results.append(OmegaResult(
             value=values[k],
-            argmax=(0.5 * math.atan2(math.hypot(u1, u2), u0), psi if psi < _TWO_PI else 0.0),
+            argmax=(0.5 * math.atan2(radial, u0), psi if psi < _TWO_PI else 0.0),
             achieved_cell=float(width[c]), evaluations=int(evaluations[k])))
     return results
 
@@ -752,19 +873,25 @@ def omega_norm(T, **opts) -> OmegaResult:
 
     With u = (cos 2s, sin 2s cos psi, sin 2s sin psi) on the unit sphere,
     ||.||^2 = lambda_max(G(u)), G(u) = S + u_0 D + u_1 X - u_2 Y, the four
-    Hermitian matrices coming from `_omega_basis`.  A coarse grid_s x
-    grid_psi grid over [0, pi/2] x [0, 2 pi) (by default OMEGA_GRID_S x
-    OMEGA_GRID_PSI; only its rows s <= pi/4 are evaluated, the rest
-    mirrored) gives the candidates: the `top_cells` best distinct local
-    maxima of the evaluated rows, best grid value first, then smaller s,
-    then smaller psi.  Each is refined by a safeguarded Newton ascent on the
-    sphere (`_newton_on_sphere`): one eigh of G(u) gives lambda_max, its
-    gradient and its Hessian; the Newton point is taken where the tangent
-    Hessian is negative definite, the top eigenvalue simple and lambda_max
-    does not drop, and the ascent point v / |v| otherwise.  A cell stops
-    once it accepts a step of length at most `refine_tol` (OMEGA_TOL by
-    default), or after _NEWTON_ROUNDS eigensolves.  The highest refined
-    value wins, ties to the earlier candidate.
+    Hermitian matrices coming from `_omega_basis`.  A grid_s x grid_psi
+    grid over [0, pi/2] x [0, 2 pi) (by default OMEGA_GRID_S x
+    OMEGA_GRID_PSI; only its rows s <= pi/4 are searched, the rest mirrored)
+    gives the candidates.  It is searched coarse to fine (`_omega_grid`):
+    a node is evaluated only where its Lipschitz bound from the coarser
+    nodes around it reaches best - L rho, best being the highest node
+    evaluated so far, L the Lipschitz constant of lambda_max in u and rho
+    the grid's covering radius; no skipped node, and no point of the sphere
+    near one, can beat the best node.  The candidates are the `top_cells`
+    best distinct grid local maxima whose lambda_max is at least
+    best - L rho, best grid value first, then smaller s, then smaller psi.
+    Each is refined by a safeguarded Newton ascent on the sphere
+    (`_newton_on_sphere`): one eigh of G(u) gives lambda_max, its gradient
+    and its Hessian; the Newton point is taken where the tangent Hessian is
+    negative definite, the top eigenvalue simple and lambda_max does not
+    drop, and the ascent point v / |v| otherwise.  A cell stops once it
+    accepts a step of length at most `refine_tol` (OMEGA_TOL by default), or
+    after _NEWTON_ROUNDS eigensolves.  The highest refined value wins, ties
+    to the earlier candidate.
 
     The search runs on T scaled by a power of two so its largest entry part
     lies in [1/2, 1), and the value is scaled back (inf past the float
@@ -772,10 +899,11 @@ def omega_norm(T, **opts) -> OmegaResult:
     the coefficient pair drops out (zeta is kept real non-negative).
 
     `value` is sqrt(lambda_max(G(u))) at the returned u, whose (s, psi) is
-    `argmax`; `achieved_cell` is the length in u of the last accepted step
+    `argmax` (psi = 0 where u is the pole s = 0 up to rounding);
+    `achieved_cell` is the length in u of the last accepted step
     (2 max(ds, dpsi), the grid cell, without refinement); `evaluations`
-    counts grid points plus eigensolves.  This is the one-matrix case of
-    `omega_norm_many`.
+    counts the grid nodes evaluated (the row s = 0 once) plus eigensolves.
+    This is the one-matrix case of `omega_norm_many`.
     """
     return omega_norm_many(as_matrix(T, square=True)[None], **opts)[0]
 

@@ -63,6 +63,32 @@ def test_suite_shares_radii_and_forgets_them(monkeypatch):
     assert calls
 
 
+def test_suite_opens_one_memo_per_trial():
+    seen = []
+
+    def spy(T, *, tol=inequalities.DEFAULT_TOL):
+        seen.append(radius._MEMO.get())
+        return inequalities.check_basic_bounds(T, tol=tol)
+
+    golden = (inequalities.GoldenCase("eye", (np.eye(2),)),
+              inequalities.GoldenCase("e12", (np.array([[0.0, 1.0], [0.0, 0.0]]),)))
+    defn = inequalities.CheckDef(name="spy", tag="selftest", runner=spy,
+                                 kinds=("ginibre",), golden=golden)
+    ensembles = [EnsembleSpec("ginibre", 3, 40), EnsembleSpec("ginibre", 2, 40)]
+    rep = inequalities.run_suite(ensembles, checks=["dragomir", defn], trials=3,
+                                 include_golden=True)
+    assert rep.errors == 0
+    # the golden block, then one block per trial holding both ensembles
+    memos = [seen[0], seen[2], seen[4], seen[6]]
+    assert seen[1] is memos[0] and [seen[3], seen[5], seen[7]] == memos[1:]
+    assert len({id(memo) for memo in memos}) == 4
+    # golden: w of the spy's two cases (dragomir's golden cases add theirs);
+    # a trial: dragomir's w(T) and w(T^2) per draw, which the spy reuses
+    assert len(_entries(memos[0], radius.numerical_radius)) >= 2
+    assert [len(memo) for memo in memos[1:]] == [4, 4, 4]
+    assert radius._MEMO.get() is None
+
+
 def test_compute_opens_and_closes_a_memo(monkeypatch, tmp_path):
     path = tmp_path / "t.json"
     save_matrix(str(path), generate(EnsembleSpec("ginibre", 3, 41)))

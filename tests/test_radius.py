@@ -432,6 +432,65 @@ def _reference_omega_grid(a, grid_s, grid_psi):
     return out
 
 
+def _full_omega_grid(basis, grid_s, grid_psi):
+    """lambda_max(G(u)) at every node of the half grid s <= pi/4 for each
+    matrix of a (m, 4, n, n) basis stack, shape (m, rows, grid_psi): the
+    full-grid evaluation that the pruned search replaces, through the same
+    `_omega_gram` product of every node's weights (one gemm)."""
+    rows = (grid_s + 1) // 2
+    s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
+    p_nodes = np.arange(grid_psi) * (2 * math.pi / grid_psi)
+    weights = radius._sphere_weights(s_nodes[:rows, None], p_nodes[None, :]).reshape(-1, 4)
+    tops = np.linalg.eigvalsh(radius._omega_gram(weights, basis))[..., -1]
+    return tops.reshape(basis.shape[0], rows, grid_psi)
+
+
+def _mirrored(half, grid_s):
+    """The full grid_s-row grid from its rows s <= pi/4: row i > pi/4 is
+    row grid_s - 1 - i."""
+    rows = half.shape[1]
+    return np.concatenate((half, half[:, : grid_s - rows][:, ::-1]), axis=1)
+
+
+def _reference_candidates(vals, top_cells):
+    """The full-grid candidate rule: (matrix, i, j) of the `top_cells` best
+    local maxima of each matrix's full grid among the rows s <= pi/4 (row 0
+    once, as (0, 0)), best value first, then smaller s, then smaller psi."""
+    rows = (vals.shape[1] + 1) // 2
+    up = np.concatenate((vals[:, :1], vals[:, :-1]), axis=1)
+    down = np.concatenate((vals[:, 1:], vals[:, -1:]), axis=1)
+    hood = np.maximum(np.maximum(up, vals), down)
+    hood = np.maximum(np.maximum(np.roll(hood, 1, axis=2), hood), np.roll(hood, -1, axis=2))
+    local = (vals >= hood)[:, :rows]
+    local[:, 0] = False
+    local[:, 0, 0] = vals[:, 0, 0] >= vals[:, 1].max(axis=1)
+    kk, ii, jj = np.nonzero(local)
+    order = np.lexsort((jj, ii, -vals[kk, ii, jj], kk))
+    kk, ii, jj = kk[order], ii[order], jj[order]
+    keep = np.arange(kk.size) - np.searchsorted(kk, kk) < max(1, top_cells)
+    return kk[keep], ii[keep], jj[keep]
+
+
+def _reference_omega_value(t, grid_s=radius.OMEGA_GRID_S, grid_psi=radius.OMEGA_GRID_PSI,
+                           refine_tol=radius.OMEGA_TOL, top_cells=radius.OMEGA_CELLS):
+    """Omega(T) the full-grid way: every node of the half grid, the
+    full-grid candidate rule, then the same Newton refinement."""
+    scaled, exponent = matcore.binary_scaled(t[None])
+    basis = radius._omega_basis(scaled)
+    vals = _mirrored(np.sqrt(np.maximum(_full_omega_grid(basis, grid_s, grid_psi), 0.0)),
+                     grid_s)
+    owner, ii, jj = _reference_candidates(vals, top_cells)
+    s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
+    p_nodes = np.arange(grid_psi) * (2 * math.pi / grid_psi)
+    start = radius._sphere_weights(s_nodes[ii], p_nodes[jj])[:, 1:]
+    cell = 2.0 * max(math.pi / 2 / (grid_s - 1), 2 * math.pi / grid_psi)
+    _, lam1, _, _ = radius._newton_on_sphere(basis[owner], owner, start,
+                                             vals[owner, ii, jj] ** 2,
+                                             np.full(owner.size, cell), refine_tol)
+    best = np.lexsort((np.arange(owner.size), -lam1))[0]
+    return float(matcore.binary_unscaled(np.sqrt(max(lam1[best], 0.0)), exponent[0]))
+
+
 def _svd_norm(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
@@ -445,18 +504,22 @@ class TestOmegaGramGrid:
     @pytest.mark.parametrize("grid_s, grid_psi", [(13, 24), (96, 192)])
     def test_matches_direct_grid(self, kind, dim, grid_s, grid_psi):
         a = generate(EnsembleSpec(kind, dim, 900 + dim))
-        s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
-        p_nodes = np.arange(grid_psi) * (2 * math.pi / grid_psi)
-        vals, evaluated = radius._omega_grid(radius._omega_basis(a), s_nodes, p_nodes)
-        ref = _reference_omega_grid(a, grid_s, grid_psi)
-        assert evaluated == ((grid_s + 1) // 2) * grid_psi
+        tops, floor, evaluated = radius._omega_grid(radius._omega_basis(a[None]),
+                                                    grid_s, grid_psi)
+        ref = _reference_omega_grid(a, grid_s, grid_psi)[: tops.shape[1]]
+        done = tops[0] > -np.inf
+        assert evaluated[0] == done[1:].sum() + 1
+        vals = np.sqrt(np.maximum(tops[0][done], 0.0))
         scale = ref.max()
         # both sides are square roots of Gram eigenvalues: compare those to
         # the grid's scale, and the norms themselves wherever no cancellation
         # drives them to rounding level (Hermitian T at s = pi/4, psi = pi)
-        np.testing.assert_allclose(vals ** 2, ref ** 2, rtol=1e-12, atol=1e-12 * scale ** 2)
-        away = ref > 1e-4 * scale
-        np.testing.assert_allclose(vals[away], ref[away], rtol=1e-12)
+        np.testing.assert_allclose(vals ** 2, ref[done] ** 2, rtol=1e-12,
+                                   atol=1e-12 * scale ** 2)
+        away = ref[done] > 1e-4 * scale
+        np.testing.assert_allclose(vals[away], ref[done][away], rtol=1e-12)
+        # a skipped node lies below the floor, to the rounding of the two grids
+        assert (ref[~done] ** 2 < floor[0] + 1e-12 * scale ** 2).all()
 
     @pytest.mark.parametrize("kind", OMEGA_KINDS)
     def test_mirror_identity_and_probe(self, kind):
@@ -490,10 +553,12 @@ class TestOmegaGramGrid:
 
     @pytest.mark.parametrize("grid_s, rows", [(13, 7), (12, 6)])
     def test_evaluations_count_half_grid(self, grid_s, rows):
-        # the zero matrix's one candidate stops after two eigensolves: its
-        # start, then the zero-length step the zero gradient gives
+        # the zero matrix has L = 0, so no node can be skipped: every node of
+        # the half grid is evaluated, the row s = 0 once, and the one
+        # candidate stops after two eigensolves, its start and then the
+        # zero-length step the zero gradient gives
         res = omega_norm(np.zeros((2, 2)), grid_s=grid_s, grid_psi=24, top_cells=1)
-        assert res.evaluations == rows * 24 + 2
+        assert res.evaluations == (rows - 1) * 24 + 1 + 2
 
 
 def _attained(t, res):
@@ -523,11 +588,20 @@ class TestOmegaNewton:
     # at this phase the ridge draw's best grid cell sits beside the peak that
     # its second cell converges to, and used to crawl for all _NEWTON_ROUNDS
     @pytest.mark.parametrize("c", [1.0, 0.9790806804464681 - 0.20347240888258297j])
-    def test_no_crawl_beside_a_converged_peak(self, c):
+    def test_no_crawl_beside_a_converged_peak(self, c, monkeypatch):
+        solves = []
+        original = radius._sphere_eigh
+
+        def counting(basis, u):
+            solves.append(u.shape[0])
+            return original(basis, u)
+
+        monkeypatch.setattr(radius, "_sphere_eigh", counting)
         t = c * generate(EnsembleSpec("ginibre", 8, 105))
         res = _attained(t, omega_norm(t))
         assert res.value >= 4.7688778795 * (1 - 1e-12)
-        assert res.evaluations - 48 * 192 <= 20
+        # at most 20 Newton eigensolves over all candidate cells
+        assert sum(solves) <= 20
 
     def test_zero_matrix(self):
         res = omega_norm(np.zeros((3, 3)))
@@ -581,13 +655,14 @@ class TestOmegaNewton:
         assert radius.omega_norm_many(np.zeros((0, 2, 2))) == []
 
     def test_candidates_are_distinct_half_grid_maxima(self):
+        grid_s, grid_psi = 96, 192
         for kind in OMEGA_KINDS:
             t = generate(EnsembleSpec(kind, 5, 1250))
-            grid_s, grid_psi = 96, 192
-            vals, _ = radius._omega_grid(radius._omega_basis(t),
-                                         np.linspace(0.0, math.pi / 2, grid_s),
-                                         np.arange(grid_psi) * (2 * math.pi / grid_psi))
-            owner, ii, jj = radius._grid_candidates(vals[None], 5)
+            basis = radius._omega_basis(t[None])
+            tops, floor, _ = radius._omega_grid(basis, grid_s, grid_psi)
+            owner, ii, jj = radius._grid_candidates(tops, floor, grid_s, 5)
+            vals = _mirrored(np.sqrt(np.maximum(_full_omega_grid(basis, grid_s, grid_psi), 0.0)),
+                             grid_s)[0]
             assert 1 <= owner.size <= 5 and not owner.any()
             assert (ii < grid_s // 2).all()
             assert len(set(zip(ii.tolist(), jj.tolist()))) == ii.size
@@ -598,6 +673,99 @@ class TestOmegaNewton:
                 rows = [max(i - 1, 0), i, i + 1]
                 cols = [(j - 1) % grid_psi, j, (j + 1) % grid_psi]
                 assert vals[i, j] >= vals[np.ix_(rows, cols)].max()
+
+    def test_maximum_at_the_pole_reports_psi_zero(self):
+        # psi is no coordinate at s = 0; this draw's maximum sits there, and
+        # the psi of the rounding-level u used to be reported (4.23)
+        for t in (E12, generate(EnsembleSpec("square_zero", 3, 12))):
+            res = _attained(t, omega_norm(t))
+            assert res.argmax[0] <= 1e-15 and res.argmax[1] == 0.0
+
+
+def _pruning_draws(dims, seeds):
+    """Seeded draws of the families the pruned Omega search was checked on:
+    five ensembles, near-rank-one, near-square-zero and near-diagonal
+    unitary matrices."""
+    out = []
+    for n in dims:
+        for seed in seeds:
+            g = generate(EnsembleSpec("ginibre", n, seed + 5000))
+            phases = np.exp(1j * (1 + seed % 3) * np.arange(n) * (2 * math.pi / n))
+            out += [generate(EnsembleSpec(kind, n, seed)) for kind in
+                    ("ginibre", "normal", "hermitian", "square_zero", "haar_unitary")]
+            out += [np.ones((n, n)) + 1e-3 * g,
+                    generate(EnsembleSpec("square_zero", n, seed)) + 1e-3 * g,
+                    np.diag(phases) + 1e-3 * g]
+    return out
+
+
+GRIDS = [(13, 24), (96, 192)]
+PRUNING_DRAWS = _pruning_draws((2, 5), (1300,)) + [generate(EnsembleSpec("ginibre", 8, 105))]
+
+
+class TestPrunedOmegaSearch:
+    """The coarse-to-fine Omega grid search against the full grid."""
+
+    @pytest.mark.parametrize("grid_s, grid_psi", GRIDS)
+    @pytest.mark.parametrize("k", range(len(PRUNING_DRAWS)))
+    def test_skips_only_nodes_below_the_floor(self, k, grid_s, grid_psi):
+        basis = radius._omega_basis(PRUNING_DRAWS[k][None])
+        tops, floor, evaluated = radius._omega_grid(basis, grid_s, grid_psi)
+        ref = _full_omega_grid(basis, grid_s, grid_psi)
+        done = tops > -np.inf
+        assert (tops[done] == ref[done]).all()
+        assert (ref[~done] < floor[0]).all()
+        # the best node is evaluated; row 0 is one node
+        assert tops.max() == ref.max()
+        assert evaluated[0] == done[0, 1:].sum() + 1
+
+    @pytest.mark.parametrize("grid_s, grid_psi", GRIDS)
+    def test_rho_covers_the_sphere(self, grid_s, grid_psi):
+        rho = radius._omega_lattice(grid_s, grid_psi)[2]
+        s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
+        p_nodes = np.arange(grid_psi) * (2 * math.pi / grid_psi)
+        nodes = radius._sphere_weights(s_nodes[:, None], p_nodes[None, :]).reshape(-1, 4)[:, 1:]
+        points = random_unit_vectors(1320, 4000, 3).real
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        gap = np.sqrt(np.maximum(
+            2.0 - 2.0 * (points @ nodes.T).max(axis=1), 0.0)).max()
+        assert 0.8 * rho <= gap <= rho
+
+    @pytest.mark.parametrize("k", range(len(PRUNING_DRAWS)))
+    def test_lipschitz_constant_bounds_every_direction(self, k):
+        # L = (best - floor) / rho bounds ||c.K|| for unit c
+        t = PRUNING_DRAWS[k]
+        basis = radius._omega_basis(t[None])
+        tops, floor, _ = radius._omega_grid(basis, 13, 24)
+        lip = (tops.max() - floor[0]) / radius._omega_lattice(13, 24)[2]
+        c = random_unit_vectors(1330 + k, 500, 3).real
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        sizes = np.abs(np.linalg.eigvalsh(np.einsum("pi,ijk->pjk", c, basis[0, 1:])))
+        assert sizes.max() <= lip * (1 + 1e-9)
+        assert sizes.max() >= lip / math.sqrt(3.0) * 0.9
+
+    @pytest.mark.parametrize("grid_s, grid_psi", GRIDS)
+    @pytest.mark.parametrize("k", range(len(PRUNING_DRAWS)))
+    def test_candidates_are_the_full_grid_maxima_above_the_floor(self, k, grid_s, grid_psi):
+        basis = radius._omega_basis(PRUNING_DRAWS[k][None])
+        tops, floor, _ = radius._omega_grid(basis, grid_s, grid_psi)
+        ref = _full_omega_grid(basis, grid_s, grid_psi)
+        got = radius._grid_candidates(tops, floor, grid_s, radius.OMEGA_CELLS)
+        vals = _mirrored(np.sqrt(np.maximum(ref, 0.0)), grid_s)
+        owner, ii, jj = _reference_candidates(vals, 10 * grid_s * grid_psi)
+        keep = ref[owner, ii, jj] >= floor[owner]
+        want = [a[keep][: radius.OMEGA_CELLS] for a in (owner, ii, jj)]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_values_match_the_full_grid_search(self):
+        draws = _pruning_draws((2, 3, 4, 5, 6, 8), (1310,)) + [
+            generate(EnsembleSpec("ginibre", n, seed)) for n in (2, 3, 4, 5, 6, 8)
+            for seed in (104, 105)]
+        assert len(draws) == 60
+        for t in draws:
+            for opts in ({}, radius.SLOW_OMEGA_INNER):
+                assert omega_norm(t, **opts).value == _reference_omega_value(t, **opts)
 
 
 def omega_vector_lower_bound(T, samples: int, seed: int) -> float:
