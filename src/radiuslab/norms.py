@@ -20,7 +20,8 @@ import numpy as np
 
 from .matcore import adjoint, frobenius_norm, singular_values, spectral_norm, spectral_norm_many
 from .ensembles import EnsembleSpec, generate
-from .radius import RadiusResult, numerical_radius, omega_norm, omega_norm_many
+from .radius import (RadiusResult, numerical_radius, numerical_radius_many, omega_norm,
+                     omega_norm_many)
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,15 @@ def numerical_radius_norm_spec() -> NormSpec:
     Self-adjoint and weakly unitarily invariant, but NOT an algebra norm:
     w(TS) <= w(T) w(S) fails in general (nilpotent pairs witness it), only
     the factor-4 chain holds.  w(U) = 1 for every unitary U (unitaries are
-    normal), so the unitary supremum is 1.
+    normal), so the unitary supremum is 1.  `evaluate_many` runs the
+    level-set engine on a whole stack in one `numerical_radius_many` call,
+    each value bitwise the one `evaluate` gives.
     """
     def evaluate(a) -> float:
         return numerical_radius(a).value
+
+    def evaluate_many(stack):
+        return np.array([res.value for res in numerical_radius_many(stack)])
 
     return NormSpec(
         id="wnum",
@@ -136,6 +142,7 @@ def numerical_radius_norm_spec() -> NormSpec:
         algebra=False,
         weakly_unitarily_invariant=True,
         unitary_sup=lambda n: 1.0,
+        evaluate_many=evaluate_many,
         even=True,
     )
 

@@ -21,7 +21,12 @@ intervals between crossings, evaluated in one batched eigvalsh, give the
 next level, and the iteration ends when a level has no crossings or raises
 r by at most CIRCLE_TOL * max(1, r).  A pencil too close to singular to
 resolve crossings (flat lambda_max, as for square-zero T) hands the search
-to the grid optimizer below.  Ties go to the smallest angle.  The
+to the grid optimizer below.  Ties go to the smallest angle.
+`numerical_radius_many` runs the engine for a whole stack in lockstep: per
+level one batched solve, eigvals and eigvalsh for every matrix still
+searching, the second shift solved only for the matrices whose first one
+fails, and a bounded number of matrices at a time.  `numerical_radius` is
+its one-matrix case, and the wnum norm's `evaluate_many` calls it.  The
 operator norm (and schatten:inf, the same norm) declares this engine as its
 radius (`NormSpec.radius`), because ||Re(exp(i theta) T)|| is the larger of
 lambda_max(H(theta)) and lambda_max(H(theta + pi)); so w_op(T) = w(T).
@@ -336,11 +341,12 @@ def _top_eigenvalue(h):
 # Level-set engine for w(T).  Seed angles: multiples of pi/4, so the
 # maximizer of a Hermitian or skew-Hermitian T is a seed.
 _SEED_ANGLES = np.arange(8) * (_TWO_PI / 8)
+_SEED_COS, _SEED_SIN = np.cos(_SEED_ANGLES), np.sin(_SEED_ANGLES)
 # Shift-invert poles: off the unit circle, where the crossings live, and off
 # the real axis, where the other pencil eigenvalues of a Hermitian T lie.
-# The second is tried only when the first is (within ~1e-6 of) a pencil
-# eigenvalue.
-_SHIFTS = (0.5 * cmath.exp(1.0j), 0.5 * cmath.exp(2.5j))
+# The second is tried only for the matrices whose first is (within ~1e-6 of)
+# a pencil eigenvalue.
+_SHIFTS = np.array([0.5 * cmath.exp(1.0j), 0.5 * cmath.exp(2.5j)])
 # ||M||_1 of the shift-inverted matrix M above this for every shift means the
 # pencil is within ~1e-6 of singular (lambda_max(H(theta)) flat to that
 # level, as for square-zero T): double precision does not resolve crossings
@@ -351,45 +357,208 @@ _MAX_CONDITION = 1e6
 # that pair must still count
 _UNIMODULAR_TOL = 1e-6
 _MAX_LEVELS = 50
+# cap on the entries of the 2n x 2n pencils of the matrices searched
+# together; the engine's working set is a small multiple of it
+_PENCIL_ENTRIES = 8192
+# w of the zero matrix, exactly
+_ZERO_RADIUS = RadiusResult(value=0.0, argmax_theta=0.0, achieved_interval=0.0, evaluations=0)
 
 
-def _level_crossings(that: np.ndarray, level: float) -> np.ndarray | None:
-    """The sorted angles t in [0, 2 pi) at which `level` is an eigenvalue of
-    Re(exp(i t) That), or None where double precision cannot resolve them.
+def _shift_inverted(a: np.ndarray, b: np.ndarray, shift):
+    """M = (a - shift b)^-1 b for each pencil of a stack, and ||M||_1; both
+    NaN where a - shift b is exactly singular."""
+    try:
+        m = np.linalg.solve(a - shift * b, b)
+    except np.linalg.LinAlgError:   # some pencil is singular: one at a time
+        m = np.full_like(b, np.nan)
+        for k in range(b.shape[0]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                m[k] = np.linalg.solve(a[k] - shift * b[k], b[k])
+    return m, np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+def _pencils(thats: np.ndarray):
+    """The linearized pencils A - z B of a (m, n, n) stack of matrices That,
+    A = [[0, I], [-That*, 2 level I]] and B = diag(I, That); the level block
+    of A is left to `_level_crossings`."""
+    m, n = thats.shape[:2]
+    eye = np.eye(n)
+    a = np.zeros((m, 2 * n, 2 * n), dtype=np.complex128)
+    a[:, :n, n:] = eye
+    a[:, n:, :n] = -thats.conj().swapaxes(1, 2)
+    b = np.zeros_like(a)
+    b[:, :n, :n] = eye
+    b[:, n:, n:] = thats
+    return a, b
+
+
+def _level_crossings(a: np.ndarray, b: np.ndarray, levels: np.ndarray):
+    """The angles t in [0, 2 pi) at which levels[k] is an eigenvalue of
+    Re(exp(i t) That_k), for the `_pencils` (a, b) of a stack of That; the
+    level block of a is overwritten.
+
+    Returns (angles, counts): each matrix's angles, sorted, one matrix after
+    the other, and their number per matrix; -1 (and no angles) where double
+    precision cannot resolve them.
 
     They are the unimodular eigenvalues z = exp(i t) of the quadratic pencil
     z^2 That - 2 level z I + That*, linearized with v = (x, z x) as
-    A v = z B v, A = [[0, I], [-That*, 2 level I]], B = diag(I, That).  One
-    eigvals of M = (A - shift B)^-1 B gives mu = 1/(z - shift); a singular
-    That only adds mu = 0 (infinite z).  The first shift with
-    ||M||_1 <= _MAX_CONDITION is used; None means there is none.
+    A v = z B v.  One batched eigvals of M = (A - shift B)^-1 B gives
+    mu = 1/(z - shift); a singular That only adds mu = 0 (infinite z).  A
+    matrix takes the first shift with ||M||_1 <= _MAX_CONDITION; the second
+    is solved only for the matrices whose first does not fit, and -1 means
+    neither does.
     """
-    n = that.shape[0]
-    eye = np.eye(n)
-    a = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    a[:n, n:] = eye
-    a[n:, :n] = -adjoint(that)
-    a[n:, n:] = (2.0 * level) * eye
-    b = np.zeros_like(a)
-    b[:n, :n] = eye
-    b[n:, n:] = that
-    for shift in _SHIFTS:
-        try:
-            m = np.linalg.solve(a - shift * b, b)
-        except np.linalg.LinAlgError:
-            continue
-        size_m = np.linalg.norm(m, 1)
-        if size_m <= _MAX_CONDITION:
-            break
-    else:
-        return None
-    mu = np.linalg.eigvals(m)
-    tol = _UNIMODULAR_TOL * math.sqrt(max(1.0, size_m))
+    m, n = a.shape[0], a.shape[1] // 2
+    # the diagonal of the level block (a is C-contiguous, so this is a view)
+    a.reshape(m, -1)[:, n * (2 * n + 1)::2 * n + 1] = 2.0 * levels[:, None]
+    shift = _SHIFTS[0]
+    mats, sizes = _shift_inverted(a, b, shift)
+    solved = sizes <= _MAX_CONDITION
+    if not solved.all():
+        first_fits, todo = solved.copy(), np.flatnonzero(~solved)
+        sub_a, sub_b = a[todo], b[todo]
+        sub, sub_sizes = _shift_inverted(sub_a, sub_b, _SHIFTS[1])
+        mats[todo], sizes[todo], solved[todo] = sub, sub_sizes, sub_sizes <= _MAX_CONDITION
+        # each matrix's own shift, as a column
+        shift = np.where(first_fits, shift, _SHIFTS[1])[solved, None]
+        mats, sizes = mats[solved], sizes[solved]
+    mu = np.linalg.eigvals(mats)
+    tol = _UNIMODULAR_TOL * np.sqrt(np.maximum(1.0, sizes))
     # z = shift + 1/mu = num/mu, so |z| = 1 exactly when |num| = |mu|
     num = shift * mu + 1.0
     size = np.abs(mu)
-    on_circle = np.abs(np.abs(num) - size) <= tol * size
-    return np.sort(np.angle(num[on_circle] * np.conj(mu[on_circle])) % _TWO_PI)
+    on_circle = np.abs(np.abs(num) - size) <= tol[:, None] * size
+    rotor = num[on_circle] * np.conj(mu[on_circle])
+    # the angle of z: np.angle, without its wrapper
+    angles = np.arctan2(rotor.imag, rotor.real) % _TWO_PI
+    counts = on_circle.sum(axis=1)
+    if counts.size < m:
+        counts = np.where(solved, 0, -1)
+        counts[solved] = on_circle.sum(axis=1)
+    return angles[np.lexsort((angles, on_circle.nonzero()[0]))], counts
+
+
+def _level_set(raw: np.ndarray, scale: np.ndarray):
+    """`numerical_radius` of each matrix of a (m, n, n) stack of nonzero
+    matrices, scale being their largest entry moduli.  All matrices run in
+    lockstep, and a matrix leaves as its search ends.
+
+    Returns one (indices, value, argmax, width, evaluations) tuple of arrays
+    per group of matrices whose searches ended together.
+    """
+    ids = np.arange(raw.shape[0])
+    adj = raw.conj().swapaxes(1, 2)
+    re, im = (raw + adj) / 2, (raw - adj) / 2j
+    tops = np.linalg.eigvalsh(_SEED_COS[:, None, None] * re[:, None]
+                              - _SEED_SIN[:, None, None] * im[:, None])[..., -1]
+    k = tops.argmax(axis=1)
+    value, theta = tops[ids, k], _SEED_ANGLES[k]
+    evals = np.full(ids.size, _SEED_ANGLES.size)
+    # real divisions: a complex one overflows for subnormal scales
+    a, b = _pencils(raw.real / scale[:, None, None] + 1j * (raw.imag / scale[:, None, None]))
+    ended = []
+
+    def leave(done, width):
+        """Record the matrices whose search ended; the others' state."""
+        ended.append(tuple(x[done] for x in (ids, value, theta, width, evals)))
+        keep = ~done
+        return (x[keep] for x in (ids, a, b, re, im, scale, value, theta, evals))
+
+    for level in range(_MAX_LEVELS):
+        cross, counts = _level_crossings(a, b, value / scale)
+        if counts.min() <= 0:
+            # no crossings (width 0), or the grid finishes the search
+            width = np.zeros(ids.size)
+            for j in np.flatnonzero(counts < 0):
+                # its maximizer is evaluated again at the wrapped angle, so
+                # that value is lambda_max(H(argmax))
+                F = rotated_objective(raw[ids[j]], _top_eigenvalue, _top_eigenvalue)
+                x, _, width[j], ev = maximize_on_circle(F, even=False)
+                x %= _TWO_PI
+                v = float(F(np.array([x]))[0])
+                evals[j] += ev + 1
+                if v > value[j] or (v == value[j] and x < theta[j]):
+                    value[j], theta[j] = v, x
+            done = counts <= 0
+            if done.all():
+                ended.append((ids, value, theta, width, evals))
+                break
+            ids, a, b, re, im, scale, value, theta, evals = leave(done, width)
+            counts = counts[~done]
+        # each matrix's crossings cross[first:stop] and the intervals between
+        # consecutive ones, its last wrapping around
+        stop = counts.cumsum()
+        first = stop - counts
+        ends = np.empty_like(cross)
+        ends[:-1] = cross[1:]
+        ends[stop - 1] = cross[first] + _TWO_PI
+        mids = (0.5 * (cross + ends)) % _TWO_PI
+        seg = np.arange(ids.size).repeat(counts)
+        at, re_k, im_k = mids[:, None, None], re.take(seg, axis=0), im.take(seg, axis=0)
+        vals = np.linalg.eigvalsh(np.cos(at) * re_k - np.sin(at) * im_k)[:, -1]
+        evals += counts
+        best = np.lexsort((mids, -vals, seg))[first]
+        top, mid = vals[best], mids[best]
+        gain = top - value
+        # the best midpoint wins if higher, or as high at a smaller angle
+        # (a tie ends the search, so it is settled below)
+        value = np.maximum(value, top)
+        theta = np.where(gain > 0.0, mid, theta)
+        done = gain <= CIRCLE_TOL * np.maximum(1.0, value)
+        final = level == _MAX_LEVELS - 1
+        if final or done.any():
+            theta = np.where((gain == 0.0) & (mid < theta), mid, theta)
+            # the interval holding theta; before the first crossing, the last
+            below = np.add.reduceat(cross <= theta[seg], first, dtype=np.intp)
+            hold = np.where(below > 0, first + below, stop) - 1
+            width = ends[hold] - cross[hold]
+            if final or done.all():
+                ended.append((ids, value, theta, width, evals))
+                break
+            ids, a, b, re, im, scale, value, theta, evals = leave(done, width)
+    return ended
+
+
+def numerical_radius_many(stack) -> list[RadiusResult]:
+    """w of each matrix of a (m, n, n) stack; see `numerical_radius`.
+
+    The seeds and the level steps run for the matrices of a chunk in
+    lockstep: one batched eigvalsh of the seeds, then per level one batched
+    solve, eigvals and eigvalsh, a matrix leaving as its search ends.  A
+    matrix whose pencil is too close to singular finishes on the grid by
+    itself.  A chunk holds at most _PENCIL_ENTRIES pencil entries, so the
+    working set does not grow with the stack.  Every result is bitwise the
+    one `numerical_radius` gives for that matrix alone.
+    """
+    raw = np.asarray(stack, dtype=np.complex128)
+    if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[1] == 0:
+        raise MatrixShapeError(f"expected a stack of square matrices, got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise NonFiniteEntry("matrix entries must be finite (no NaN/Inf)")
+    return _radii(raw)
+
+
+def _radii(raw: np.ndarray) -> list[RadiusResult]:
+    """`numerical_radius_many` of a validated complex128 stack."""
+    m, n = raw.shape[:2]
+    results = [_ZERO_RADIUS] * m
+    step = max(1, _PENCIL_ENTRIES // (4 * n * n))
+    for lo in range(0, m, step):
+        chunk = raw[lo:lo + step]
+        scale = np.abs(chunk).max(axis=(1, 2))
+        nonzero = scale.nonzero()[0]
+        if nonzero.size < scale.size:   # zero matrices keep w = 0
+            if nonzero.size == 0:
+                continue
+            chunk, scale = chunk[nonzero], scale[nonzero]
+        place = (nonzero + lo).tolist()
+        for fields in _level_set(chunk, scale):
+            ids, values, thetas, widths, evals = (f.tolist() for f in fields)
+            for k, v, x, w, ev in zip(ids, values, thetas, widths, evals):
+                results[place[k]] = RadiusResult(value=v, argmax_theta=x,
+                                                 achieved_interval=w, evaluations=ev)
+    return results
 
 
 @_memoized
@@ -424,48 +593,9 @@ def numerical_radius(T) -> RadiusResult:
     that level had none), or the final golden-section bracket when the grid
     finished the search.  `evaluations` counts the angles at which
     lambda_max was evaluated (one pencil eigensolve per level is extra).
+    This is the one-matrix case of `numerical_radius_many`.
     """
-    arr = as_matrix(T, square=True)
-    scale = float(np.max(np.abs(arr)))
-    if scale == 0.0:
-        return RadiusResult(value=0.0, argmax_theta=0.0, achieved_interval=0.0,
-                            evaluations=0)
-    F = rotated_objective(arr, _top_eigenvalue, _top_eigenvalue)
-    vals = F(_SEED_ANGLES)
-    k = int(np.argmax(vals))
-    value, theta = float(vals[k]), float(_SEED_ANGLES[k])
-    evaluations = _SEED_ANGLES.size
-    # real divisions: a complex one overflows for subnormal scales
-    that = arr.real / scale + 1j * (arr.imag / scale)
-    for _ in range(_MAX_LEVELS):
-        cross = _level_crossings(that, value / scale)
-        if cross is None:
-            x, _, width, ev = maximize_on_circle(F, even=False)
-            # evaluated again at the wrapped angle, so that value is
-            # lambda_max(H(argmax_theta)) exactly
-            x %= _TWO_PI
-            v = float(F(np.array([x]))[0])
-            evaluations += ev + 1
-            if v > value or (v == value and x < theta):
-                value, theta = v, x
-            break
-        if cross.size == 0:
-            width = 0.0
-            break
-        ends = np.append(cross[1:], cross[0] + _TWO_PI)
-        mids = (0.5 * (cross + ends)) % _TWO_PI
-        vals = F(mids)
-        evaluations += mids.size
-        k = int(np.lexsort((mids, -vals))[0])
-        gain = float(vals[k]) - value
-        if gain > 0.0 or (gain == 0.0 and mids[k] < theta):
-            value, theta = float(vals[k]), float(mids[k])
-        j = int(np.searchsorted(cross, theta, side="right")) - 1
-        width = float(ends[j] - cross[j])
-        if gain <= CIRCLE_TOL * max(1.0, value):
-            break
-    return RadiusResult(value=value, argmax_theta=theta,
-                        achieved_interval=width, evaluations=evaluations)
+    return _radii(as_matrix(T, square=True)[None])[0]
 
 
 def numerical_radius_oracle(T, grid: int = 200000) -> float:
@@ -762,15 +892,15 @@ def _ascent_point(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(size > 0.0, v / np.where(size > 0.0, size, 1.0), u)
 
 
-def _newton_on_sphere(basis, owner, u, lam1, width, refine_tol):
+def _newton_on_sphere(basis, owner, u, width, refine_tol):
     """Safeguarded Newton ascent of lambda_max(G(u)) over the unit sphere,
     all cells in lockstep: one batched eigh of the live cells per round.
 
-    A cell starts at u with the value lam1 and the step length `width`, and
-    its start is accepted whatever its eigh gives.  After that a Newton
-    point is accepted only if lambda_max does not drop there (by more than
-    _NEWTON_DROP, relative); otherwise the
-    cell goes to the ascent point from its last accepted u instead.  A cell
+    A cell starts at u with the step length `width`, and its start is
+    accepted whatever its eigh gives.  After that a Newton point is accepted
+    only if lambda_max does not drop there (by more than _NEWTON_DROP,
+    relative); otherwise the cell goes to the ascent point from its last
+    accepted u instead.  A cell
     converges once it accepts a step of length at most `refine_tol`.  It
     also stops once its last accepted u lies within its start `width` of a
     converged cell of the same matrix (equal `owner`, which must be sorted)
@@ -780,7 +910,8 @@ def _newton_on_sphere(basis, owner, u, lam1, width, refine_tol):
     eigensolves) per cell, `width` being the length of the last accepted
     step.
     """
-    u, lam1, width = u.copy(), lam1.copy(), width.copy()
+    u, width = u.copy(), width.copy()
+    lam1 = np.zeros(u.shape[0])   # set by each cell's first, accepted round
     reach = width.copy()
     grad = np.zeros_like(u)
     trial, pending = u.copy(), width.copy()
@@ -844,9 +975,8 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     owner, ii, jj = _grid_candidates(tops, floor, grid_s, top_cells)
     start = _sphere_weights(s_nodes[ii], p_nodes[jj])[:, 1:]
     cell = 2.0 * max(half_pi / (grid_s - 1), _TWO_PI / grid_psi)
-    u, lam1, width, solves = _newton_on_sphere(
-        basis[owner], owner, start, tops[owner, ii, jj],
-        np.full(owner.size, cell), refine_tol)
+    u, lam1, width, solves = _newton_on_sphere(basis[owner], owner, start,
+                                               np.full(owner.size, cell), refine_tol)
 
     # per matrix, the highest lambda_max; ties to the earlier candidate
     order = np.lexsort((np.arange(owner.size), -lam1, owner))

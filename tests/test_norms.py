@@ -106,6 +106,18 @@ class TestRadiusBackedSpecs:
             many = spec.evaluate_many(stack)
             assert many.tolist() == [spec.evaluate(m) for m in stack]
 
+    def test_wnum_batched_is_bitwise_scalar(self):
+        spec = numerical_radius_norm_spec()
+        for n in (1, 2, 5):
+            stack = [generate(EnsembleSpec(kind, n, 40 + n))
+                     for kind in ("ginibre", "normal", "hermitian", "haar_unitary")]
+            if n > 1:
+                stack.append(generate(EnsembleSpec("square_zero", n, 44)))
+            stack.append(np.zeros((n, n)))
+            stack = np.stack(stack)
+            many = spec.evaluate_many(stack)
+            assert many.tolist() == [spec.evaluate(m) for m in stack]
+
     def test_flags(self):
         for spec in (numerical_radius_norm_spec(), omega_norm_spec()):
             assert spec.self_adjoint and spec.weakly_unitarily_invariant

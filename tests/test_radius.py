@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ def _top_eigenvalue(h):
 class TestRotatedObjective:
     ANGLES = np.arange(37) * (2 * math.pi / 37)
 
-    @pytest.mark.parametrize("spec", [OP, FRO, schatten_norm_spec(1)])
+    @pytest.mark.parametrize("spec", [OP, FRO, schatten_norm_spec(1),
+                                      numerical_radius_norm_spec()])
     def test_one_angle_and_grid_match_explicit_operands(self, spec):
         a = generate(EnsembleSpec("ginibre", 4, 41))
         re, im = matcore.re_part(a), matcore.im_part(a)
@@ -199,21 +201,35 @@ class TestLevelSetEngine:
         for c in (3.0, -0.5, 2j, 1e-3 * np.exp(0.7j), 1e3):
             assert _engine(c * a).value == pytest.approx(abs(c) * w, rel=1e-14)
 
-    def test_shift_on_a_pencil_eigenvalue_is_retried(self):
+    def test_shift_on_a_pencil_eigenvalue_is_retried(self, monkeypatch):
         # t solves shift^2 t - 2 r shift + conj(t) = 0, so the first shift is
         # an eigenvalue of the pencil of diag(t, 1/2) at level r
-        shift, r = radius._SHIFTS[0], 0.3
-        rows = np.array([[(shift ** 2 + 1).real, (1j * (shift ** 2 - 1)).real],
-                         [(shift ** 2 + 1).imag, (1j * (shift ** 2 - 1)).imag]])
-        x, y = np.linalg.solve(rows, [(2 * r * shift).real, (2 * r * shift).imag])
-        a = np.diag([complex(x, y), 0.5])
+        r = 0.3
+        a = _pencil_eigenvalue_at_shift(r, 0.5)
+        shift = radius._SHIFTS[0]
         pencil = shift ** 2 * a - 2 * r * shift * np.eye(2) + matcore.adjoint(a)
         assert np.linalg.svd(pencil, compute_uv=False)[-1] < 1e-14
         scale = np.abs(a).max()
-        cross = radius._level_crossings(a / scale, r / scale)
         # only the 1/2 block crosses: cos(t) / 2 = r
         expected = [math.acos(2 * r), 2 * math.pi - math.acos(2 * r)]
+        cross, counts = _crossings((a / scale)[None], [r / scale])
+        assert counts.tolist() == [2]
         np.testing.assert_allclose(cross, expected, rtol=0, atol=1e-12)
+        # in a stack, only that member is solved again with the second shift,
+        # and the others get what they get alone
+        b = generate(EnsembleSpec("ginibre", 2, 73))
+        b_scale = np.abs(b).max()
+        b_level = 0.9 * numerical_radius(b).value / b_scale
+        b_cross, b_counts = _crossings((b / b_scale)[None], [b_level])
+        assert b_counts[0] >= 2
+        solved = _count_solves(monkeypatch)
+        cross, counts = _crossings(np.stack([b / b_scale, a / scale, b / b_scale]),
+                                   [b_level, r / scale, b_level])
+        assert solved == [3, 1]
+        assert counts.tolist() == [b_counts[0], 2, b_counts[0]]
+        first, mine, last = _split(cross, counts)
+        assert first.tolist() == last.tolist() == b_cross.tolist()
+        np.testing.assert_allclose(mine, expected, rtol=0, atol=1e-12)
 
     def test_certificate_at_the_maximum(self):
         # just above w no angle reaches the level; just below, two crossings
@@ -221,10 +237,94 @@ class TestLevelSetEngine:
         a = generate(EnsembleSpec("ginibre", 5, 72))
         res = _engine(a)
         scale = np.abs(a).max()
-        assert radius._level_crossings(a / scale, res.value / scale * (1 + 1e-6)).size == 0
-        below = radius._level_crossings(a / scale, res.value / scale * (1 - 1e-6))
-        assert below.size >= 2
+        that = a / scale
+        levels = res.value / scale * np.array([1 + 1e-6, 1 - 1e-6])
+        cross, counts = _crossings(np.stack([that, that]), levels)
+        assert counts[0] == 0
+        assert counts[1] >= 2 and cross.size == counts[1]
         assert res.achieved_interval < 1e-6
+
+
+def _pencil_eigenvalue_at_shift(r, d):
+    """diag(t, d) with t solving shift^2 t - 2 r shift + conj(t) = 0: the
+    first shift is an eigenvalue of its pencil at level r."""
+    shift = radius._SHIFTS[0]
+    rows = np.array([[(shift ** 2 + 1).real, (1j * (shift ** 2 - 1)).real],
+                     [(shift ** 2 + 1).imag, (1j * (shift ** 2 - 1)).imag]])
+    x, y = np.linalg.solve(rows, [(2 * r * shift).real, (2 * r * shift).imag])
+    return np.diag([complex(x, y), d])
+
+
+def _crossings(thats, levels):
+    """`_level_crossings` of a stack of scaled matrices at their levels."""
+    return radius._level_crossings(*radius._pencils(thats), np.asarray(levels, dtype=float))
+
+
+def _count_solves(monkeypatch):
+    """The number of matrices of every np.linalg.solve call from now on."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        sizes.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return sizes
+
+
+def _split(cross, counts):
+    """`_level_crossings` angles as one array per matrix (None where -1)."""
+    ends = np.cumsum(np.maximum(counts, 0))
+    return [None if c < 0 else cross[e - c:e] for c, e in zip(counts, ends)]
+
+
+# tracemalloc peak of one numerical_radius_many call, whatever the stack's
+# length: unchunked, a 720-matrix n = 8 stack peaks at about 25 MB
+PEAK_BOUND = 4 * 2 ** 20
+
+
+class TestLevelSetStack:
+    def test_many_is_bitwise_the_one_matrix_engine(self, monkeypatch):
+        n = 8
+        # E12 (flat 1/2 at every seed: the grid finishes) and a member whose
+        # first level sits on the first shift, each padded to n x n
+        flat = np.zeros((n, n), dtype=complex)
+        flat[:3, :3] = _e12_plus(0.52 * np.exp(0.125j * math.pi))
+        shifted = np.zeros((n, n), dtype=complex)
+        shifted[:2, :2] = _pencil_eigenvalue_at_shift(1.0, 1.0)
+        solved = _count_solves(monkeypatch)
+        assert _crossings(shifted[None], [1.0])[1][0] >= 0
+        assert solved == [1, 1]
+        monkeypatch.undo()
+        kinds = ("ginibre", "normal", "hermitian", "haar_unitary", "square_zero")
+        stack = [generate(EnsembleSpec(kinds[k % 5], n, 1400 + k)) for k in range(297)]
+        stack[10:10] = [flat, shifted, np.zeros((n, n))]
+        stack = np.stack(stack)
+        # numpy elides temporaries from 256 KiB on, reordering complex products
+        assert stack.nbytes > 256 * 1024
+        assert radius.numerical_radius_many(stack) == [numerical_radius(t) for t in stack]
+
+    def test_empty_and_invalid_stacks(self):
+        assert radius.numerical_radius_many(np.zeros((0, 2, 2))) == []
+        with pytest.raises(matcore.MatrixShapeError):
+            radius.numerical_radius_many(np.zeros((2, 2, 3)))
+        with pytest.raises(matcore.NonFiniteEntry):
+            radius.numerical_radius_many(np.full((1, 2, 2), np.nan))
+
+    def test_working_set_does_not_grow_with_the_stack(self):
+        # the 720 rotated operands of a wnum grid over the full circle
+        a = generate(EnsembleSpec("ginibre", 8, 1410))
+        t = np.arange(720) * (2 * math.pi / 720)
+        stack = (np.cos(t)[:, None, None] * matcore.re_part(a)
+                 - np.sin(t)[:, None, None] * matcore.im_part(a))
+        tracemalloc.start()
+        try:
+            radius.numerical_radius_many(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_BOUND
 
 
 AGREEMENT_KINDS = ("ginibre", "hermitian", "normal", "square_zero", "haar_unitary")
@@ -485,7 +585,6 @@ def _reference_omega_value(t, grid_s=radius.OMEGA_GRID_S, grid_psi=radius.OMEGA_
     start = radius._sphere_weights(s_nodes[ii], p_nodes[jj])[:, 1:]
     cell = 2.0 * max(math.pi / 2 / (grid_s - 1), 2 * math.pi / grid_psi)
     _, lam1, _, _ = radius._newton_on_sphere(basis[owner], owner, start,
-                                             vals[owner, ii, jj] ** 2,
                                              np.full(owner.size, cell), refine_tol)
     best = np.lexsort((np.arange(owner.size), -lam1))[0]
     return float(matcore.binary_unscaled(np.sqrt(max(lam1[best], 0.0)), exponent[0]))
