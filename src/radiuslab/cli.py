@@ -29,15 +29,14 @@ from .inequalities import DEFAULT_CHECK_NAMES, check_inf_upper, run_suite
 from .matcore import (MatrixShapeError, NonFiniteEntry, frobenius_norm, hermitian_norm,
                       im_part, re_part, spectral_norm)
 from .matfile import MatrixFormatError, load_matrix
-from .norms import (UnknownNormId, omega_norm_spec, operator_norm_spec, parse_norm_id,
-                    registry, validate_norm)
+from .norms import (UnknownNormId, operator_norm_spec, parse_norm_id, registry,
+                    validate_norm)
 from .radius import (
-    SLOW_OMEGA_INNER,
-    SLOW_OMEGA_OUTER,
     generalized_radius,
     hs_radius_sq,
     numerical_radius,
     omega_norm,
+    omega_radius_slow,
     result_memo,
     rotated_objective,
 )
@@ -188,7 +187,7 @@ def cmd_compute(config: RunConfig) -> int:
     if norm_id == "omega":
         # the Omega norm as N(.) is itself a 2-D optimization; the reduced
         # slow-path settings keep this interactive while staying refined
-        w_n = generalized_radius(arr, omega_norm_spec(**SLOW_OMEGA_INNER), **SLOW_OMEGA_OUTER)
+        w_n = omega_radius_slow(arr)
     else:
         # op and schatten:inf declare w as their radius: shared with w above
         w_n = generalized_radius(arr, norm)

@@ -14,10 +14,19 @@ the suite runner turns those into "inapplicable" records, never passes.
 
 The sup/inf over a rotation angle that several bounds need reuses the same
 grid + golden-section machinery as the radius optimizers, keeping error
-budgets uniform across the package: each bound is one objective from
-arrays of angles to values over `radius.rotated_objective`, which the grid
-calls once on all its angles and each lockstep golden-section step once on
-the live brackets' probes, both through `norm.evaluate_many`.
+budgets uniform across the package.  The inf of `inf-upper` and the sup of
+`lower-bound` are one memoized helper, `_phase_sup`, over
+`radius.rotated_objective_many`: each grid or lockstep golden-section call
+evaluates N(Re(e^{i phi}T)) and N(Im(e^{i phi}T)) together, on the joined
+angles phi and phi - pi/2, through `norm.evaluate_many`.
+
+`run_suite` stacks each trial's slowest searches.  A check may declare a
+`stacked` function; before a trial's cells run, it is called once per norm
+and matrix size on the stack of the trial's draws, and fills the trial's
+result memo with what the cells will read: the slow Omega radii of
+`omega-chain` and the radii and inf / sup searches of `inf-upper` and
+`lower-bound`, each searched for the whole stack at once by
+`radius.maximize_on_circle_many`.
 """
 
 from __future__ import annotations
@@ -52,12 +61,18 @@ from .norms import NormSpec, registry
 from .radius import (
     CIRCLE_GRID,
     generalized_radius,
+    generalized_radius_many,
     maximize_on_circle,
+    maximize_on_circle_many,
+    memoized,
     numerical_radius,
     omega_norm,
     omega_radius_slow,
+    omega_radius_slow_many,
+    remembered,
     result_memo,
     rotated_objective,
+    rotated_objective_many,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -188,6 +203,49 @@ def check_dragomir(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
                    max(w, bound), tol, terms, _digest([arr]))
 
 
+def _negated_quadrature(re_n, im_n):
+    """-sqrt(N^2(Re) + N^2(Im)), whose maximum is the Cauchy-Schwarz inf."""
+    return -np.hypot(re_n, im_n)
+
+
+def _square_difference(re_n, im_n):
+    """|N^2(Re) - N^2(Im)|, the refinement term of the algebra lower bound."""
+    return np.abs(re_n ** 2 - im_n ** 2)
+
+
+def _phase_sups(stack, norm: NormSpec, pair) -> list:
+    """(argmax phi in [0, 2 pi), value) of the maximum over phi of
+    pair(N(Re(e^{i phi} T)), N(Im(e^{i phi} T))) for each T of a stack.
+
+    One `maximize_on_circle_many` searches every matrix in lockstep, and
+    each of its calls evaluates N once, through `rotated_objective_many`, on
+    the joined angles phi and phi - pi/2, since
+    Im(e^{i phi} T) = Re(e^{i (phi - pi/2)} T).
+    """
+    F = rotated_objective_many(stack, norm.evaluate, norm.evaluate_many)
+
+    def objective(owner, phis):
+        both = F(np.concatenate((owner, owner)), np.concatenate((phis, phis - math.pi / 2)))
+        return pair(both[:phis.size], both[phis.size:])
+
+    found = maximize_on_circle_many(objective, stack.shape[0], norm.even)
+    return [(x % _TWO_PI, v) for x, v, _, _ in found]
+
+
+@memoized
+def _phase_sup(T, norm: NormSpec, pair) -> tuple:
+    """`_phase_sups` of one matrix, kept in the open result memo."""
+    return _phase_sups(as_matrix(T, square=True)[None], norm, pair)[0]
+
+
+def _phase_sups_many(stack, norm: NormSpec, pair) -> list:
+    """`_phase_sup` of each matrix of a validated stack, searched together;
+    in an open result memo the results are read from and stored under the
+    entries `_phase_sup` uses."""
+    return remembered(_phase_sup.__wrapped__, stack, (norm, pair), {},
+                      lambda sub: _phase_sups(sub, norm, pair))
+
+
 def check_inf_upper(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The Cauchy-Schwarz upper bound
     w_N(T) <= inf_phi sqrt(N^2(Re(e^{i phi}T)) + N^2(Im(e^{i phi}T))),
@@ -195,17 +253,14 @@ def check_inf_upper(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequalit
     inf <= sqrt(N^2(Re T) + N^2(Im T)) <= N(Re T) + N(Im T)."""
     arr = as_matrix(T, square=True)
     w_n = generalized_radius(arr, norm).value
-    re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
-    # the infimum as the maximum of the negated objective
-    phi, neg_inf, _, _ = maximize_on_circle(
-        lambda phis: -np.hypot(re_n(phis), re_n(phis - math.pi / 2)), norm.even)
+    phi, neg_inf = _phase_sup(arr, norm, _negated_quadrature)
     inf_v = -neg_inf
     n_re, n_im = norm.evaluate(re_part(arr)), norm.evaluate(im_part(arr))
     mid1 = math.hypot(n_re, n_im)
     mid2 = n_re + n_im
     comparisons = [("main", w_n, inf_v), ("inf-vs-phi0", inf_v, mid1),
                    ("quadratic-vs-sum", mid1, mid2)]
-    terms = {"w_N": w_n, "inf": inf_v, "inf_argmin_phi": float(phi % _TWO_PI),
+    terms = {"w_N": w_n, "inf": inf_v, "inf_argmin_phi": phi,
              "re_norm": n_re, "im_norm": n_im, "sqrt_sum_sq": mid1, "sum": mid2}
     return _report("inf-upper", "cauchy-schwarz-inf-upper", comparisons,
                    max(w_n, mid2), tol, terms, _digest([arr], norm.id))
@@ -219,15 +274,13 @@ def check_lower_bound(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequal
         raise RequiresAlgebraNorm(f"norm {norm.id!r} does not declare the algebra flag")
     arr = as_matrix(T, square=True)
     w_n = generalized_radius(arr, norm).value
-    re_n = rotated_objective(arr, norm.evaluate, norm.evaluate_many)
-    phi, sup_v, _, _ = maximize_on_circle(
-        lambda phis: abs(re_n(phis) ** 2 - re_n(phis - math.pi / 2) ** 2), norm.even)
+    phi, sup_v = _phase_sup(arr, norm, _square_difference)
     quarter = norm.evaluate(arr @ adjoint(arr) + adjoint(arr) @ arr) / 4.0
     lhs = quarter + 0.5 * sup_v
     rhs = w_n ** 2
     comparisons = [("refined", lhs, rhs), ("quarter-only", quarter, rhs)]
     terms = {"w_N": w_n, "quarter_term": quarter, "sup_difference": sup_v,
-             "sup_argmax_phi": float(phi % _TWO_PI)}
+             "sup_argmax_phi": phi}
     return _report("lower-bound", "algebra-lower-bound", comparisons,
                    max(lhs, rhs), tol, terms, _digest([arr], norm.id))
 
@@ -428,6 +481,21 @@ def _omega_branches(arr):
     return b1, b2
 
 
+def _stacked_omega_chain(stack, norm) -> None:
+    omega_radius_slow_many(stack)
+
+
+def _stacked_inf_upper(stack, norm: NormSpec) -> None:
+    generalized_radius_many(stack, norm)
+    _phase_sups_many(stack, norm, _negated_quadrature)
+
+
+def _stacked_lower_bound(stack, norm: NormSpec) -> None:
+    if norm.algebra:   # otherwise the check reads nothing
+        generalized_radius_many(stack, norm)
+        _phase_sups_many(stack, norm, _square_difference)
+
+
 def check_omega_upper(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Omega(T) <= min{ sqrt(||TT* + T*T||), sqrt(||T||^2 + w(T^2)) }."""
     arr = as_matrix(T, square=True)
@@ -449,7 +517,7 @@ def check_omega_chain(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     om = omega_norm(arr).value
     b1, b2 = _omega_branches(arr)
     half = _SQRT2 / 2.0
-    slow = omega_radius_slow(arr)
+    slow = omega_radius_slow(arr).value
     agreement = abs(_SQRT2 * w - slow)
     budget = 1e-7 * max(1.0, w)
     comparisons = [("w-vs-omega", w, half * om),
@@ -620,6 +688,9 @@ class CheckDef:
     pair: bool = False
     adapter: Optional[str] = None
     golden: tuple = ()
+    # stacked(stack, norm) fills the open result memo with what the runner
+    # reads from the memo for each matrix of a stack of same-size draws
+    stacked: Optional[Callable] = None
 
 
 _E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
@@ -669,6 +740,7 @@ def default_checks() -> tuple:
             kinds=("ginibre", "hermitian", "normal", "square_zero"),
             norm_ids=("op", "schatten:2", "schatten:1"),
             golden=(GoldenCase("worked-2x2-op", (_WORKED_2X2,), norm_id="op"),),
+            stacked=_stacked_inf_upper,
         ),
         CheckDef(
             name="lower-bound", tag="algebra-lower-bound",
@@ -677,6 +749,7 @@ def default_checks() -> tuple:
             norm_ids=("op", "schatten:2"),
             golden=(GoldenCase("square-zero-e12-op", (_E12,), norm_id="op"),
                     GoldenCase("identity-op", (_I2,), norm_id="op")),
+            stacked=_stacked_lower_bound,
         ),
         CheckDef(
             name="norm-chain", tag="norm-radius-product-chain",
@@ -730,6 +803,7 @@ def default_checks() -> tuple:
             name="omega-chain", tag="omega-radius-chain",
             runner=check_omega_chain, kinds=("ginibre", "normal", "square_zero"),
             golden=(GoldenCase("worked-2x2", (_WORKED_2X2,)),),
+            stacked=_stacked_omega_chain,
         ),
         CheckDef(
             name="omega-equality", tag="omega-half-radius-equivalence",
@@ -849,6 +923,37 @@ def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
     return defn.runner(*args, tol=tol)
 
 
+def _stack_trial(cells, norm_specs: dict) -> None:
+    """Run the stacked work of one trial's cells ahead of them, inside the
+    trial's result memo: for each check with a `stacked` function, one call
+    per norm of its sweep and per size of its draws, on the stack of those
+    draws in ensemble order.  Nothing here makes a record: a draw that
+    raises is left out, and a call that raises stores nothing, so the cells
+    concerned compute (and fail) on their own."""
+    groups = {}
+    for defn, norm_ids, _, _, _, draw in cells:
+        if defn.stacked is None:
+            continue
+        try:
+            arr = as_matrix(draw()[0], square=True)
+        except Exception:
+            continue
+        by_size = groups.setdefault(id(defn), (defn, norm_ids, {}))[2]
+        by_size.setdefault(arr.shape[0], []).append(arr)
+    for defn, norm_ids, by_size in groups.values():
+        for norm_id in norm_ids:
+            norm = norm_specs[norm_id] if norm_id else None
+            try:
+                hash(norm)
+            except TypeError:   # the memo cannot hold its results
+                continue
+            for arrs in by_size.values():
+                try:
+                    defn.stacked(np.stack(arrs), norm)
+                except Exception:
+                    pass
+
+
 def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
               tol: float = DEFAULT_TOL, include_golden: bool = False,
               norm: Optional[NormSpec] = None) -> SuiteReport:
@@ -867,7 +972,11 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
     norm sweep are unaffected.  The golden cases run as one `result_memo`
     block and every trial as one more, so a radius or Omega value that
     several cells of a trial need is computed once, and the memo never
-    holds more than one trial's values.
+    holds more than one trial's values.  Before a trial's cells run, the
+    checks that declare `stacked` work get it done for the trial's draws,
+    one call per norm and matrix size (`_stack_trial`), so their slow
+    searches run on stacks; the records are the same as with one matrix
+    at a time.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -913,26 +1022,29 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
                     records.append(rec)
     for trial in range(trials):
         with result_memo():
+            cells = []
             for defn, norm_ids, (_, *by_spec) in zip(selected, sweeps, notes):
                 for spec, near in zip(ensembles, by_spec):
-                    if spec.kind not in defn.kinds:
-                        continue
-                    ens_name = ensemble_id(spec.kind, spec.dim)
-                    kind_arg = _SPECIAL_KIND_MAP.get(spec.kind)
-                    seed = spec.seed + trial
-                    # drawn once per trial, on first use; a draw that raises
-                    # makes an error record for every norm id
-                    draw = functools.cache(functools.partial(
-                        _draw, defn, EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)))
-                    for norm_id in norm_ids:
-                        trial_norm = norm_specs[norm_id] if norm_id else None
-                        rec, report = _cell_record(
-                            defn, norm_id, ens_name, trial, seed, tol,
-                            lambda: _run_one(defn, draw(), trial_norm, kind_arg, tol))
-                        if report is not None and report.terms.get("near_equality"):
-                            near.append(f"{rec.name} {ens_name} trial {trial} "
-                                        f"seed {seed} digest {report.input_digest}")
-                        records.append(rec)
+                    if spec.kind in defn.kinds:
+                        seed = spec.seed + trial
+                        # drawn once per trial, on first use; a draw that
+                        # raises makes an error record for every norm id
+                        draw = functools.cache(functools.partial(
+                            _draw, defn, EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)))
+                        cells.append((defn, norm_ids, spec, near, seed, draw))
+            _stack_trial(cells, norm_specs)
+            for defn, norm_ids, spec, near, seed, draw in cells:
+                ens_name = ensemble_id(spec.kind, spec.dim)
+                kind_arg = _SPECIAL_KIND_MAP.get(spec.kind)
+                for norm_id in norm_ids:
+                    trial_norm = norm_specs[norm_id] if norm_id else None
+                    rec, report = _cell_record(
+                        defn, norm_id, ens_name, trial, seed, tol,
+                        lambda: _run_one(defn, draw(), trial_norm, kind_arg, tol))
+                    if report is not None and report.terms.get("near_equality"):
+                        near.append(f"{rec.name} {ens_name} trial {trial} "
+                                    f"seed {seed} digest {report.input_digest}")
+                    records.append(rec)
     near = [note for per_check in notes for part in per_check for note in part]
     records.sort(key=lambda r: (r.name, r.ensemble, r.trial))
     by_name = {}

@@ -40,12 +40,20 @@ best of them.  Because every norm satisfies N(-A) = N(A), the angle
 objective has period pi; the optimizers exploit that only when the norm
 declares it (`even` flag), never for user-supplied evaluators.
 
-An angle objective is one function F from a 1-d array of angles to values:
-the coarse grid calls it once on all grid angles, and the brackets are
-refined in lockstep, one call per golden-section step on the array of
-every live bracket's next probe.  `rotated_objective` builds F on
-cos(t) Re(T) - sin(t) Im(T) as one chunked stack per call through the
-norm's `evaluate_many` (one `evaluate` per angle for norms without it).
+`maximize_on_circle_many` searches many objectives at once, and
+`maximize_on_circle` is its one-objective case.  The objectives are one
+function F(owner, angles) of two 1-d arrays, objective owner[k] at
+angles[k]: the coarse grid calls it once on every objective's grid
+angles, and the brackets of every objective are refined in lockstep, one
+call per golden-section step on every live bracket's next probe.  Each
+objective keeps its own grid, brackets and probe sequence, so its result
+is bitwise the one it gets alone.  `rotated_objective_many` builds F on
+cos(t) Re(T_j) - sin(t) Im(T_j) for a stack of matrices T_j, as one
+chunked stack of operands per call through the norm's `evaluate_many`
+(one `evaluate` per operand for norms without it), each chunk gathering
+its owners' parts; its one-matrix case `rotated_objective` broadcasts
+them instead.  `generalized_radius_many` and `omega_radius_slow_many` are
+the radii of a whole stack, searched together this way.
 
 For Omega the supremum over the coefficient ball is attained on the sphere
 (positive homogeneity) and the global phase of (zeta, eta) drops out of the
@@ -71,8 +79,11 @@ Inside a `result_memo` block (`cli.cmd_compute` runs as one, and
 `inequalities.run_suite` as one per trial) the results of
 `numerical_radius`, the grid path of `generalized_radius`, `omega_norm` and
 `omega_radius_slow` are remembered per input, norm and settings until the
-block ends; calls made while one of them runs bypass the memo.  Outside a
-block nothing is remembered.
+block ends; calls made while one of them runs bypass the memo.  The
+stacked `generalized_radius_many` and `omega_radius_slow_many` read and
+store the same entries (`remembered`), so a stack searched ahead of time
+serves the one-matrix calls that follow.  Outside a block nothing is
+remembered.
 """
 
 from __future__ import annotations
@@ -142,39 +153,69 @@ def result_memo():
         _MEMO.reset(token)
 
 
-def _memoized(fn):
+def _memo_key(fn, arr: np.ndarray, args: tuple, kwargs: dict) -> tuple:
+    """The memo key of fn(arr, *args, **kwargs): fn, the shape and blake2b
+    digest of the complex128 matrix arr, the other arguments (a norm held by
+    reference) and the keyword settings."""
+    return (fn, arr.shape, hashlib.blake2b(arr.tobytes()).digest(), args,
+            tuple(sorted(kwargs.items())))
+
+
+def memoized(fn):
     """fn(T, *args, **kwargs), its result kept in the open result memo.
 
-    The key is fn, the shape and blake2b digest of as_matrix(T), the other
-    arguments (a norm held by reference) and the keyword settings.  Outside
-    `result_memo` and for every call made while a memoized function runs, fn
-    is called as is; a call that raises, or has an unhashable argument,
-    stores nothing.
+    The key is `_memo_key` of as_matrix(T).  Outside `result_memo` and for
+    every call made while a memoized function runs, fn is called as is; a
+    call that raises, or has an unhashable argument, stores nothing.
     """
     @functools.wraps(fn)
-    def memoized(T, *args, **kwargs):
+    def wrapper(T, *args, **kwargs):
         memo = _MEMO.get()
         if memo is None or memo is _BYPASS:
             return fn(T, *args, **kwargs)
-        arr = as_matrix(T, square=True)
-        key = (fn, arr.shape, hashlib.blake2b(arr.tobytes()).digest(), args,
-               tuple(sorted(kwargs.items())))
-        try:
-            hit = memo.get(key)
-        except TypeError:   # an unhashable argument: nothing is remembered
-            hit = key = None
-        if hit is not None:
-            return hit
+        return remembered(fn, as_matrix(T, square=True)[None], args, kwargs,
+                          lambda stack: [fn(stack[0], *args, **kwargs)])[0]
+
+    return wrapper
+
+
+def remembered(fn, stack: np.ndarray, args: tuple, kwargs: dict, many) -> list:
+    """fn(T, *args, **kwargs) for each matrix T of a validated complex128
+    stack, fn being the function that a `memoized` wrapper holds.
+
+    Inside an open memo, a matrix whose entry the memo holds gets it, and
+    the others (each distinct matrix once) get many(sub_stack), one result
+    per matrix, computed while the memo is bypassed and then stored under
+    the keys the one-matrix wrapper uses.  Outside a memo, and while a
+    memoized function runs, this is many(stack).  A many call that raises
+    stores nothing; an unhashable argument stores nothing either.
+    """
+    memo = _MEMO.get()
+    if memo is None or memo is _BYPASS:
+        return many(stack)
+    keys = [_memo_key(fn, arr, args, kwargs) for arr in stack]
+    try:
+        results = [memo.get(key) for key in keys]
+    except TypeError:   # an unhashable argument: nothing is remembered
+        results, keys = [None] * len(keys), None
+    # each missing matrix once, in stack order
+    todo = {}
+    for k, hit in enumerate(results):
+        if hit is None:
+            todo.setdefault(k if keys is None else keys[k], []).append(k)
+    if todo:
+        firsts = [places[0] for places in todo.values()]
         token = _MEMO.set(_BYPASS)
         try:
-            result = fn(arr, *args, **kwargs)
+            computed = many(stack[firsts])
         finally:
             _MEMO.reset(token)
-        if key is not None:
-            memo[key] = result
-        return result
-
-    return memoized
+        for (key, places), result in zip(todo.items(), computed):
+            if keys is not None:
+                memo[key] = result
+            for k in places:
+                results[k] = result
+    return results
 
 
 @dataclass(frozen=True)
@@ -203,73 +244,105 @@ class OmegaResult:
 def maximize_on_circle(F, even: bool, grid: int = CIRCLE_GRID,
                        refine_tol: float = CIRCLE_TOL,
                        top_brackets: int = CIRCLE_BRACKETS):
-    """Grid-plus-refinement maximum of an objective of period 2 pi, or of
-    period pi where `even` declares it.
+    """Grid-plus-refinement maximum of an objective F of period 2 pi, or of
+    period pi where `even` declares it; F maps a 1-d array of angles to
+    their values.  Returns (argmax, value, final_width, evaluations).  This
+    is the one-objective case of `maximize_on_circle_many`.
+    """
+    return maximize_on_circle_many(lambda owner, angles: F(angles), 1, even, grid,
+                                   refine_tol, top_brackets)[0]
 
-    Evaluates F in one call on `points` uniform samples of one period,
-    max(8, grid) over 2 pi or, for an even F, max(8, grid // 2) over pi, and
-    picks the `top_brackets` best cyclic local maxima (ties to the smaller
-    angle).  Each bracket [center - h, center + h], h = period / points,
-    is then refined by golden section to width `refine_tol` (at most
-    _MAX_PROBES probes), all brackets in lockstep: every step makes one F
-    call on the array of the live brackets' next probes, so each bracket
-    sees the probe sequence a scalar golden section would give it.  Returns
-    (argmax, value, final_width, evaluations); the best evaluated point
-    wins, ties to the smaller angle.
+
+def maximize_on_circle_many(F, m: int, even: bool, grid: int = CIRCLE_GRID,
+                            refine_tol: float = CIRCLE_TOL,
+                            top_brackets: int = CIRCLE_BRACKETS) -> list:
+    """`maximize_on_circle` of m objectives at once, in lockstep.
+
+    F(owner, angles) takes two 1-d arrays of equal length and returns the
+    value of objective owner[k] at angles[k] for each k.  Each objective is
+    sampled in one F call for all of them at `points` uniform angles of one
+    period, max(8, grid) over 2 pi or, for even objectives, max(8, grid // 2)
+    over pi, and keeps the `top_brackets` best cyclic local maxima of its
+    own samples (ties to the smaller angle).  Each bracket
+    [center - h, center + h], h = period / points, is then refined by
+    golden section to width `refine_tol` (at most _MAX_PROBES probes), every
+    bracket of every objective in lockstep: each step makes one F call on
+    the live brackets' next probes, so each bracket sees the probe sequence
+    a scalar golden section would give it, whatever the other objectives
+    do.  Returns, per objective, (argmax, value, final_width, evaluations);
+    an objective's best evaluated point wins, ties to the smaller angle.
     """
     period = math.pi if even else _TWO_PI
     points = max(8, grid // 2 if even else grid)
     thetas = np.arange(points) * (period / points)
-    vals = np.asarray(F(thetas), dtype=float)
-    prev = np.roll(vals, 1)
-    nxt = np.roll(vals, -1)
-    local = np.flatnonzero((vals >= prev) & (vals >= nxt))
-    if local.size == 0:
-        local = np.array([int(np.argmax(vals))])
-    order = sorted(local.tolist(), key=lambda i: (-vals[i], i))[: max(1, top_brackets)]
+    vals = np.asarray(F(np.arange(m).repeat(points), np.tile(thetas, m)),
+                      dtype=float).reshape(m, points)
+    local = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     h = period / points
-    seeds = [(float(thetas[i]), float(vals[i])) for i in order]
-    # per bracket: [a, b, x1, f1, x2, f2, probes made]
-    brackets = [[x - h, x + h, 0.0, -math.inf, 0.0, -math.inf, 0] for x, _ in seeds]
-    for s in brackets:
-        s[2] = s[1] - _INVPHI * (s[1] - s[0])
-        s[4] = s[0] + _INVPHI * (s[1] - s[0])
+    # per objective, its brackets' seeds: (angle, value); per bracket:
+    # [a, b, x1, f1, x2, f2, probes made, objective]
+    seeds, brackets = [], []
+    for k in range(m):
+        row = vals[k]
+        peaks = np.flatnonzero(local[k])
+        if peaks.size == 0:
+            peaks = np.array([int(np.argmax(row))])
+        order = sorted(peaks.tolist(), key=lambda i: (-row[i], i))[: max(1, top_brackets)]
+        seeds.append([(float(thetas[i]), float(row[i])) for i in order])
+        for x, _ in seeds[-1]:
+            a, b = x - h, x + h
+            brackets.append([a, b, b - _INVPHI * (b - a), -math.inf,
+                             a + _INVPHI * (b - a), -math.inf, 0, k])
     live = [s for s in brackets if s[1] - s[0] > refine_tol]
+    # the objective of each live bracket, rebuilt only as brackets finish
+    owners = np.array([s[7] for s in live], dtype=np.intp)
     if live:
-        values = _values(F, [s[2] for s in live] + [s[4] for s in live])
+        values = _values(F, np.concatenate((owners, owners)),
+                         [s[2] for s in live] + [s[4] for s in live])
         for s, f1, f2 in zip(live, values, values[len(live):]):
             s[3], s[5], s[6] = f1, f2, 2
-    while True:
-        live = [s for s in live if s[1] - s[0] > refine_tol and s[6] < _MAX_PROBES]
-        if not live:
-            break
-        sides = []
+    live = [s for s in live if s[6] < _MAX_PROBES]
+    while live:
+        if len(live) < owners.size:
+            owners = np.array([s[7] for s in live], dtype=np.intp)
+        slots, probes = [], []
         for s in live:
-            a, b, x1, f1, x2, f2, _ = s
+            a, b, x1, f1, x2, f2, _, _ = s
             if f1 >= f2:   # keep [a, x2], probe anew left of x1
                 s[1], s[4], s[5] = x2, x1, f1
                 s[2] = x2 - _INVPHI * (x2 - a)
-                sides.append(2)
+                probes.append(s[2])
+                slots.append(3)
             else:          # keep [x1, b], probe anew right of x2
                 s[0], s[2], s[3] = x1, x2, f2
                 s[4] = x1 + _INVPHI * (b - x1)
-                sides.append(4)
-        values = _values(F, [s[k] for s, k in zip(live, sides)])
-        for s, k, v in zip(live, sides, values):
-            s[k + 1] = v
+                probes.append(s[4])
+                slots.append(5)
+        kept = []
+        for s, k, v in zip(live, slots, _values(F, owners, probes)):
+            s[k] = v
             s[6] += 1
-    # a step drops only a probe that the kept one matches at a smaller angle
-    # or beats, so each bracket's best probe is its x1 or x2
-    candidates = [(-v, x, k) for k, (s, seed) in enumerate(zip(brackets, seeds))
-                  for x, v in [seed] + ([(s[2], s[3]), (s[4], s[5])] if s[6] else [])]
-    neg_value, x, k = min(candidates)
-    s = brackets[k]
-    return x, -neg_value, s[1] - s[0], points + sum(s[6] for s in brackets)
+            if s[1] - s[0] > refine_tol and s[6] < _MAX_PROBES:
+                kept.append(s)
+        live = kept
+    results, first = [], 0
+    for own in seeds:
+        mine = brackets[first:first + len(own)]
+        first += len(own)
+        # a step drops only a probe that the kept one matches at a smaller
+        # angle or beats, so each bracket's best probe is its x1 or x2
+        candidates = [(-v, x, j) for j, (s, seed) in enumerate(zip(mine, own))
+                      for x, v in [seed] + ([(s[2], s[3]), (s[4], s[5])] if s[6] else [])]
+        neg_value, x, j = min(candidates)
+        s = mine[j]
+        results.append((x, -neg_value, s[1] - s[0], points + sum(s[6] for s in mine)))
+    return results
 
 
-def _values(F, angles: list) -> list:
-    """F on a list of angles, as a list of floats."""
-    return np.asarray(F(np.array(angles)), dtype=float).tolist()
+def _values(F, owners: np.ndarray, angles: list) -> list:
+    """F on an array of objectives and a list of angles, as a list of
+    floats."""
+    return np.asarray(F(owners, np.array(angles)), dtype=float).tolist()
 
 
 def evaluate_chunked(fn, count: int, entry_size: int) -> np.ndarray:
@@ -291,20 +364,45 @@ def rotated_objective(T, evaluate, evaluate_many=None):
 
     F takes a 1-d array of angles and returns evaluate_many of the stacked
     operands, chunked by `evaluate_chunked`, or without `evaluate_many` one
-    evaluate per angle.
+    evaluate per angle.  This is the one-matrix case of
+    `rotated_objective_many`.
     """
-    arr = as_matrix(T, square=True)
-    re, im = re_part(arr), im_part(arr)
+    F = rotated_objective_many(as_matrix(T, square=True)[None], evaluate, evaluate_many)
+    return lambda angles: F(None, angles)
 
-    def F(angles):
+
+def rotated_objective_many(stack, evaluate, evaluate_many=None):
+    """The angle objectives of a (m, n, n) stack as one function
+    F(owner, angles): evaluate(Re(exp(i t) T_j)) at each pair (j, t) of
+    the 1-d arrays owner and angles.
+
+    The operands cos(t) Re(T_j) - sin(t) Im(T_j) are built and evaluated a
+    chunk of at most _CHUNK_ENTRIES entries at a time (`evaluate_chunked`),
+    each chunk gathering its owners' Re and Im parts.  A one-matrix stack
+    ignores owner and broadcasts its two parts, gathering nothing.
+    """
+    arrs = _square_stack(stack)
+    re = (arrs + adjoint(arrs)) / 2
+    im = (arrs - adjoint(arrs)) / 2j
+    single = arrs.shape[0] == 1
+    if single:
+        re, im = re[0], im[0]
+
+    def F(owner, angles):
         a, b = np.cos(angles), np.sin(angles)
-        if evaluate_many is None:
-            return np.array([float(evaluate(x * re - y * im)) for x, y in zip(a, b)])
 
         def values(lo, hi):
-            return evaluate_many(a[lo:hi, None, None] * re - b[lo:hi, None, None] * im)
+            x, y = a[lo:hi, None, None], b[lo:hi, None, None]
+            if single:
+                operands = x * re - y * im
+            else:
+                mine = owner[lo:hi]
+                operands = x * re[mine] - y * im[mine]
+            if evaluate_many is None:
+                return [float(evaluate(op)) for op in operands]
+            return evaluate_many(operands)
 
-        return evaluate_chunked(values, angles.size, re.size)
+        return evaluate_chunked(values, angles.size, arrs.shape[1] * arrs.shape[2])
 
     return F
 
@@ -318,20 +416,58 @@ def generalized_radius(T, norm, *, grid: int = CIRCLE_GRID, refine_tol: float = 
     `numerical_radius`, since ||Re(exp(i theta) T)|| is the larger of
     lambda_max(H(theta)) and lambda_max(H(theta + pi)).  Every other norm
     goes through `maximize_on_circle` with these settings, over [0, pi) for
-    norms declaring `even`.
+    norms declaring `even`.  This is the one-matrix case of
+    `generalized_radius_many`.
     """
     if norm.radius is not None:
         return norm.radius(T)
     return _circle_radius(T, norm, grid, refine_tol, top_brackets)
 
 
-@_memoized
+def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
+                            refine_tol: float = CIRCLE_TOL,
+                            top_brackets: int = CIRCLE_BRACKETS) -> list[RadiusResult]:
+    """w_N of each matrix of a (m, n, n) stack; see `generalized_radius`.
+
+    A norm's own radius runs one matrix at a time.  Otherwise the matrices
+    are searched together by `maximize_on_circle_many`, one `evaluate_many`
+    per grid or golden-section step for all of them, and every result is
+    bitwise the one `generalized_radius` gives for that matrix alone.  In
+    an open `result_memo` the results are read from and stored under the
+    entries `generalized_radius` uses.
+    """
+    arrs = _square_stack(stack)
+    if norm.radius is not None:
+        return [norm.radius(arr) for arr in arrs]
+    settings = (grid, refine_tol, top_brackets)
+    return remembered(_circle_radius.__wrapped__, arrs, (norm, *settings), {},
+                      lambda sub: _circle_radii(sub, norm, *settings))
+
+
+@memoized
 def _circle_radius(T, norm, grid, refine_tol, top_brackets) -> RadiusResult:
     """The grid path of `generalized_radius`."""
-    F = rotated_objective(T, norm.evaluate, norm.evaluate_many)
-    x, v, width, evals = maximize_on_circle(F, norm.even, grid, refine_tol, top_brackets)
-    return RadiusResult(value=v, argmax_theta=x % _TWO_PI,
-                        achieved_interval=width, evaluations=evals)
+    return _circle_radii(as_matrix(T, square=True)[None], norm, grid, refine_tol,
+                         top_brackets)[0]
+
+
+def _circle_radii(arrs, norm, grid, refine_tol, top_brackets) -> list[RadiusResult]:
+    """The grid path of `generalized_radius` for each matrix of a stack."""
+    F = rotated_objective_many(arrs, norm.evaluate, norm.evaluate_many)
+    found = maximize_on_circle_many(F, arrs.shape[0], norm.even, grid, refine_tol, top_brackets)
+    return [RadiusResult(value=v, argmax_theta=x % _TWO_PI, achieved_interval=width,
+                         evaluations=evals) for x, v, width, evals in found]
+
+
+def _square_stack(stack) -> np.ndarray:
+    """A stack of square matrices as a (m, n, n) complex128 array, checked
+    for shape (n >= 1) and finite entries."""
+    raw = np.asarray(stack, dtype=np.complex128)
+    if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[1] == 0:
+        raise MatrixShapeError(f"expected a stack of square matrices, got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise NonFiniteEntry("matrix entries must be finite (no NaN/Inf)")
+    return raw
 
 
 def _top_eigenvalue(h):
@@ -531,12 +667,7 @@ def numerical_radius_many(stack) -> list[RadiusResult]:
     working set does not grow with the stack.  Every result is bitwise the
     one `numerical_radius` gives for that matrix alone.
     """
-    raw = np.asarray(stack, dtype=np.complex128)
-    if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[1] == 0:
-        raise MatrixShapeError(f"expected a stack of square matrices, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise NonFiniteEntry("matrix entries must be finite (no NaN/Inf)")
-    return _radii(raw)
+    return _radii(_square_stack(stack))
 
 
 def _radii(raw: np.ndarray) -> list[RadiusResult]:
@@ -561,7 +692,7 @@ def _radii(raw: np.ndarray) -> list[RadiusResult]:
     return results
 
 
-@_memoized
+@memoized
 def numerical_radius(T) -> RadiusResult:
     """w(T) = max over theta of lambda_max(H(theta)), where
     H(theta) = Re(exp(i theta) T) = cos(theta) Re(T) - sin(theta) Im(T),
@@ -958,11 +1089,7 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     """
     if grid_s < 4 or grid_psi < 4:
         raise ValueError("omega grids need at least 4 points per axis")
-    raw = np.array(stack, dtype=np.complex128)
-    if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[1] == 0:
-        raise MatrixShapeError(f"expected a stack of square matrices, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise NonFiniteEntry("matrix entries must be finite (no NaN/Inf)")
+    raw = _square_stack(stack)
     if raw.shape[0] == 0:
         return []
     scaled, exponent = binary_scaled(raw)
@@ -996,7 +1123,7 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     return results
 
 
-@_memoized
+@memoized
 def omega_norm(T, **opts) -> OmegaResult:
     """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*||; `opts` are
     the keyword options of `omega_norm_many`.
@@ -1055,14 +1182,33 @@ def omega_radius(T) -> float:
     return math.sqrt(2.0) * numerical_radius(T).value
 
 
-@_memoized
-def omega_radius_slow(T) -> float:
-    """w_Omega(T) computed the long way: generalized_radius with the Omega
-    norm itself as N, at the SLOW_OMEGA_* settings.  Cross-validates
-    omega_radius."""
+@memoized
+def omega_radius_slow(T) -> RadiusResult:
+    """w_Omega(T) computed the long way: the grid path of generalized_radius
+    with the Omega norm itself as N, at the SLOW_OMEGA_* settings.
+    Cross-validates omega_radius.  This is the one-matrix case of
+    `omega_radius_slow_many`."""
+    return _slow_omega_radii(as_matrix(T, square=True)[None])[0]
+
+
+def omega_radius_slow_many(stack) -> list[RadiusResult]:
+    """`omega_radius_slow` of each matrix of a (m, n, n) stack, all of them
+    searched together: every grid or golden-section step is one
+    `omega_norm_many` call on the operands of every matrix.  Every result is
+    bitwise the one-matrix one, and in an open `result_memo` the results are
+    read from and stored under the entries `omega_radius_slow` uses."""
+    return remembered(_SLOW_OMEGA_KEY, _square_stack(stack), (), {}, _slow_omega_radii)
+
+
+def _slow_omega_radii(arrs) -> list[RadiusResult]:
     from .norms import omega_norm_spec
 
-    return generalized_radius(T, omega_norm_spec(**SLOW_OMEGA_INNER), **SLOW_OMEGA_OUTER).value
+    return _circle_radii(arrs, omega_norm_spec(**SLOW_OMEGA_INNER), **SLOW_OMEGA_OUTER)
+
+
+# The function whose memo entries `omega_radius_slow` keeps, named here once
+# so that a rebinding of the module-level name leaves the key unchanged
+_SLOW_OMEGA_KEY = omega_radius_slow.__wrapped__
 
 
 def hs_radius_sq(T) -> float:

@@ -74,7 +74,7 @@ def test_criterion_2_omega_radius_identity():
     count = 0
     for t in _mixed_matrices(200, ("ginibre", "normal", "square_zero"), 5000):
         w = numerical_radius(t).value
-        slow = omega_radius_slow(t)
+        slow = omega_radius_slow(t).value
         err = abs(slow - SQRT2 * w) / max(1.0, w)
         worst = max(worst, err)
         assert err <= 1e-7

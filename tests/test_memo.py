@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from radiuslab import cli, inequalities, radius
+from radiuslab import cli, inequalities, norms, radius
 from radiuslab.ensembles import EnsembleSpec, generate
 from radiuslab.matfile import save_matrix
-from radiuslab.norms import (NormSpec, numerical_radius_norm_spec, omega_norm_spec,
-                             operator_norm_spec)
+from radiuslab.norms import (NormSpec, frobenius_norm_spec, numerical_radius_norm_spec,
+                             omega_norm_spec, operator_norm_spec)
 
 SUITE_ENSEMBLES = [EnsembleSpec(kind, n, 31) for kind, n in
                    (("ginibre", 2), ("normal", 3), ("square_zero", 2),
@@ -111,20 +111,23 @@ def test_compute_opens_and_closes_a_memo(monkeypatch, tmp_path):
 
 
 def test_every_omega_chain_cell_runs_the_slow_path(monkeypatch):
-    slow_runs = []
-    original = radius.generalized_radius
+    # matrices per search of the slow path (the grid path with Omega as N)
+    slow_stacks = []
+    original = radius._circle_radii
 
-    def counting(T, norm, **settings):
+    def counting(arrs, norm, *settings, **kw):
         if norm.id == "omega":
-            slow_runs.append(1)
-        return original(T, norm, **settings)
+            slow_stacks.append(arrs.shape[0])
+        return original(arrs, norm, *settings, **kw)
 
-    monkeypatch.setattr(radius, "generalized_radius", counting)
+    monkeypatch.setattr(radius, "_circle_radii", counting)
     ensembles = [EnsembleSpec("ginibre", 2, 50), EnsembleSpec("square_zero", 2, 50)]
     rep = inequalities.run_suite(ensembles, checks=["omega-chain"], trials=2,
                                  include_golden=True)
     assert [r.status for r in rep.records] == ["ok"] * 5
-    assert len(slow_runs) == len(rep.records)
+    assert sum(slow_stacks) == len(rep.records)
+    # the golden case alone, then each trial's two n = 2 draws together
+    assert slow_stacks == [1, 2, 2]
 
 
 def test_a_raising_call_is_not_remembered():
@@ -202,3 +205,102 @@ def test_an_unhashable_norm_runs_unremembered():
     with radius.result_memo():
         assert radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3) == alone
         assert len(radius._MEMO.get()) == 0
+
+
+def test_stacked_searches_share_the_one_matrix_entries(monkeypatch):
+    kinds = ("ginibre", "square_zero", "normal")
+    stack = np.stack([generate(EnsembleSpec(kind, 3, 110 + k)) for k, kind in enumerate(kinds)])
+    stack = np.concatenate((stack, stack[:1]))   # the first matrix twice
+    fro = frobenius_norm_spec()
+    searched = []
+    original = radius._circle_radii
+
+    def counting(arrs, norm, *settings, **kw):
+        searched.append(arrs.shape[0])
+        return original(arrs, norm, *settings, **kw)
+
+    monkeypatch.setattr(radius, "_circle_radii", counting)
+    with radius.result_memo():
+        memo = radius._MEMO.get()
+        first = radius.generalized_radius(stack[1], fro)
+        many = radius.generalized_radius_many(stack, fro)
+        # the memo's entry is reused, and the repeated matrix searched once
+        assert searched == [1, 2] and many[1] is first and many[3] is many[0]
+        assert all(radius.generalized_radius(t, fro) is r for t, r in zip(stack, many))
+        assert len(_entries(memo, radius._circle_radius)) == 3
+        slow = radius.omega_radius_slow_many(stack[:2])
+        assert all(radius.omega_radius_slow(t) is r for t, r in zip(stack, slow))
+        assert searched == [1, 2, 2]
+    assert many == [radius.generalized_radius(t, fro) for t in stack]
+
+
+def test_one_omega_call_per_step_per_size_group(monkeypatch):
+    sizes = []
+    original = norms.omega_norm_many
+
+    def spy(stack, **opts):
+        sizes.append(len(stack))
+        return original(stack, **opts)
+
+    monkeypatch.setattr(norms, "omega_norm_many", spy)
+    ensembles = [EnsembleSpec("ginibre", 2, 120), EnsembleSpec("square_zero", 2, 120),
+                 EnsembleSpec("ginibre", 3, 120), EnsembleSpec("normal", 3, 120)]
+    # the calls of each matrix's slow search on its own
+    alone = []
+    for spec in ensembles:
+        sizes.clear()
+        radius.omega_radius_slow(generate(spec))
+        alone.append(len(sizes))
+    sizes.clear()
+    rep = inequalities.run_suite(ensembles, checks=["omega-chain"], trials=1)
+    assert [r.status for r in rep.records] == ["ok"] * 4
+    # per size group: one grid call, one call for the first probes, then one
+    # per golden-section step, as many steps as its longest search
+    assert len(sizes) == max(alone[:2]) + max(alone[2:])
+    grid = radius.SLOW_OMEGA_OUTER["grid"] // 2
+    assert [k for k, size in enumerate(sizes) if size == 2 * grid] == [0, max(alone[:2])]
+
+
+def test_stacked_work_that_raises_changes_no_record(monkeypatch):
+    ensembles = [EnsembleSpec("ginibre", 2, 130), EnsembleSpec("square_zero", 2, 130)]
+    checks = ["inf-upper", "lower-bound", "omega-chain"]
+
+    def run():
+        return inequalities.run_suite(ensembles, checks=checks, trials=1)
+
+    expected = run()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("stacked search failed")
+
+    for name in ("omega_radius_slow_many", "generalized_radius_many", "_phase_sups_many"):
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, name, fail)
+            assert repr(run()) == repr(expected)
+    assert expected.errors == 0
+
+
+def test_stacked_work_fills_only_what_the_cells_read(monkeypatch):
+    searched = []
+    original = radius._circle_radii
+    monkeypatch.setattr(radius, "_circle_radii",
+                        lambda arrs, *args, **kw: searched.append(len(arrs))
+                        or original(arrs, *args, **kw))
+    # wnum is no algebra norm: lower-bound reads nothing, so nothing is searched
+    rep = inequalities.run_suite([EnsembleSpec("ginibre", 2, 140)], checks=["lower-bound"],
+                                 trials=1, norm=numerical_radius_norm_spec())
+    assert [r.status for r in rep.records] == ["inapplicable"] and searched == []
+
+    # an unhashable norm's results cannot be remembered: only the cell searches
+    @dataclasses.dataclass
+    class Scaled:
+        factor: float
+
+        def __call__(self, a):
+            return self.factor * float(np.linalg.norm(a, 2))
+
+    norm = NormSpec(id="scaled", evaluate=Scaled(2.0), self_adjoint=True, algebra=True,
+                    weakly_unitarily_invariant=True, even=True)
+    rep = inequalities.run_suite([EnsembleSpec("ginibre", 2, 140)], checks=["inf-upper"],
+                                 trials=1, norm=norm)
+    assert [r.status for r in rep.records] == ["ok"] and searched == [1]

@@ -438,16 +438,92 @@ class TestLockstepBrackets:
         assert lockstep[3] == 64 + 4 * radius._MAX_PROBES
         assert lockstep[0] == pytest.approx(0.0, abs=1e-8)
 
-    def test_one_call_per_step(self):
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_call_per_step(self, m):
+        # one call for every objective's grid, one for the first two probes
+        # of every bracket, then one per golden-section step for all brackets
         calls = []
 
-        def F(angles):
-            calls.append(angles.size)
-            return -np.cos(3.0 * angles) + 0.1 * np.sin(angles)
+        def F(owner, angles):
+            calls.append((owner.tolist(), angles.size))
+            return -np.cos(3.0 * angles + owner) + 0.1 * np.sin(angles)
 
-        radius.maximize_on_circle(F, False, 96, 1e-8, 3)
-        assert calls[:2] == [96, 6]
-        assert set(calls[2:]) == {3}
+        radius.maximize_on_circle_many(F, m, False, 96, 1e-8, 3)
+        assert calls[0] == (np.arange(m).repeat(96).tolist(), 96 * m)
+        assert calls[1] == (2 * np.arange(m).repeat(3).tolist(), 6 * m)
+        assert {size for _, size in calls[2:]} == {3 * m}
+        assert all(owner == np.arange(m).repeat(3).tolist() for owner, _ in calls[2:])
+        if m == 1:   # the one-objective search makes the same calls
+            sizes = []
+            radius.maximize_on_circle(
+                lambda t: sizes.append(t.size) or -np.cos(3.0 * t) + 0.1 * np.sin(t),
+                False, 96, 1e-8, 3)
+            assert sizes == [size for _, size in calls]
+
+    def test_many_matches_each_objective_alone(self):
+        a = generate(EnsembleSpec("ginibre", 3, 1310))
+        s1 = schatten_norm_spec(1)
+        objectives = [
+            lambda t: np.cos(4.0 * t),                      # four tied peaks
+            radius.rotated_objective(a, s1.evaluate, s1.evaluate_many),
+            lambda t: np.zeros_like(t),                     # ties everywhere
+            lambda t: -np.cos(3.0 * t) + 0.1 * np.sin(t),
+        ]
+
+        def F(owner, angles):
+            out = np.empty(angles.size)
+            for k, f in enumerate(objectives):
+                mine = owner == k
+                out[mine] = f(angles[mine])
+            return out
+
+        # the probe cap (refine_tol = 0), the defaults, slow-Omega settings,
+        # and brackets too wide to refine
+        for even, grid, tol, brackets in ((False, 64, 0.0, 4), (True, 720, 1e-10, 5),
+                                          (True, 96, 1e-6, 3), (False, 16, 10.0, 2)):
+            together = radius.maximize_on_circle_many(F, len(objectives), even, grid, tol,
+                                                      brackets)
+            alone = [radius.maximize_on_circle(f, even, grid, tol, brackets)
+                     for f in objectives]
+            assert repr(together) == repr(alone)
+        capped = radius.maximize_on_circle_many(F, len(objectives), False, 64, 0.0, 4)
+        assert capped[0][3] == 64 + 4 * radius._MAX_PROBES
+
+
+def _stack_with_degenerate(n, seed):
+    """ginibre, square_zero, normal and hermitian draws and the zero matrix."""
+    kinds = ("ginibre", "square_zero", "normal", "hermitian")
+    mats = [generate(EnsembleSpec(kind, n, seed + k)) for k, kind in enumerate(kinds)]
+    return np.stack(mats + [np.zeros((n, n), dtype=complex)])
+
+
+class TestStackedRadii:
+    @pytest.mark.parametrize("spec", [FRO, schatten_norm_spec(1), OP_GRID, OP])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_generalized_radius_many_is_the_one_matrix_path(self, spec, n):
+        stack = _stack_with_degenerate(n, 1320)
+        alone = [generalized_radius(t, spec) for t in stack]
+        assert repr(radius.generalized_radius_many(stack, spec)) == repr(alone)
+
+    def test_nested_norm_and_settings(self):
+        stack = _stack_with_degenerate(3, 1330)
+        wnum, cheap = numerical_radius_norm_spec(), {"grid": 24, "refine_tol": 1e-4}
+        alone = [generalized_radius(t, wnum, **cheap) for t in stack]
+        assert repr(radius.generalized_radius_many(stack, wnum, **cheap)) == repr(alone)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_omega_radius_slow_many_is_the_one_matrix_path(self, n):
+        stack = _stack_with_degenerate(n, 1340)
+        many = radius.omega_radius_slow_many(stack)
+        assert repr(many) == repr([omega_radius_slow(t) for t in stack])
+        assert many[-1].value == 0.0
+
+    def test_stack_shapes(self):
+        assert radius.generalized_radius_many(np.zeros((0, 2, 2)), FRO) == []
+        with pytest.raises(matcore.MatrixShapeError):
+            radius.generalized_radius_many(np.zeros((2, 2)), FRO)
+        with pytest.raises(matcore.NonFiniteEntry):
+            radius.omega_radius_slow_many(np.full((1, 2, 2), np.nan))
 
 
 class TestOracle:
@@ -914,7 +990,7 @@ class TestOmegaRadius:
         for seed, kind in ((1, "ginibre"), (2, "normal"), (3, "square_zero")):
             a = generate(EnsembleSpec(kind, 3, 500 + seed))
             w = numerical_radius(a).value
-            assert abs(omega_radius_slow(a) - math.sqrt(2.0) * w) \
+            assert abs(omega_radius_slow(a).value - math.sqrt(2.0) * w) \
                 <= 1e-7 * max(1.0, w)
 
 
