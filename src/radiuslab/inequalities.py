@@ -15,10 +15,12 @@ the suite runner turns those into "inapplicable" records, never passes.
 The sup/inf over a rotation angle that several bounds need reuses the same
 grid + golden-section machinery as the radius optimizers, keeping error
 budgets uniform across the package.  The inf of `inf-upper` and the sup of
-`lower-bound` are one memoized helper, `_phase_sup`, over
+`lower-bound` are one stack search, `_phase_sups`, over
 `radius.rotated_objective_many`: each grid or lockstep golden-section call
 evaluates N(Re(e^{i phi}T)) and N(Im(e^{i phi}T)) together, on the joined
-angles phi and phi - pi/2, through `norm.evaluate_many`.
+angles phi and phi - pi/2, through `norm.evaluate_many`.  Like the radius
+searches it keeps its result per matrix in the open result memo
+(`radius.memo_per_matrix`), and a check reads it for its one matrix.
 
 `run_suite` stacks each trial's slowest searches.  A check may declare a
 `stacked` function; before a trial's cells run, it is called once per norm
@@ -64,12 +66,11 @@ from .radius import (
     generalized_radius_many,
     maximize_on_circle,
     maximize_on_circle_many,
-    memoized,
+    memo_per_matrix,
     numerical_radius,
     omega_norm,
     omega_radius_slow,
     omega_radius_slow_many,
-    remembered,
     result_memo,
     rotated_objective,
     rotated_objective_many,
@@ -213,6 +214,7 @@ def _square_difference(re_n, im_n):
     return np.abs(re_n ** 2 - im_n ** 2)
 
 
+@memo_per_matrix
 def _phase_sups(stack, norm: NormSpec, pair) -> list:
     """(argmax phi in [0, 2 pi), value) of the maximum over phi of
     pair(N(Re(e^{i phi} T)), N(Im(e^{i phi} T))) for each T of a stack.
@@ -232,20 +234,6 @@ def _phase_sups(stack, norm: NormSpec, pair) -> list:
     return [(x % _TWO_PI, v) for x, v, _, _ in found]
 
 
-@memoized
-def _phase_sup(T, norm: NormSpec, pair) -> tuple:
-    """`_phase_sups` of one matrix, kept in the open result memo."""
-    return _phase_sups(as_matrix(T, square=True)[None], norm, pair)[0]
-
-
-def _phase_sups_many(stack, norm: NormSpec, pair) -> list:
-    """`_phase_sup` of each matrix of a validated stack, searched together;
-    in an open result memo the results are read from and stored under the
-    entries `_phase_sup` uses."""
-    return remembered(_phase_sup.__wrapped__, stack, (norm, pair), {},
-                      lambda sub: _phase_sups(sub, norm, pair))
-
-
 def check_inf_upper(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The Cauchy-Schwarz upper bound
     w_N(T) <= inf_phi sqrt(N^2(Re(e^{i phi}T)) + N^2(Im(e^{i phi}T))),
@@ -253,7 +241,7 @@ def check_inf_upper(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequalit
     inf <= sqrt(N^2(Re T) + N^2(Im T)) <= N(Re T) + N(Im T)."""
     arr = as_matrix(T, square=True)
     w_n = generalized_radius(arr, norm).value
-    phi, neg_inf = _phase_sup(arr, norm, _negated_quadrature)
+    phi, neg_inf = _phase_sups(arr[None], norm, _negated_quadrature)[0]
     inf_v = -neg_inf
     n_re, n_im = norm.evaluate(re_part(arr)), norm.evaluate(im_part(arr))
     mid1 = math.hypot(n_re, n_im)
@@ -274,7 +262,7 @@ def check_lower_bound(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequal
         raise RequiresAlgebraNorm(f"norm {norm.id!r} does not declare the algebra flag")
     arr = as_matrix(T, square=True)
     w_n = generalized_radius(arr, norm).value
-    phi, sup_v = _phase_sup(arr, norm, _square_difference)
+    phi, sup_v = _phase_sups(arr[None], norm, _square_difference)[0]
     quarter = norm.evaluate(arr @ adjoint(arr) + adjoint(arr) @ arr) / 4.0
     lhs = quarter + 0.5 * sup_v
     rhs = w_n ** 2
@@ -487,13 +475,13 @@ def _stacked_omega_chain(stack, norm) -> None:
 
 def _stacked_inf_upper(stack, norm: NormSpec) -> None:
     generalized_radius_many(stack, norm)
-    _phase_sups_many(stack, norm, _negated_quadrature)
+    _phase_sups(stack, norm, _negated_quadrature)
 
 
 def _stacked_lower_bound(stack, norm: NormSpec) -> None:
     if norm.algebra:   # otherwise the check reads nothing
         generalized_radius_many(stack, norm)
-        _phase_sups_many(stack, norm, _square_difference)
+        _phase_sups(stack, norm, _square_difference)
 
 
 def check_omega_upper(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:

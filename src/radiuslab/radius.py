@@ -76,12 +76,13 @@ grid, candidates and Newton for a whole stack of matrices at once; it is the
 grid or golden-section step's operands together.
 
 Inside a `result_memo` block (`cli.cmd_compute` runs as one, and
-`inequalities.run_suite` as one per trial) the results of
-`numerical_radius`, the grid path of `generalized_radius`, `omega_norm` and
-`omega_radius_slow` are remembered per input, norm and settings until the
-block ends; calls made while one of them runs bypass the memo.  The
-stacked `generalized_radius_many` and `omega_radius_slow_many` read and
-store the same entries (`remembered`), so a stack searched ahead of time
+`inequalities.run_suite` as one per trial) the stack searches
+`numerical_radius_many`, `omega_norm_many`, the grid path `_circle_radii`
+of `generalized_radius_many` and `omega_radius_slow_many` remember their
+result for each matrix, norm and settings until the block ends; calls made
+while one of them runs bypass the memo.  Each is wrapped by the one memo
+decorator, `memo_per_matrix`, and each one-matrix radius is its stack
+function applied to a one-matrix stack, so a stack searched ahead of time
 serves the one-matrix calls that follow.  Outside a block nothing is
 remembered.
 """
@@ -139,10 +140,10 @@ _BYPASS = object()
 
 @contextlib.contextmanager
 def result_memo():
-    """Remember the results of `numerical_radius`, the grid path of
-    `generalized_radius`, `omega_norm` and `omega_radius_slow` for the calls
-    made inside the block, and forget them when it ends.  A block opened
-    while a memo is open (or a memoized call runs) changes nothing."""
+    """Remember, for the calls made inside the block, the per-matrix results
+    of every function wrapped by `memo_per_matrix`, and forget them when it
+    ends.  A block opened while a memo is open (or a memoized call runs)
+    changes nothing."""
     if _MEMO.get() is not None:
         yield
         return
@@ -154,68 +155,58 @@ def result_memo():
 
 
 def _memo_key(fn, arr: np.ndarray, args: tuple, kwargs: dict) -> tuple:
-    """The memo key of fn(arr, *args, **kwargs): fn, the shape and blake2b
-    digest of the complex128 matrix arr, the other arguments (a norm held by
-    reference) and the keyword settings."""
+    """The memo key of fn on the complex128 matrix arr with the other
+    arguments args and kwargs: fn, the shape and blake2b digest of arr, the
+    other arguments (a norm held by reference) and the keyword settings."""
     return (fn, arr.shape, hashlib.blake2b(arr.tobytes()).digest(), args,
             tuple(sorted(kwargs.items())))
 
 
-def memoized(fn):
-    """fn(T, *args, **kwargs), its result kept in the open result memo.
+def memo_per_matrix(fn):
+    """fn(stack, *args, **kwargs), one result per matrix of a (m, n, n)
+    stack, its results kept per matrix in the open result memo.
 
-    The key is `_memo_key` of as_matrix(T).  Outside `result_memo` and for
-    every call made while a memoized function runs, fn is called as is; a
-    call that raises, or has an unhashable argument, stores nothing.
+    The stack is checked by `_square_stack`, and fn gets it as a complex128
+    array.  Inside an open memo, a matrix whose entry the memo holds gets
+    it, and the others (each distinct matrix once, in stack order) are
+    computed in one fn call while the memo is bypassed, then stored.  The
+    key is `_memo_key` of fn itself, the function closed over here, so a
+    rebinding of a module name never changes a key.  Outside a memo, and
+    for every call made while a memoized function runs, fn is called on
+    the whole stack.  A call that raises stores nothing; an unhashable
+    argument stores nothing either.
     """
     @functools.wraps(fn)
-    def wrapper(T, *args, **kwargs):
+    def wrapper(stack, *args, **kwargs) -> list:
+        arrs = _square_stack(stack)
         memo = _MEMO.get()
         if memo is None or memo is _BYPASS:
-            return fn(T, *args, **kwargs)
-        return remembered(fn, as_matrix(T, square=True)[None], args, kwargs,
-                          lambda stack: [fn(stack[0], *args, **kwargs)])[0]
+            return fn(arrs, *args, **kwargs)
+        keys = [_memo_key(fn, arr, args, kwargs) for arr in arrs]
+        try:
+            results = [memo.get(key) for key in keys]
+        except TypeError:   # an unhashable argument: nothing is remembered
+            results, keys = [None] * len(keys), None
+        # each missing matrix once, in stack order
+        todo = {}
+        for k, hit in enumerate(results):
+            if hit is None:
+                todo.setdefault(k if keys is None else keys[k], []).append(k)
+        if todo:
+            firsts = [places[0] for places in todo.values()]
+            token = _MEMO.set(_BYPASS)
+            try:
+                computed = fn(arrs[firsts], *args, **kwargs)
+            finally:
+                _MEMO.reset(token)
+            for (key, places), result in zip(todo.items(), computed):
+                if keys is not None:
+                    memo[key] = result
+                for k in places:
+                    results[k] = result
+        return results
 
     return wrapper
-
-
-def remembered(fn, stack: np.ndarray, args: tuple, kwargs: dict, many) -> list:
-    """fn(T, *args, **kwargs) for each matrix T of a validated complex128
-    stack, fn being the function that a `memoized` wrapper holds.
-
-    Inside an open memo, a matrix whose entry the memo holds gets it, and
-    the others (each distinct matrix once) get many(sub_stack), one result
-    per matrix, computed while the memo is bypassed and then stored under
-    the keys the one-matrix wrapper uses.  Outside a memo, and while a
-    memoized function runs, this is many(stack).  A many call that raises
-    stores nothing; an unhashable argument stores nothing either.
-    """
-    memo = _MEMO.get()
-    if memo is None or memo is _BYPASS:
-        return many(stack)
-    keys = [_memo_key(fn, arr, args, kwargs) for arr in stack]
-    try:
-        results = [memo.get(key) for key in keys]
-    except TypeError:   # an unhashable argument: nothing is remembered
-        results, keys = [None] * len(keys), None
-    # each missing matrix once, in stack order
-    todo = {}
-    for k, hit in enumerate(results):
-        if hit is None:
-            todo.setdefault(k if keys is None else keys[k], []).append(k)
-    if todo:
-        firsts = [places[0] for places in todo.values()]
-        token = _MEMO.set(_BYPASS)
-        try:
-            computed = many(stack[firsts])
-        finally:
-            _MEMO.reset(token)
-        for (key, places), result in zip(todo.items(), computed):
-            if keys is not None:
-                memo[key] = result
-            for k in places:
-                results[k] = result
-    return results
 
 
 @dataclass(frozen=True)
@@ -416,12 +407,13 @@ def generalized_radius(T, norm, *, grid: int = CIRCLE_GRID, refine_tol: float = 
     `numerical_radius`, since ||Re(exp(i theta) T)|| is the larger of
     lambda_max(H(theta)) and lambda_max(H(theta + pi)).  Every other norm
     goes through `maximize_on_circle` with these settings, over [0, pi) for
-    norms declaring `even`.  This is the one-matrix case of
-    `generalized_radius_many`.
+    norms declaring `even`.  The grid path is the one-matrix case of
+    `generalized_radius_many`'s.
     """
     if norm.radius is not None:
         return norm.radius(T)
-    return _circle_radius(T, norm, grid, refine_tol, top_brackets)
+    return _circle_radii(as_matrix(T, square=True)[None], norm, grid, refine_tol,
+                         top_brackets)[0]
 
 
 def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
@@ -432,25 +424,14 @@ def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
     A norm's own radius runs one matrix at a time.  Otherwise the matrices
     are searched together by `maximize_on_circle_many`, one `evaluate_many`
     per grid or golden-section step for all of them, and every result is
-    bitwise the one `generalized_radius` gives for that matrix alone.  In
-    an open `result_memo` the results are read from and stored under the
-    entries `generalized_radius` uses.
+    bitwise the one `generalized_radius` gives for that matrix alone.
     """
-    arrs = _square_stack(stack)
     if norm.radius is not None:
-        return [norm.radius(arr) for arr in arrs]
-    settings = (grid, refine_tol, top_brackets)
-    return remembered(_circle_radius.__wrapped__, arrs, (norm, *settings), {},
-                      lambda sub: _circle_radii(sub, norm, *settings))
+        return [norm.radius(arr) for arr in _square_stack(stack)]
+    return _circle_radii(stack, norm, grid, refine_tol, top_brackets)
 
 
-@memoized
-def _circle_radius(T, norm, grid, refine_tol, top_brackets) -> RadiusResult:
-    """The grid path of `generalized_radius`."""
-    return _circle_radii(as_matrix(T, square=True)[None], norm, grid, refine_tol,
-                         top_brackets)[0]
-
-
+@memo_per_matrix
 def _circle_radii(arrs, norm, grid, refine_tol, top_brackets) -> list[RadiusResult]:
     """The grid path of `generalized_radius` for each matrix of a stack."""
     F = rotated_objective_many(arrs, norm.evaluate, norm.evaluate_many)
@@ -656,6 +637,7 @@ def _level_set(raw: np.ndarray, scale: np.ndarray):
     return ended
 
 
+@memo_per_matrix
 def numerical_radius_many(stack) -> list[RadiusResult]:
     """w of each matrix of a (m, n, n) stack; see `numerical_radius`.
 
@@ -667,16 +649,11 @@ def numerical_radius_many(stack) -> list[RadiusResult]:
     working set does not grow with the stack.  Every result is bitwise the
     one `numerical_radius` gives for that matrix alone.
     """
-    return _radii(_square_stack(stack))
-
-
-def _radii(raw: np.ndarray) -> list[RadiusResult]:
-    """`numerical_radius_many` of a validated complex128 stack."""
-    m, n = raw.shape[:2]
+    m, n = stack.shape[:2]
     results = [_ZERO_RADIUS] * m
     step = max(1, _PENCIL_ENTRIES // (4 * n * n))
     for lo in range(0, m, step):
-        chunk = raw[lo:lo + step]
+        chunk = stack[lo:lo + step]
         scale = np.abs(chunk).max(axis=(1, 2))
         nonzero = scale.nonzero()[0]
         if nonzero.size < scale.size:   # zero matrices keep w = 0
@@ -692,7 +669,6 @@ def _radii(raw: np.ndarray) -> list[RadiusResult]:
     return results
 
 
-@memoized
 def numerical_radius(T) -> RadiusResult:
     """w(T) = max over theta of lambda_max(H(theta)), where
     H(theta) = Re(exp(i theta) T) = cos(theta) Re(T) - sin(theta) Im(T),
@@ -726,7 +702,7 @@ def numerical_radius(T) -> RadiusResult:
     lambda_max was evaluated (one pencil eigensolve per level is extra).
     This is the one-matrix case of `numerical_radius_many`.
     """
-    return _radii(as_matrix(T, square=True)[None])[0]
+    return numerical_radius_many(as_matrix(T, square=True)[None])[0]
 
 
 def numerical_radius_oracle(T, grid: int = 200000) -> float:
@@ -1078,6 +1054,7 @@ def _newton_on_sphere(basis, owner, u, width, refine_tol):
     return u, lam1, width, solves
 
 
+@memo_per_matrix
 def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_GRID_PSI,
                     refine_tol: float = OMEGA_TOL,
                     top_cells: int = OMEGA_CELLS) -> list[OmegaResult]:
@@ -1089,10 +1066,9 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     """
     if grid_s < 4 or grid_psi < 4:
         raise ValueError("omega grids need at least 4 points per axis")
-    raw = _square_stack(stack)
-    if raw.shape[0] == 0:
+    if stack.shape[0] == 0:
         return []
-    scaled, exponent = binary_scaled(raw)
+    scaled, exponent = binary_scaled(stack)
     basis = _omega_basis(scaled)
     half_pi = math.pi / 2
     s_nodes = np.linspace(0.0, half_pi, grid_s)
@@ -1107,8 +1083,8 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
 
     # per matrix, the highest lambda_max; ties to the earlier candidate
     order = np.lexsort((np.arange(owner.size), -lam1, owner))
-    best = order[np.searchsorted(owner[order], np.arange(raw.shape[0]))]
-    evaluations = points + np.bincount(owner, weights=solves, minlength=raw.shape[0])
+    best = order[np.searchsorted(owner[order], np.arange(stack.shape[0]))]
+    evaluations = points + np.bincount(owner, weights=solves, minlength=stack.shape[0])
     values = binary_unscaled(np.sqrt(np.maximum(lam1[best], 0.0)), exponent).tolist()
     results = []
     for k, c in enumerate(best):
@@ -1123,7 +1099,6 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     return results
 
 
-@memoized
 def omega_norm(T, **opts) -> OmegaResult:
     """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*||; `opts` are
     the keyword options of `omega_norm_many`.
@@ -1182,33 +1157,23 @@ def omega_radius(T) -> float:
     return math.sqrt(2.0) * numerical_radius(T).value
 
 
-@memoized
 def omega_radius_slow(T) -> RadiusResult:
     """w_Omega(T) computed the long way: the grid path of generalized_radius
     with the Omega norm itself as N, at the SLOW_OMEGA_* settings.
     Cross-validates omega_radius.  This is the one-matrix case of
     `omega_radius_slow_many`."""
-    return _slow_omega_radii(as_matrix(T, square=True)[None])[0]
+    return omega_radius_slow_many(as_matrix(T, square=True)[None])[0]
 
 
+@memo_per_matrix
 def omega_radius_slow_many(stack) -> list[RadiusResult]:
     """`omega_radius_slow` of each matrix of a (m, n, n) stack, all of them
     searched together: every grid or golden-section step is one
     `omega_norm_many` call on the operands of every matrix.  Every result is
-    bitwise the one-matrix one, and in an open `result_memo` the results are
-    read from and stored under the entries `omega_radius_slow` uses."""
-    return remembered(_SLOW_OMEGA_KEY, _square_stack(stack), (), {}, _slow_omega_radii)
-
-
-def _slow_omega_radii(arrs) -> list[RadiusResult]:
+    bitwise the one-matrix one."""
     from .norms import omega_norm_spec
 
-    return _circle_radii(arrs, omega_norm_spec(**SLOW_OMEGA_INNER), **SLOW_OMEGA_OUTER)
-
-
-# The function whose memo entries `omega_radius_slow` keeps, named here once
-# so that a rebinding of the module-level name leaves the key unchanged
-_SLOW_OMEGA_KEY = omega_radius_slow.__wrapped__
+    return _circle_radii(stack, omega_norm_spec(**SLOW_OMEGA_INNER), **SLOW_OMEGA_OUTER)
 
 
 def hs_radius_sq(T) -> float:

@@ -1,9 +1,11 @@
 """The per-command result memo of `radius`: what it remembers, for how
 long, and that a suite run gives the same records with it and without."""
 
+import contextlib
 import contextvars
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,29 @@ def _memo_off(monkeypatch):
 
 
 def _entries(memo, fn):
+    # fn is a stack search wrapped by radius.memo_per_matrix
     return [key for key in memo if key[0] is fn.__wrapped__]
+
+
+def _count_searches(monkeypatch, record):
+    """Rebind radius._circle_radii to the same memoized search, around a spy
+    that calls record(arrs, norm) for every raw grid search (memo hits
+    make none)."""
+    raw = radius._circle_radii.__wrapped__
+
+    def counting(arrs, norm, *settings, **kw):
+        record(arrs, norm)
+        return raw(arrs, norm, *settings, **kw)
+
+    monkeypatch.setattr(radius, "_circle_radii", radius.memo_per_matrix(counting))
+
+
+# the stack searches that keep their results in the memo, by name
+STACK_SEARCHES = (("numerical_radius_many", radius.numerical_radius_many),
+                  ("omega_norm_many", radius.omega_norm_many),
+                  ("_circle_radii", radius._circle_radii),
+                  ("omega_radius_slow_many", radius.omega_radius_slow_many),
+                  ("_phase_sups", inequalities._phase_sups))
 
 
 def test_suite_records_are_the_same_with_the_memo_off(monkeypatch):
@@ -52,7 +76,7 @@ def test_suite_shares_radii_and_forgets_them(monkeypatch):
                            trials=1)
     memo = seen[0]
     # dragomir computed w(T) and w(T^2); the spy's basic check reused w(T)
-    assert len(_entries(memo, radius.numerical_radius)) == 2
+    assert len(_entries(memo, radius.numerical_radius_many)) == 2
     assert radius._MEMO.get() is None
     # a later call outside the run computes afresh
     calls = []
@@ -84,7 +108,7 @@ def test_suite_opens_one_memo_per_trial():
     assert len({id(memo) for memo in memos}) == 4
     # golden: w of the spy's two cases (dragomir's golden cases add theirs);
     # a trial: dragomir's w(T) and w(T^2) per draw, which the spy reuses
-    assert len(_entries(memos[0], radius.numerical_radius)) >= 2
+    assert len(_entries(memos[0], radius.numerical_radius_many)) >= 2
     assert [len(memo) for memo in memos[1:]] == [4, 4, 4]
     assert radius._MEMO.get() is None
 
@@ -105,22 +129,16 @@ def test_compute_opens_and_closes_a_memo(monkeypatch, tmp_path):
                      "--out", str(out)]) == 0
     memo = seen[0]
     # w and w_N[op] are one entry; Omega is the other
-    assert len(_entries(memo, radius.numerical_radius)) == 1
-    assert len(_entries(memo, radius.omega_norm)) == 1
+    assert len(_entries(memo, radius.numerical_radius_many)) == 1
+    assert len(_entries(memo, radius.omega_norm_many)) == 1
     assert radius._MEMO.get() is None
 
 
 def test_every_omega_chain_cell_runs_the_slow_path(monkeypatch):
     # matrices per search of the slow path (the grid path with Omega as N)
     slow_stacks = []
-    original = radius._circle_radii
-
-    def counting(arrs, norm, *settings, **kw):
-        if norm.id == "omega":
-            slow_stacks.append(arrs.shape[0])
-        return original(arrs, norm, *settings, **kw)
-
-    monkeypatch.setattr(radius, "_circle_radii", counting)
+    _count_searches(monkeypatch, lambda arrs, norm: norm.id == "omega"
+                    and slow_stacks.append(arrs.shape[0]))
     ensembles = [EnsembleSpec("ginibre", 2, 50), EnsembleSpec("square_zero", 2, 50)]
     rep = inequalities.run_suite(ensembles, checks=["omega-chain"], trials=2,
                                  include_golden=True)
@@ -163,8 +181,8 @@ def test_omega_settings_never_share_an_entry():
         for k in (0, 1, 1, 0):
             spec = specs[k]
             assert (spec.evaluate(t), radius.generalized_radius(t, spec, **cheap)) == alone[k]
-        assert len(_entries(memo, radius.omega_norm)) == 2
-        assert len(_entries(memo, radius._circle_radius)) == 2
+        assert len(_entries(memo, radius.omega_norm_many)) == 2
+        assert len(_entries(memo, radius._circle_radii)) == 2
 
 
 def test_nested_calls_bypass_the_memo():
@@ -174,7 +192,7 @@ def test_nested_calls_bypass_the_memo():
         res = radius.generalized_radius(t, numerical_radius_norm_spec(), grid=16,
                                         refine_tol=1e-3)
         # the inner numerical radii of the wnum grid are not remembered
-        assert len(memo) == 1 and len(_entries(memo, radius._circle_radius)) == 1
+        assert len(memo) == 1 and len(_entries(memo, radius._circle_radii)) == 1
         with radius.result_memo():
             assert radius._MEMO.get() is memo
     assert res == radius.generalized_radius(t, numerical_radius_norm_spec(), grid=16,
@@ -213,13 +231,7 @@ def test_stacked_searches_share_the_one_matrix_entries(monkeypatch):
     stack = np.concatenate((stack, stack[:1]))   # the first matrix twice
     fro = frobenius_norm_spec()
     searched = []
-    original = radius._circle_radii
-
-    def counting(arrs, norm, *settings, **kw):
-        searched.append(arrs.shape[0])
-        return original(arrs, norm, *settings, **kw)
-
-    monkeypatch.setattr(radius, "_circle_radii", counting)
+    _count_searches(monkeypatch, lambda arrs, norm: searched.append(arrs.shape[0]))
     with radius.result_memo():
         memo = radius._MEMO.get()
         first = radius.generalized_radius(stack[1], fro)
@@ -227,7 +239,7 @@ def test_stacked_searches_share_the_one_matrix_entries(monkeypatch):
         # the memo's entry is reused, and the repeated matrix searched once
         assert searched == [1, 2] and many[1] is first and many[3] is many[0]
         assert all(radius.generalized_radius(t, fro) is r for t, r in zip(stack, many))
-        assert len(_entries(memo, radius._circle_radius)) == 3
+        assert len(_entries(memo, radius._circle_radii)) == 3
         slow = radius.omega_radius_slow_many(stack[:2])
         assert all(radius.omega_radius_slow(t) is r for t, r in zip(stack, slow))
         assert searched == [1, 2, 2]
@@ -269,23 +281,27 @@ def test_stacked_work_that_raises_changes_no_record(monkeypatch):
         return inequalities.run_suite(ensembles, checks=checks, trials=1)
 
     expected = run()
+    for name in ("omega_radius_slow_many", "generalized_radius_many", "_phase_sups"):
+        raised = []
+        original = getattr(inequalities, name)
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("stacked search failed")
+        def fail(stack, *args, _original=original, **kwargs):
+            # a stack fails; the cells' one-matrix reads run as before
+            if len(stack) > 1:
+                raised.append(name)
+                raise RuntimeError("stacked search failed")
+            return _original(stack, *args, **kwargs)
 
-    for name in ("omega_radius_slow_many", "generalized_radius_many", "_phase_sups_many"):
         with monkeypatch.context() as patch:
             patch.setattr(inequalities, name, fail)
             assert repr(run()) == repr(expected)
+        assert raised
     assert expected.errors == 0
 
 
 def test_stacked_work_fills_only_what_the_cells_read(monkeypatch):
     searched = []
-    original = radius._circle_radii
-    monkeypatch.setattr(radius, "_circle_radii",
-                        lambda arrs, *args, **kw: searched.append(len(arrs))
-                        or original(arrs, *args, **kw))
+    _count_searches(monkeypatch, lambda arrs, norm: searched.append(len(arrs)))
     # wnum is no algebra norm: lower-bound reads nothing, so nothing is searched
     rep = inequalities.run_suite([EnsembleSpec("ginibre", 2, 140)], checks=["lower-bound"],
                                  trials=1, norm=numerical_radius_norm_spec())
@@ -304,3 +320,76 @@ def test_stacked_work_fills_only_what_the_cells_read(monkeypatch):
     rep = inequalities.run_suite([EnsembleSpec("ginibre", 2, 140)], checks=["inf-upper"],
                                  trials=1, norm=norm)
     assert [r.status for r in rep.records] == ["ok"] and searched == [1]
+
+
+def test_one_matrix_calls_read_the_stack_entries():
+    kinds = ("ginibre", "square_zero", "normal")
+    stack = np.stack([generate(EnsembleSpec(kind, 2, 150 + k)) for k, kind in enumerate(kinds)])
+    stack = np.concatenate((stack, stack[:1]))   # the first matrix twice
+    fro = frobenius_norm_spec()
+    quad = inequalities._negated_quadrature
+    # per stack search: its stack call, and the one-matrix call that reads it
+    cases = {
+        "numerical_radius_many": (lambda: radius.numerical_radius_many(stack),
+                                  radius.numerical_radius),
+        "omega_norm_many": (lambda: radius.omega_norm_many(stack), radius.omega_norm),
+        "_circle_radii": (lambda: radius.generalized_radius_many(stack, fro),
+                          lambda t: radius.generalized_radius(t, fro)),
+        "omega_radius_slow_many": (lambda: radius.omega_radius_slow_many(stack),
+                                   radius.omega_radius_slow),
+        "_phase_sups": (lambda: inequalities._phase_sups(stack, fro, quad),
+                        lambda t: inequalities._phase_sups(t[None], fro, quad)[0]),
+    }
+    searches = dict(STACK_SEARCHES)
+    with radius.result_memo():
+        memo = radius._MEMO.get()
+        for name, (many, one) in cases.items():
+            results = many()
+            assert results[3] is results[0]
+            assert all(one(t) is r for t, r in zip(stack, results)), name
+            assert len(_entries(memo, searches[name])) == 3, name
+        held = len(memo)
+        # inf-upper reads its radius and inf search from the memo
+        report = inequalities.check_inf_upper(stack[1], fro)
+        assert len(memo) == held
+    assert report.terms["inf_argmin_phi"] == inequalities._phase_sups(stack[1:2], fro, quad)[0][0]
+
+
+def test_rebound_names_leave_the_memo_keys_alone(monkeypatch):
+    # what perfbench's tracer does: every radiuslab binding of a function is
+    # replaced by a plain wrapper, which must not change any memo key
+    def run():
+        counts = []
+        opened = inequalities.result_memo
+
+        @contextlib.contextmanager
+        def counting():
+            with opened():
+                yield
+                memo = radius._MEMO.get()
+                counts.append({name: len(_entries(memo, fn)) for name, fn in STACK_SEARCHES})
+
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "result_memo", counting)
+            report = inequalities.run_suite(SUITE_ENSEMBLES, trials=1, include_golden=True)
+        return report, counts
+
+    plain, plain_counts = run()
+    rebound = [radius.numerical_radius, radius.generalized_radius, radius.omega_norm,
+               radius.omega_radius_slow] + [fn for _, fn in STACK_SEARCHES]
+    for original in rebound:
+        def passing(*args, _original=original, **kwargs):
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "radiuslab" or mod_name.startswith("radiuslab."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, passing)
+    assert radius.numerical_radius is not rebound[0]
+    wrapped, wrapped_counts = run()
+    assert repr(wrapped) == repr(plain)
+    assert wrapped_counts == plain_counts
+    # the golden block and the trial's block; every search kept entries
+    assert len(plain_counts) == 2
+    assert all(sum(block[name] for block in plain_counts) > 0 for name, _ in STACK_SEARCHES)
