@@ -285,7 +285,7 @@ def cmd_paper_example(config: RunConfig) -> int:
     inf_v, re_norm, im_norm, total = (terms[k] for k in ("inf", "re_norm", "im_norm", "sum"))
 
     phis = np.arange(360) * (2.0 * math.pi / 360)
-    grid_sq = rotated_objective(arr, hermitian_norm, hermitian_norm)(phis) ** 2
+    grid_sq = rotated_objective(arr, hermitian_norm)(phis) ** 2
     c2 = np.cos(phis) ** 2
     formula = (1.0 + 2.0 * c2) / 4.0 + np.sqrt(c2 + c2 ** 2) / 2.0
     formula_dev = float(np.abs(grid_sq - formula).max())

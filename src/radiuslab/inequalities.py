@@ -224,7 +224,7 @@ def _phase_sups(stack, norm: NormSpec, pair) -> list:
     the joined angles phi and phi - pi/2, since
     Im(e^{i phi} T) = Re(e^{i (phi - pi/2)} T).
     """
-    F = rotated_objective_many(stack, norm.evaluate, norm.evaluate_many)
+    F = rotated_objective_many(stack, norm.evaluate_many)
 
     def objective(owner, phis):
         both = F(np.concatenate((owner, owner)), np.concatenate((phis, phis - math.pi / 2)))
@@ -294,6 +294,8 @@ def check_norm_chain(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequ
     _require_flags(norm, self_adjoint=True, algebra=True)
     t = as_matrix(T, square=True)
     s = as_matrix(S, square=True)
+    if t.shape != s.shape:
+        raise ValueError("T and S must have the same shape")
     ts = t @ s
     w_ts = generalized_radius(ts, norm).value
     n_ts = norm.evaluate(ts)
@@ -532,7 +534,7 @@ def check_omega_equality(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     w = numerical_radius(arr).value
     w_om = _SQRT2 * w
     thetas = np.arange(CIRCLE_GRID) * (_TWO_PI / CIRCLE_GRID)
-    norms_grid = rotated_objective(arr, hermitian_norm, hermitian_norm)(thetas)
+    norms_grid = rotated_objective(arr, hermitian_norm)(thetas)
     max_dev = float(np.abs(om - 2.0 * _SQRT2 * norms_grid).max())
     if om == 0.0:
         cond_i = cond_ii = True

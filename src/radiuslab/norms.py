@@ -28,25 +28,27 @@ from .radius import (RadiusResult, numerical_radius, numerical_radius_many, omeg
 class NormSpec:
     """A norm on square complex matrices plus its declared properties.
 
-    evaluate must be pure; evaluate_many, when given, must agree with
-    evaluate on every slice of a stacked input (it exists so optimizers can
-    batch their grid stages).  unitary_sup maps a dimension to
-    sup { N(U) : U unitary } or is None when no closed form is known.
-    `even` declares N(-A) == N(A), which lets the radius optimizers halve
-    their search period; it is never assumed for norms that do not set it.
-    `radius`, when given, computes w_N(T) (a RadiusResult) itself, and
-    `generalized_radius` returns it instead of searching the angle grid.
+    evaluate must be pure; evaluate_many maps a (m, n, n) stack to its m
+    values and must agree with evaluate on every slice (the angle searches
+    evaluate N only through it, one stack of operands per step).
+    unitary_sup maps a dimension to sup { N(U) : U unitary } or is None
+    when no closed form is known.  `even` declares N(-A) == N(A), which lets
+    the radius optimizers halve their search period; it is never assumed for
+    norms that do not set it.  `radius`, when given, computes w_N of each
+    matrix of a (m, n, n) stack (a list of RadiusResult) itself, and
+    `generalized_radius_many` returns it instead of searching the angle
+    grid.
     """
 
     id: str
     evaluate: Callable[[np.ndarray], float]
+    evaluate_many: Callable[[np.ndarray], np.ndarray]
     self_adjoint: bool
     algebra: bool
     weakly_unitarily_invariant: bool
     unitary_sup: Optional[Callable[[int], float]] = None
-    evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     even: bool = False
-    radius: Optional[Callable[[np.ndarray], RadiusResult]] = None
+    radius: Optional[Callable[[np.ndarray], list[RadiusResult]]] = None
 
 
 class UnknownNormId(ValueError):
@@ -56,7 +58,8 @@ class UnknownNormId(ValueError):
 def operator_norm_spec() -> NormSpec:
     """The usual operator norm: largest singular value.  Its radius is the
     numerical radius, since ||H|| = max(lambda_max(H), lambda_max(-H)) for
-    Hermitian H and Re(exp(i (theta + pi)) T) = -Re(exp(i theta) T)."""
+    Hermitian H and Re(exp(i (theta + pi)) T) = -Re(exp(i theta) T): a
+    stack's radii are one `numerical_radius_many` call."""
     return NormSpec(
         id="op",
         evaluate=spectral_norm,
@@ -66,8 +69,8 @@ def operator_norm_spec() -> NormSpec:
         unitary_sup=lambda n: 1.0,
         evaluate_many=spectral_norm_many,
         even=True,
-        # looked up when called, so a rebinding of numerical_radius reaches it
-        radius=lambda a: numerical_radius(a),
+        # looked up when called, so a rebinding of numerical_radius_many reaches it
+        radius=lambda stack: numerical_radius_many(stack),
     )
 
 

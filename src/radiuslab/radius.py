@@ -17,19 +17,22 @@ axis, with a second shift tried when it sits on a pencil eigenvalue) finds
 every crossing of a level; eigenvalues within 1e-6 sqrt(max(1, ||M||_1)) of
 the unit circle count, M being the shift-inverted matrix of the pencil of
 T / max |T_ij|, so the tolerance is scale-free.  The midpoints of the
-intervals between crossings, evaluated in one batched eigvalsh, give the
-next level, and the iteration ends when a level has no crossings or raises
-r by at most CIRCLE_TOL * max(1, r).  A pencil too close to singular to
-resolve crossings (flat lambda_max, as for square-zero T) hands the search
-to the grid optimizer below.  Ties go to the smallest angle.
-`numerical_radius_many` runs the engine for a whole stack in lockstep: per
-level one batched solve, eigvals and eigvalsh for every matrix still
-searching, the second shift solved only for the matrices whose first one
-fails, and a bounded number of matrices at a time.  `numerical_radius` is
-its one-matrix case, and the wnum norm's `evaluate_many` calls it.  The
-operator norm (and schatten:inf, the same norm) declares this engine as its
-radius (`NormSpec.radius`), because ||Re(exp(i theta) T)|| is the larger of
-lambda_max(H(theta)) and lambda_max(H(theta + pi)); so w_op(T) = w(T).
+intervals between crossings give the next level, and the iteration ends
+when a level has no crossings or raises r by at most CIRCLE_TOL * max(1, r).
+A pencil too close to singular to resolve crossings (flat lambda_max, as
+for square-zero T) hands the search to the grid optimizer below.  Ties go
+to the smallest angle.  `numerical_radius_many` runs the engine for a whole
+stack in lockstep: per level one batched solve and eigvals for every matrix
+still searching, the second shift solved only for the matrices whose first
+one fails, and a bounded number of matrices at a time.  Its seeds,
+midpoints and grid fallbacks are all values of lambda_max(H(theta)) taken
+through the one rotated-stack kernel, `rotated_objective_many`, one call
+per stage for the whole chunk.  `numerical_radius` is its one-matrix case,
+and the wnum norm's `evaluate_many` calls it.  The operator norm (and
+schatten:inf, the same norm) declares this engine as its radius
+(`NormSpec.radius`, which takes a stack), because ||Re(exp(i theta) T)|| is
+the larger of lambda_max(H(theta)) and lambda_max(H(theta + pi)); so
+w_op(T) = w(T).
 
 Every other supremum over one angle uses a uniform grid over the period
 followed by golden-section refinement of the best few local brackets
@@ -49,11 +52,13 @@ call per golden-section step on every live bracket's next probe.  Each
 objective keeps its own grid, brackets and probe sequence, so its result
 is bitwise the one it gets alone.  `rotated_objective_many` builds F on
 cos(t) Re(T_j) - sin(t) Im(T_j) for a stack of matrices T_j, as one
-chunked stack of operands per call through the norm's `evaluate_many`
-(one `evaluate` per operand for norms without it), each chunk gathering
-its owners' parts; its one-matrix case `rotated_objective` broadcasts
-them instead.  `generalized_radius_many` and `omega_radius_slow_many` are
-the radii of a whole stack, searched together this way.
+chunked stack of operands per call through a batched evaluator (a norm's
+`evaluate_many`), each chunk gathering its owners' parts; a one-matrix
+stack, as in its one-matrix case `rotated_objective`, broadcasts them
+instead.  It is the only code here that forms these operands, apart from
+the test oracle `numerical_radius_oracle`.  `generalized_radius_many` and
+`omega_radius_slow_many` are the radii of a whole stack, searched together
+this way.
 
 For Omega the supremum over the coefficient ball is attained on the sphere
 (positive homogeneity) and the global phase of (zeta, eta) drops out of the
@@ -336,64 +341,51 @@ def _values(F, owners: np.ndarray, angles: list) -> list:
     return np.asarray(F(owners, np.array(angles)), dtype=float).tolist()
 
 
-def evaluate_chunked(fn, count: int, entry_size: int) -> np.ndarray:
-    """The values fn(lo, hi) of grid points lo..hi-1, for all `count` points,
-    computed in chunks of at most _CHUNK_ENTRIES // entry_size points so a
-    grid stage never holds more than _CHUNK_ENTRIES stacked matrix entries."""
-    out = np.empty(count)
-    step = max(1, _CHUNK_ENTRIES // max(1, entry_size))
-    for a in range(0, count, step):
-        b = min(a + step, count)
-        out[a:b] = np.asarray(fn(a, b), dtype=float)
-    return out
+def rotated_objective(T, evaluate_many):
+    """The angle objective F(t) = N(Re(exp(i t) T)), the operand being
+    cos(t) Re(T) - sin(t) Im(T), for the norm N whose batched evaluator is
+    evaluate_many.  Im(exp(i t) T) = Re(exp(i (t - pi/2)) T) is
+    F(t - pi/2).
 
-
-def rotated_objective(T, evaluate, evaluate_many=None):
-    """The angle objective F(t) = evaluate(Re(exp(i t) T)), the operand being
-    cos(t) Re(T) - sin(t) Im(T).  Im(exp(i t) T) = Re(exp(i (t - pi/2)) T)
-    is F(t - pi/2).
-
-    F takes a 1-d array of angles and returns evaluate_many of the stacked
-    operands, chunked by `evaluate_chunked`, or without `evaluate_many` one
-    evaluate per angle.  This is the one-matrix case of
-    `rotated_objective_many`.
+    F takes a 1-d array of angles and returns the values of their operands.
+    This is the one-matrix case of `rotated_objective_many`.
     """
-    F = rotated_objective_many(as_matrix(T, square=True)[None], evaluate, evaluate_many)
+    F = rotated_objective_many(np.asarray(T, dtype=np.complex128)[None], evaluate_many)
     return lambda angles: F(None, angles)
 
 
-def rotated_objective_many(stack, evaluate, evaluate_many=None):
+def rotated_objective_many(stack, evaluate_many):
     """The angle objectives of a (m, n, n) stack as one function
-    F(owner, angles): evaluate(Re(exp(i t) T_j)) at each pair (j, t) of
-    the 1-d arrays owner and angles.
+    F(owner, angles): N(Re(exp(i t) T_j)) at each pair (j, t) of the 1-d
+    arrays owner and angles, evaluate_many mapping a stack of operands to
+    their norms N.
 
     The operands cos(t) Re(T_j) - sin(t) Im(T_j) are built and evaluated a
-    chunk of at most _CHUNK_ENTRIES entries at a time (`evaluate_chunked`),
-    each chunk gathering its owners' Re and Im parts.  A one-matrix stack
-    ignores owner and broadcasts its two parts, gathering nothing.
+    chunk of at most _CHUNK_ENTRIES entries at a time, one evaluate_many
+    call per chunk, each chunk gathering its owners' Re and Im parts.  A
+    one-matrix stack ignores owner and broadcasts its two parts, gathering
+    nothing.
     """
     arrs = _square_stack(stack)
-    re = (arrs + adjoint(arrs)) / 2
-    im = (arrs - adjoint(arrs)) / 2j
+    adj = adjoint(arrs)
+    re, im = (arrs + adj) / 2, (arrs - adj) / 2j
     single = arrs.shape[0] == 1
     if single:
         re, im = re[0], im[0]
+    step = max(1, _CHUNK_ENTRIES // (arrs.shape[1] * arrs.shape[2]))
 
     def F(owner, angles):
-        a, b = np.cos(angles), np.sin(angles)
-
-        def values(lo, hi):
-            x, y = a[lo:hi, None, None], b[lo:hi, None, None]
+        a, b = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
+        out = np.empty(angles.size)
+        for lo in range(0, angles.size, step):
+            hi = lo + step
             if single:
-                operands = x * re - y * im
+                operands = a[lo:hi] * re - b[lo:hi] * im
             else:
                 mine = owner[lo:hi]
-                operands = x * re[mine] - y * im[mine]
-            if evaluate_many is None:
-                return [float(evaluate(op)) for op in operands]
-            return evaluate_many(operands)
-
-        return evaluate_chunked(values, angles.size, arrs.shape[1] * arrs.shape[2])
+                operands = a[lo:hi] * re[mine] - b[lo:hi] * im[mine]
+            out[lo:hi] = evaluate_many(operands)
+        return out
 
     return F
 
@@ -402,18 +394,16 @@ def generalized_radius(T, norm, *, grid: int = CIRCLE_GRID, refine_tol: float = 
                        top_brackets: int = CIRCLE_BRACKETS) -> RadiusResult:
     """w_N(T), the maximum of N(Re(exp(i theta) T)) over theta.
 
-    A norm that declares its own radius gets it from `norm.radius(T)`, and
-    the settings are ignored: `op` and `schatten:inf` declare
-    `numerical_radius`, since ||Re(exp(i theta) T)|| is the larger of
+    A norm that declares its own radius gets it from `norm.radius`, and the
+    settings are ignored: `op` and `schatten:inf` declare
+    `numerical_radius_many`, since ||Re(exp(i theta) T)|| is the larger of
     lambda_max(H(theta)) and lambda_max(H(theta + pi)).  Every other norm
     goes through `maximize_on_circle` with these settings, over [0, pi) for
-    norms declaring `even`.  The grid path is the one-matrix case of
-    `generalized_radius_many`'s.
+    norms declaring `even`.  This is the one-matrix case of
+    `generalized_radius_many`.
     """
-    if norm.radius is not None:
-        return norm.radius(T)
-    return _circle_radii(as_matrix(T, square=True)[None], norm, grid, refine_tol,
-                         top_brackets)[0]
+    return generalized_radius_many(np.asarray(T, dtype=np.complex128)[None], norm, grid=grid,
+                                   refine_tol=refine_tol, top_brackets=top_brackets)[0]
 
 
 def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
@@ -421,29 +411,30 @@ def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
                             top_brackets: int = CIRCLE_BRACKETS) -> list[RadiusResult]:
     """w_N of each matrix of a (m, n, n) stack; see `generalized_radius`.
 
-    A norm's own radius runs one matrix at a time.  Otherwise the matrices
-    are searched together by `maximize_on_circle_many`, one `evaluate_many`
-    per grid or golden-section step for all of them, and every result is
-    bitwise the one `generalized_radius` gives for that matrix alone.
+    A norm's own radius gets the whole stack in one `norm.radius` call.
+    Otherwise the matrices are searched together by
+    `maximize_on_circle_many`, one `evaluate_many` per grid or
+    golden-section step for all of them.  Every result is bitwise the one
+    `generalized_radius` gives for that matrix alone.
     """
     if norm.radius is not None:
-        return [norm.radius(arr) for arr in _square_stack(stack)]
+        return norm.radius(stack)
     return _circle_radii(stack, norm, grid, refine_tol, top_brackets)
 
 
 @memo_per_matrix
 def _circle_radii(arrs, norm, grid, refine_tol, top_brackets) -> list[RadiusResult]:
     """The grid path of `generalized_radius` for each matrix of a stack."""
-    F = rotated_objective_many(arrs, norm.evaluate, norm.evaluate_many)
+    F = rotated_objective_many(arrs, norm.evaluate_many)
     found = maximize_on_circle_many(F, arrs.shape[0], norm.even, grid, refine_tol, top_brackets)
     return [RadiusResult(value=v, argmax_theta=x % _TWO_PI, achieved_interval=width,
                          evaluations=evals) for x, v, width, evals in found]
 
 
 def _square_stack(stack) -> np.ndarray:
-    """A stack of square matrices as a (m, n, n) complex128 array, checked
-    for shape (n >= 1) and finite entries."""
-    raw = np.asarray(stack, dtype=np.complex128)
+    """A stack of square matrices as a C-contiguous (m, n, n) complex128
+    array, checked for shape (n >= 1) and finite entries."""
+    raw = np.ascontiguousarray(stack, dtype=np.complex128)
     if raw.ndim != 3 or raw.shape[1] != raw.shape[2] or raw.shape[1] == 0:
         raise MatrixShapeError(f"expected a stack of square matrices, got shape {raw.shape}")
     if not np.isfinite(raw).all():
@@ -458,7 +449,6 @@ def _top_eigenvalue(h):
 # Level-set engine for w(T).  Seed angles: multiples of pi/4, so the
 # maximizer of a Hermitian or skew-Hermitian T is a seed.
 _SEED_ANGLES = np.arange(8) * (_TWO_PI / 8)
-_SEED_COS, _SEED_SIN = np.cos(_SEED_ANGLES), np.sin(_SEED_ANGLES)
 # Shift-invert poles: off the unit circle, where the crossings live, and off
 # the real axis, where the other pencil eigenvalues of a Hermitian T lie.
 # The second is tried only for the matrices whose first is (within ~1e-6 of)
@@ -559,19 +549,20 @@ def _level_crossings(a: np.ndarray, b: np.ndarray, levels: np.ndarray):
 def _level_set(raw: np.ndarray, scale: np.ndarray):
     """`numerical_radius` of each matrix of a (m, n, n) stack of nonzero
     matrices, scale being their largest entry moduli.  All matrices run in
-    lockstep, and a matrix leaves as its search ends.
+    lockstep, and a matrix leaves as its search ends.  Every lambda_max is
+    taken through one `rotated_objective_many` of the stack: the seeds, each
+    level's midpoints, and the grid fallback of each level's flat matrices.
 
     Returns one (indices, value, argmax, width, evaluations) tuple of arrays
     per group of matrices whose searches ended together.
     """
     ids = np.arange(raw.shape[0])
-    adj = raw.conj().swapaxes(1, 2)
-    re, im = (raw + adj) / 2, (raw - adj) / 2j
-    tops = np.linalg.eigvalsh(_SEED_COS[:, None, None] * re[:, None]
-                              - _SEED_SIN[:, None, None] * im[:, None])[..., -1]
+    F = rotated_objective_many(raw, _top_eigenvalue)
+    seeds = _SEED_ANGLES.size
+    tops = F(ids.repeat(seeds), np.tile(_SEED_ANGLES, ids.size)).reshape(ids.size, seeds)
     k = tops.argmax(axis=1)
     value, theta = tops[ids, k], _SEED_ANGLES[k]
-    evals = np.full(ids.size, _SEED_ANGLES.size)
+    evals = np.full(ids.size, seeds)
     # real divisions: a complex one overflows for subnormal scales
     a, b = _pencils(raw.real / scale[:, None, None] + 1j * (raw.imag / scale[:, None, None]))
     ended = []
@@ -580,28 +571,32 @@ def _level_set(raw: np.ndarray, scale: np.ndarray):
         """Record the matrices whose search ended; the others' state."""
         ended.append(tuple(x[done] for x in (ids, value, theta, width, evals)))
         keep = ~done
-        return (x[keep] for x in (ids, a, b, re, im, scale, value, theta, evals))
+        return (x[keep] for x in (ids, a, b, scale, value, theta, evals))
 
     for level in range(_MAX_LEVELS):
         cross, counts = _level_crossings(a, b, value / scale)
         if counts.min() <= 0:
             # no crossings (width 0), or the grid finishes the search
             width = np.zeros(ids.size)
-            for j in np.flatnonzero(counts < 0):
-                # its maximizer is evaluated again at the wrapped angle, so
+            flat = np.flatnonzero(counts < 0)
+            if flat.size:
+                owners = ids[flat]
+                found = maximize_on_circle_many(lambda own, angles: F(owners[own], angles),
+                                                flat.size, even=False)
+                x, _, widths, ev = (np.array(f) for f in zip(*found))
+                width[flat] = widths
+                # each maximizer is evaluated again at the wrapped angle, so
                 # that value is lambda_max(H(argmax))
-                F = rotated_objective(raw[ids[j]], _top_eigenvalue, _top_eigenvalue)
-                x, _, width[j], ev = maximize_on_circle(F, even=False)
                 x %= _TWO_PI
-                v = float(F(np.array([x]))[0])
-                evals[j] += ev + 1
-                if v > value[j] or (v == value[j] and x < theta[j]):
-                    value[j], theta[j] = v, x
+                v = F(owners, x)
+                evals[flat] += ev + 1
+                higher = (v > value[flat]) | ((v == value[flat]) & (x < theta[flat]))
+                value[flat[higher]], theta[flat[higher]] = v[higher], x[higher]
             done = counts <= 0
             if done.all():
                 ended.append((ids, value, theta, width, evals))
                 break
-            ids, a, b, re, im, scale, value, theta, evals = leave(done, width)
+            ids, a, b, scale, value, theta, evals = leave(done, width)
             counts = counts[~done]
         # each matrix's crossings cross[first:stop] and the intervals between
         # consecutive ones, its last wrapping around
@@ -612,8 +607,7 @@ def _level_set(raw: np.ndarray, scale: np.ndarray):
         ends[stop - 1] = cross[first] + _TWO_PI
         mids = (0.5 * (cross + ends)) % _TWO_PI
         seg = np.arange(ids.size).repeat(counts)
-        at, re_k, im_k = mids[:, None, None], re.take(seg, axis=0), im.take(seg, axis=0)
-        vals = np.linalg.eigvalsh(np.cos(at) * re_k - np.sin(at) * im_k)[:, -1]
+        vals = F(ids[seg], mids)
         evals += counts
         best = np.lexsort((mids, -vals, seg))[first]
         top, mid = vals[best], mids[best]
@@ -633,7 +627,7 @@ def _level_set(raw: np.ndarray, scale: np.ndarray):
             if final or done.all():
                 ended.append((ids, value, theta, width, evals))
                 break
-            ids, a, b, re, im, scale, value, theta, evals = leave(done, width)
+            ids, a, b, scale, value, theta, evals = leave(done, width)
     return ended
 
 
@@ -643,11 +637,12 @@ def numerical_radius_many(stack) -> list[RadiusResult]:
 
     The seeds and the level steps run for the matrices of a chunk in
     lockstep: one batched eigvalsh of the seeds, then per level one batched
-    solve, eigvals and eigvalsh, a matrix leaving as its search ends.  A
-    matrix whose pencil is too close to singular finishes on the grid by
-    itself.  A chunk holds at most _PENCIL_ENTRIES pencil entries, so the
-    working set does not grow with the stack.  Every result is bitwise the
-    one `numerical_radius` gives for that matrix alone.
+    solve, eigvals and eigvalsh, a matrix leaving as its search ends.  The
+    matrices whose pencils are too close to singular at a level finish on
+    the grid together, in one `maximize_on_circle_many`.  A chunk holds at
+    most _PENCIL_ENTRIES pencil entries, so the working set does not grow
+    with the stack.  Every result is bitwise the one `numerical_radius`
+    gives for that matrix alone.
     """
     m, n = stack.shape[:2]
     results = [_ZERO_RADIUS] * m
@@ -702,7 +697,7 @@ def numerical_radius(T) -> RadiusResult:
     lambda_max was evaluated (one pencil eigensolve per level is extra).
     This is the one-matrix case of `numerical_radius_many`.
     """
-    return numerical_radius_many(as_matrix(T, square=True)[None])[0]
+    return numerical_radius_many(np.asarray(T, dtype=np.complex128)[None])[0]
 
 
 def numerical_radius_oracle(T, grid: int = 200000) -> float:
@@ -726,7 +721,7 @@ def alphabeta_radius(T, norm) -> float:
     """sup of N(alpha Re(T) + beta Im(T)) over the real unit circle
     (alpha, beta) = (cos t, sin t), which is the angle objective at -t;
     equals w_N(T)."""
-    F = rotated_objective(T, norm.evaluate, norm.evaluate_many)
+    F = rotated_objective(T, norm.evaluate_many)
     _, v, _, _ = maximize_on_circle(lambda t: F(-t), norm.even)
     return float(v)
 
@@ -1137,7 +1132,7 @@ def omega_norm(T, **opts) -> OmegaResult:
     counts the grid nodes evaluated (the row s = 0 once) plus eigensolves.
     This is the one-matrix case of `omega_norm_many`.
     """
-    return omega_norm_many(as_matrix(T, square=True)[None], **opts)[0]
+    return omega_norm_many(np.asarray(T, dtype=np.complex128)[None], **opts)[0]
 
 
 # Reduced (but still refined) settings for the slow w_Omega path: the
@@ -1162,7 +1157,7 @@ def omega_radius_slow(T) -> RadiusResult:
     with the Omega norm itself as N, at the SLOW_OMEGA_* settings.
     Cross-validates omega_radius.  This is the one-matrix case of
     `omega_radius_slow_many`."""
-    return omega_radius_slow_many(as_matrix(T, square=True)[None])[0]
+    return omega_radius_slow_many(np.asarray(T, dtype=np.complex128)[None])[0]
 
 
 @memo_per_matrix

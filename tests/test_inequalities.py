@@ -133,6 +133,18 @@ class TestProductFamily:
             for spec in (OP, S2):
                 assert iq.check_norm_chain(t, s, spec).holds
 
+    @pytest.mark.parametrize("check", [
+        lambda t, s: iq.check_norm_chain(t, s, OP),
+        lambda t, s: iq.check_commutator(t, s, OP),
+        lambda t, s: iq.check_unitary_commutator(t, s, OP),
+        lambda t, s: iq.check_product(t, s, OP),
+        lambda t, s: iq.check_commuting_product(t, s, OP),
+        iq.check_hs_pair,
+    ])
+    def test_pairs_of_different_shapes_are_refused(self, check):
+        with pytest.raises(ValueError, match="same shape"):
+            check(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
     def test_commutator_identity_t(self):
         s = generate(EnsembleSpec("ginibre", 3, 7))
         rep = iq.check_commutator(I2 if s.shape[0] == 2 else np.eye(3, dtype=complex), s, OP)

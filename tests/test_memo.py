@@ -31,6 +31,11 @@ def _entries(memo, fn):
     return [key for key in memo if key[0] is fn.__wrapped__]
 
 
+def _batched(evaluate):
+    # the evaluate_many of a scalar evaluator: one call per matrix
+    return lambda stack: np.array([evaluate(a) for a in stack])
+
+
 def _count_searches(monkeypatch, record):
     """Rebind radius._circle_radii to the same memoized search, around a spy
     that calls record(arrs, norm) for every raw grid search (memo hits
@@ -157,8 +162,8 @@ def test_a_raising_call_is_not_remembered():
             raise RuntimeError("first call fails")
         return float(np.linalg.norm(a, 2))
 
-    norm = NormSpec(id="flaky", evaluate=flaky, self_adjoint=True, algebra=True,
-                    weakly_unitarily_invariant=True)
+    norm = NormSpec(id="flaky", evaluate=flaky, evaluate_many=_batched(flaky),
+                    self_adjoint=True, algebra=True, weakly_unitarily_invariant=True)
     a = generate(EnsembleSpec("ginibre", 2, 60))
     with radius.result_memo():
         with pytest.raises(RuntimeError):
@@ -216,8 +221,8 @@ def test_an_unhashable_norm_runs_unremembered():
         def __call__(self, a):
             return self.factor * float(np.linalg.norm(a, 2))
 
-    norm = NormSpec(id="scaled", evaluate=Scaled(2.0), self_adjoint=True,
-                    algebra=True, weakly_unitarily_invariant=True)
+    norm = NormSpec(id="scaled", evaluate=Scaled(2.0), evaluate_many=_batched(Scaled(2.0)),
+                    self_adjoint=True, algebra=True, weakly_unitarily_invariant=True)
     a = generate(EnsembleSpec("ginibre", 2, 100))
     alone = radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3)
     with radius.result_memo():
@@ -315,8 +320,9 @@ def test_stacked_work_fills_only_what_the_cells_read(monkeypatch):
         def __call__(self, a):
             return self.factor * float(np.linalg.norm(a, 2))
 
-    norm = NormSpec(id="scaled", evaluate=Scaled(2.0), self_adjoint=True, algebra=True,
-                    weakly_unitarily_invariant=True, even=True)
+    norm = NormSpec(id="scaled", evaluate=Scaled(2.0), evaluate_many=_batched(Scaled(2.0)),
+                    self_adjoint=True, algebra=True, weakly_unitarily_invariant=True,
+                    even=True)
     rep = inequalities.run_suite([EnsembleSpec("ginibre", 2, 140)], checks=["inf-upper"],
                                  trials=1, norm=norm)
     assert [r.status for r in rep.records] == ["ok"] and searched == [1]

@@ -82,12 +82,10 @@ class TestRotatedObjective:
     def test_one_angle_and_grid_match_explicit_operands(self, spec):
         a = generate(EnsembleSpec("ginibre", 4, 41))
         re, im = matcore.re_part(a), matcore.im_part(a)
-        F = radius.rotated_objective(a, spec.evaluate, spec.evaluate_many)
-        scalar_F = radius.rotated_objective(a, spec.evaluate)
+        F = radius.rotated_objective(a, spec.evaluate_many)
         for t in (0.0, 0.3, 2.5, 5.9):
             operand = math.cos(t) * re - math.sin(t) * im
             assert F(np.array([t]))[0] == spec.evaluate_many(operand[None])[0]
-            assert scalar_F(np.array([t]))[0] == spec.evaluate(operand)
         c, s = np.cos(self.ANGLES), np.sin(self.ANGLES)
         stack = c[:, None, None] * re - s[:, None, None] * im
         np.testing.assert_array_equal(F(self.ANGLES), spec.evaluate_many(stack))
@@ -95,7 +93,7 @@ class TestRotatedObjective:
     def test_imaginary_part_coefficients(self):
         # Im(exp(i phi) T) = Re(exp(i (phi - pi/2)) T)
         a = generate(EnsembleSpec("ginibre", 4, 42))
-        re_F = radius.rotated_objective(a, _top_eigenvalue, _top_eigenvalue)
+        re_F = radius.rotated_objective(a, _top_eigenvalue)
 
         def F(angles):
             return re_F(angles - math.pi / 2)
@@ -422,7 +420,7 @@ class TestLockstepBrackets:
     @pytest.mark.parametrize("kind", ["ginibre", "normal", "square_zero"])
     def test_matches_scalar_golden_section(self, spec, kind):
         a = generate(EnsembleSpec(kind, 4, 1300))
-        F = radius.rotated_objective(a, spec.evaluate, spec.evaluate_many)
+        F = radius.rotated_objective(a, spec.evaluate_many)
         for points, tol, brackets in ((720, 1e-10, 5), (96, 1e-6, 3), (16, 1e-3, 8),
                                       (8, 10.0, 2)):
             lockstep = radius.maximize_on_circle(F, True, 2 * points, tol, brackets)
@@ -465,7 +463,7 @@ class TestLockstepBrackets:
         s1 = schatten_norm_spec(1)
         objectives = [
             lambda t: np.cos(4.0 * t),                      # four tied peaks
-            radius.rotated_objective(a, s1.evaluate, s1.evaluate_many),
+            radius.rotated_objective(a, s1.evaluate_many),
             lambda t: np.zeros_like(t),                     # ties everywhere
             lambda t: -np.cos(3.0 * t) + 0.1 * np.sin(t),
         ]
@@ -517,6 +515,41 @@ class TestStackedRadii:
         many = radius.omega_radius_slow_many(stack)
         assert repr(many) == repr([omega_radius_slow(t) for t in stack])
         assert many[-1].value == 0.0
+
+    def test_op_radii_run_one_engine_call_per_chunk(self, monkeypatch):
+        calls = []
+        engine = radius._level_set
+
+        def spy(raw, scale):
+            calls.append(raw.shape[0])
+            return engine(raw, scale)
+
+        monkeypatch.setattr(radius, "_level_set", spy)
+        small = _stack_with_degenerate(4, 1350)
+        # 32 matrices of n = 8 fill a chunk of _PENCIL_ENTRIES pencil entries
+        large = np.stack([generate(EnsembleSpec("ginibre", 8, 1360 + k)) for k in range(33)])
+        for stack, chunks in ((small, [4]), (large, [32, 1])):
+            calls.clear()
+            many = radius.generalized_radius_many(stack, OP)
+            assert calls == chunks
+            assert repr(many) == repr([numerical_radius(t) for t in stack])
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.ones(3), matcore.MatrixShapeError),
+        (np.ones((1, 2, 2)), matcore.MatrixShapeError),
+        (np.ones((2, 3)), matcore.MatrixShapeError),
+        (np.zeros((0, 0)), matcore.MatrixShapeError),
+        (np.full((2, 2), np.nan), matcore.NonFiniteEntry),
+    ])
+    def test_one_matrix_functions_check_their_input(self, bad, error):
+        one_matrix = [numerical_radius, omega_norm, omega_radius_slow, omega_radius,
+                      hs_radius_sq, lambda t: generalized_radius(t, OP),
+                      lambda t: generalized_radius(t, FRO),
+                      lambda t: alphabeta_radius(t, FRO),
+                      lambda t: radius.rotated_objective(t, FRO.evaluate_many)]
+        for fn in one_matrix:
+            with pytest.raises(error):
+                fn(bad)
 
     def test_stack_shapes(self):
         assert radius.generalized_radius_many(np.zeros((0, 2, 2)), FRO) == []
