@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import adjoint, frobenius_norm, singular_values, spectral_norm, spectral_norm_many
+from .matcore import (adjoint, binary_scaled, binary_unscaled, frobenius_norm, singular_values,
+                      spectral_norm, spectral_norm_many)
 from .ensembles import EnsembleSpec, generate
 from .radius import (RadiusResult, numerical_radius, numerical_radius_many, omega_norm,
                      omega_norm_many)
@@ -92,8 +93,9 @@ def schatten_norm_spec(p: float) -> NormSpec:
             return frobenius_norm(a)
 
         def evaluate_many(stack):
-            arr = np.asarray(stack, dtype=np.complex128)
-            return np.sqrt(np.sum(np.abs(arr) ** 2, axis=(-2, -1)))
+            # on the binary-scaled stack, as frobenius_norm: no square overflows
+            arr, exponent = binary_scaled(stack)
+            return binary_unscaled(np.sqrt(np.sum(np.abs(arr) ** 2, axis=(-2, -1))), exponent)
     else:
         def evaluate(a) -> float:
             sv = singular_values(a)

@@ -70,15 +70,18 @@ Hermitian matrices of T.  A coarse (s, psi) grid picks candidate cells, and
 a safeguarded Newton ascent on the sphere refines them: one eigh gives
 lambda_max, its gradient and its Hessian (eigenvalue perturbation), and a
 cell typically converges in two to seven eigensolves.  The grid is searched
-coarse to fine: lambda_max is L-Lipschitz in u, L = lambda_max(D^2 + X^2 +
-Y^2)^(1/2), so a node whose bound from the coarser nodes around it falls
-below best - L rho (rho the grid's covering radius on the sphere) cannot
-hold the maximum and is never evaluated.  Every evaluated node is bitwise
-the full grid's, and the candidates are the full grid's local maxima above
-best - L rho.  `omega_norm_many` runs
-grid, candidates and Newton for a whole stack of matrices at once; it is the
-`evaluate_many` of the Omega norm, so a radius with Omega as N solves each
-grid or golden-section step's operands together.
+coarse to fine.  lambda_max(S + c.K) is convex in c on all of R^3 (the top
+eigenvalue of an affine Hermitian family) and L-Lipschitz, L =
+lambda_max(D^2 + X^2 + Y^2)^(1/2); so a node is bounded by the chord
+between the coarser nodes around it plus L times its distance from the
+chord, and where that bound falls below best - L rho (rho the grid's
+covering radius on the sphere) the node cannot hold the maximum and is
+never evaluated.  Every evaluated node is bitwise the full grid's, and the
+candidates are the full grid's local maxima above best - L rho.
+`omega_norm_many` runs grid, candidates and Newton for a whole stack of
+matrices at once; it is the `evaluate_many` of the Omega norm, so a radius
+with Omega as N solves each grid or golden-section step's operands
+together.
 
 Inside a `result_memo` block (`cli.cmd_compute` runs as one, and
 `inequalities.run_suite` as one per trial) the stack searches
@@ -782,9 +785,11 @@ def _omega_lattice(grid_s: int, grid_psi: int):
     sphere, node 0.  Returns (weights, levels, rho): the `_sphere_weights` of
     every node, shape (rows * grid_psi, 4); per lattice, coarsest first, the
     nodes it adds and, except for the first, their enclosing corners in the
-    lattice before it (node indices, shape (q, 4)) and the distances in u to
-    them; and rho = hypot(ds, dpsi / 2), an upper bound on the distance in u
-    from any point of the sphere to the nearest node of the full grid.  A
+    lattice before it (node indices, shape (q, 4)), the node's bilinear
+    weights a between them in (s, psi) (shape (q, 4), non-negative, summing
+    to 1, psi wrapping to 2 pi) and the residual |u - sum_c a_c u_c| (shape
+    (q,)); and rho = hypot(ds, dpsi / 2), an upper bound on the distance in
+    u from any point of the sphere to the nearest node of the full grid.  A
     lattice of stride h holds the rows that are multiples of h, the last
     evaluated row and the columns that are multiples of h; the last lattice
     is the whole half grid.
@@ -806,7 +811,7 @@ def _omega_lattice(grid_s: int, grid_psi: int):
         if not levels:
             new[0] = False
             nodes = np.concatenate(([0], np.flatnonzero(new)))
-            levels.append((nodes, None, None))
+            levels.append((nodes, None, None, None))
         else:
             ii, jj = np.nonzero(new)
             r0 = prev_r[np.searchsorted(prev_r, ii, side="right") - 1]
@@ -815,9 +820,13 @@ def _omega_lattice(grid_s: int, grid_psi: int):
             c1 = np.append(prev_c, 0)[np.searchsorted(prev_c, jj)]
             corners = np.stack([np.where(r == 0, 0, r * grid_psi + c)
                                 for r in (r0, r1) for c in (c0, c1)], axis=1)
+            # bilinear weights in (s, psi), the wrapped column c1 = 0 at 2 pi
+            ts = (ii - r0) / np.maximum(r1 - r0, 1)
+            tp = (jj - c0) / np.maximum((c1 - c0) % grid_psi, 1)
+            a = np.stack(((1 - ts) * (1 - tp), (1 - ts) * tp, ts * (1 - tp), ts * tp), axis=1)
             nodes = ii * grid_psi + jj
-            dist = np.linalg.norm(u[nodes, None] - u[corners], axis=2)
-            levels.append((nodes, corners, dist))
+            resid = np.linalg.norm(u[nodes] - np.einsum("qc,qck->qk", a, u[corners]), axis=1)
+            levels.append((nodes, corners, a, resid))
         known[np.ix_(lat_r, lat_c)] = True
         known[0] = True
         prev_r, prev_c = lat_r, lat_c
@@ -864,12 +873,14 @@ def _omega_grid(basis: np.ndarray, grid_s: int, grid_psi: int):
 
     Only the rows s <= pi/4 are searched: the matrices at (s, psi) and
     (pi/2 - s, psi) are adjoints of each other up to a unit phase.  They are
-    searched coarse to fine over the lattices of `_omega_lattice`.  By
-    Weyl's inequality lambda_max(G(u')) <= lambda_max(G(u)) + L |u' - u|,
-    with L = lambda_max(D^2 + X^2 + Y^2)^(1/2).  So a node of a finer
-    lattice is bounded by the least over its enclosing corners of the
-    corner's value (or bound, where the corner was skipped) plus L times the
-    distance, and it is evaluated only where that bound reaches
+    searched coarse to fine over the lattices of `_omega_lattice`.  G is
+    affine in u, so lambda_max(G) is convex on all of R^3, and by Weyl's
+    inequality and Cauchy-Schwarz lambda_max(G(u)) <= lambda_max(G(c)) +
+    L |u - c| for any c, with L = lambda_max(D^2 + X^2 + Y^2)^(1/2).  So a
+    node u of a finer lattice, with bilinear weights a between its enclosing
+    corners u_c, is bounded by the chord sum_c a_c lambda_max(G(u_c)) plus
+    L |u - sum_c a_c u_c| (a skipped corner's bound standing in for its
+    value), and it is evaluated only where that bound reaches
     best - L rho (less the rounding margin _PRUNE_SLACK best), best being
     the highest node evaluated so far.  Every point of the sphere lies
     within rho of a node, so a point above the best node has a node above
@@ -889,11 +900,11 @@ def _omega_grid(basis: np.ndarray, grid_s: int, grid_psi: int):
     bound = np.full((m, weights.shape[0]), -np.inf)
     done = np.zeros(bound.shape, dtype=bool)
     best = np.full(m, -np.inf)
-    for nodes, corners, dist in levels:
+    for nodes, corners, a, resid in levels:
         if corners is None:
             est = np.full((m, nodes.size), np.inf)
         else:
-            est = (bound[:, corners] + lip[:, None, None] * dist).min(axis=2)
+            est = np.einsum("qc,mqc->mq", a, bound[:, corners]) + lip[:, None] * resid
         need = est >= ((1.0 - _PRUNE_SLACK) * best - lip * rho)[:, None]
         tops = _node_tops(weights[nodes], basis, need)
         bound[:, nodes] = np.where(need, tops, est)
@@ -1104,12 +1115,13 @@ def omega_norm(T, **opts) -> OmegaResult:
     grid over [0, pi/2] x [0, 2 pi) (by default OMEGA_GRID_S x
     OMEGA_GRID_PSI; only its rows s <= pi/4 are searched, the rest mirrored)
     gives the candidates.  It is searched coarse to fine (`_omega_grid`):
-    a node is evaluated only where its Lipschitz bound from the coarser
-    nodes around it reaches best - L rho, best being the highest node
-    evaluated so far, L the Lipschitz constant of lambda_max in u and rho
-    the grid's covering radius; no skipped node, and no point of the sphere
-    near one, can beat the best node.  The candidates are the `top_cells`
-    best distinct grid local maxima whose lambda_max is at least
+    a node is evaluated only where its chord bound from the coarser nodes
+    around it (convexity of lambda_max in u, plus L times the node's
+    distance from the chord) reaches best - L rho, best being the highest
+    node evaluated so far, L the Lipschitz constant of lambda_max in u and
+    rho the grid's covering radius; no skipped node, and no point of the
+    sphere near one, can beat the best node.  The candidates are the
+    `top_cells` best distinct grid local maxima whose lambda_max is at least
     best - L rho, best grid value first, then smaller s, then smaller psi.
     Each is refined by a safeguarded Newton ascent on the sphere
     (`_newton_on_sphere`): one eigh of G(u) gives lambda_max, its gradient

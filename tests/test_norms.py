@@ -67,6 +67,18 @@ class TestSchattenSpec:
             np.testing.assert_allclose(spec.evaluate_many(stack),
                                        [spec.evaluate(m) for m in stack], atol=1e-10)
 
+    @pytest.mark.parametrize("e", [530, -560])
+    def test_frobenius_radius_scales_exactly(self, e):
+        # squares of entries near 2^530 overflow and near 2^-560 underflow;
+        # the batched norm, as the scalar one, squares the binary-scaled
+        # entries, so a power-of-two factor comes out exactly
+        fro = schatten_norm_spec(2)
+        t = generate(EnsembleSpec("ginibre", 4, 5))
+        one, scaled = generalized_radius(t, fro), generalized_radius(2.0 ** e * t, fro)
+        assert (scaled.value, scaled.argmax_theta) == (2.0 ** e * one.value, one.argmax_theta)
+        stack = 2.0 ** e * np.stack([t, matcore.adjoint(t), np.zeros((4, 4))])
+        assert fro.evaluate_many(stack).tolist() == [fro.evaluate(m) for m in stack]
+
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             schatten_norm_spec(0.5)

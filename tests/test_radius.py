@@ -975,6 +975,70 @@ class TestPrunedOmegaSearch:
             for opts in ({}, radius.SLOW_OMEGA_INNER):
                 assert omega_norm(t, **opts).value == _reference_omega_value(t, **opts)
 
+    @pytest.mark.parametrize("kind", OMEGA_KINDS)
+    def test_values_match_the_full_grid_search_at_larger_n(self, kind):
+        # where the chord bound skips the most nodes
+        for n in (16, 32):
+            t = generate(EnsembleSpec(kind, n, 1320 + n))
+            for opts in ({}, radius.SLOW_OMEGA_INNER):
+                assert omega_norm(t, **opts).value == _reference_omega_value(t, **opts)
+
+    @pytest.mark.parametrize("kind, most", [("hermitian", 120), ("normal", 120),
+                                            ("square_zero", 1200)])
+    def test_chord_bound_evaluates_few_nodes(self, kind, most):
+        # the first-order bound min over corners of (value + L distance)
+        # evaluated 248, 244 to 247 and 1,923 nodes on these draws
+        for seed in (1400, 1401, 1402):
+            assert omega_norm(generate(EnsembleSpec(kind, 8, seed))).evaluations <= most
+
+    @pytest.mark.parametrize("grid_s, grid_psi", GRIDS)
+    def test_lattice_weights_interpolate_the_corners(self, grid_s, grid_psi):
+        _, levels, _ = radius._omega_lattice(grid_s, grid_psi)
+        for nodes, corners, a, _ in levels[1:]:
+            assert (a >= 0).all()
+            np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=1e-15)
+            # (row, column) of each node is the weighted mean of its corners',
+            # the pole (node 0) at the node's column, columns unwrapped past
+            # the last one
+            ii, jj = np.divmod(nodes, grid_psi)
+            ci, cj = np.divmod(corners, grid_psi)
+            cj = np.where(corners == 0, jj[:, None], cj)
+            cj = np.where(cj < jj[:, None] - grid_psi // 2, cj + grid_psi, cj)
+            np.testing.assert_allclose((a * ci).sum(axis=1), ii, atol=1e-12)
+            np.testing.assert_allclose((a * cj).sum(axis=1), jj, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.complex128, st.integers(1, 6).map(lambda n: (n, n)),
+                      elements=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                                  allow_infinity=False)),
+           st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 2.0))
+    def test_chord_bound_holds(self, t, seed, spread):
+        # lambda_max(G(u)) <= sum_c a_c lambda_max(G(u_c)) + L |u - sum_c a_c u_c|
+        # for sphere points u, u_c and convex weights a: lambda_max(G) is
+        # convex on R^3, and L-Lipschitz by Weyl and Cauchy-Schwarz
+        basis = radius._omega_basis(t[None])[0]
+        k = basis[1:]
+        lip = math.sqrt(max(np.linalg.eigvalsh((k @ k).sum(axis=0))[-1], 0.0))
+        rng = np.random.default_rng(seed)
+
+        def unit(x):
+            return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+        def top(u):
+            w = np.concatenate((np.ones(u.shape[:-1] + (1,)), u), axis=-1)
+            return np.linalg.eigvalsh(radius._omega_gram(w, basis))[..., -1]
+
+        center = unit(rng.normal(size=(40, 1, 3)))
+        corners = unit(center + spread * rng.normal(size=(40, 4, 3)))
+        a = rng.dirichlet(np.ones(4), size=40) * (rng.random((40, 4)) > 0.2)
+        a[a.sum(axis=1) == 0, 0] = 1.0
+        a /= a.sum(axis=1, keepdims=True)
+        chord = np.einsum("qc,qck->qk", a, corners)
+        u = unit(chord + spread * rng.normal(size=(40, 3)) * rng.random((40, 1)))
+        bound = (a * top(corners)).sum(axis=1) + lip * np.linalg.norm(u - chord, axis=1)
+        scale = max(1.0, abs(basis[0]).sum())
+        assert (top(u) <= bound + 1e-12 * scale).all()
+
 
 def omega_vector_lower_bound(T, samples: int, seed: int) -> float:
     """Monte-Carlo lower bound for Omega(T): the best of
