@@ -124,8 +124,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_PROBES = 300
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
-# cap on complex entries held by one batched grid evaluation (~32 MB)
-_CHUNK_ENTRIES = 2_000_000
+# cap on complex entries held by one batched grid evaluation (2 MiB): a
+# chunk stays in cache, and the process's peak memory does not hinge on how
+# many operands or Omega nodes an input happens to need
+_CHUNK_ENTRIES = 131_072
 
 # The one-angle search: grid points over 2 pi (over pi for an even
 # objective, at the same resolution), golden-section width, brackets refined
@@ -388,6 +390,7 @@ def rotated_objective_many(stack, evaluate_many):
                 mine = owner[lo:hi]
                 operands = a[lo:hi] * re[mine] - b[lo:hi] * im[mine]
             out[lo:hi] = evaluate_many(operands)
+            del operands  # freed before the next chunk is built
         return out
 
     return F
@@ -841,11 +844,12 @@ def _node_tops(weights: np.ndarray, mats: np.ndarray, need: np.ndarray) -> np.nd
 
     Each chunk's Gram stack is one `_omega_gram` of the union of its
     matrices' needed nodes, from which the needed pairs are gathered for one
-    batched eigvalsh; the two hold at most _CHUNK_ENTRIES entries together.
-    A product of at least two rows takes the same gemm whatever the rows,
-    so each value is bitwise the one a full-grid product gives; a one-row
-    product would take numpy's gemv, which rounds differently, so a lone
-    node is doubled.
+    batched eigvalsh; the two hold at most _CHUNK_ENTRIES entries together,
+    and a chunk is freed before the next is built, so the working set does
+    not grow with the number of needed nodes.  A product of at least two
+    rows takes the same gemm whatever the rows, so each value is bitwise
+    the one a full-grid product gives; a one-row product would take numpy's
+    gemv, which rounds differently, so a lone node is doubled.
     """
     m, q = need.shape
     n = mats.shape[-1]
@@ -863,6 +867,7 @@ def _node_tops(weights: np.ndarray, mats: np.ndarray, need: np.ndarray) -> np.nd
             tops = np.full(sub.shape, -np.inf)
             tops[sub] = np.linalg.eigvalsh(picked)[:, -1]
             out[g:g + group, c] = tops
+            del gram, picked  # freed before the next chunk is built
     return out
 
 

@@ -768,6 +768,23 @@ class TestOmegaGramGrid:
         res = omega_norm(np.zeros((2, 2)), grid_s=grid_s, grid_psi=24, top_cells=1)
         assert res.evaluations == (rows - 1) * 24 + 1 + 2
 
+    def test_node_tops_hold_one_chunk(self):
+        # 8,192 needed nodes at n = 8 fill eight chunks; one chunk's Gram
+        # stack is 8 * _CHUNK_ENTRIES bytes, and two alive at once would
+        # take the peak past 16 * _CHUNK_ENTRIES
+        n, q = 8, 8192
+        basis = radius._omega_basis(generate(EnsembleSpec("ginibre", n, 1500))[None])
+        weights = radius._sphere_weights(np.linspace(0.0, math.pi / 4, q), np.arange(q) * 0.1)
+        need = np.ones((1, q), dtype=bool)
+        assert q * n * n >= 4 * radius._CHUNK_ENTRIES
+        tracemalloc.start()
+        try:
+            radius._node_tops(weights, basis, need)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * radius._CHUNK_ENTRIES
+
 
 def _attained(t, res):
     """res.value equals the SVD norm of cos(s) T + exp(i psi) sin(s) T* at
