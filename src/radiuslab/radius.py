@@ -74,10 +74,12 @@ coarse to fine.  lambda_max(S + c.K) is convex in c on all of R^3 (the top
 eigenvalue of an affine Hermitian family) and L-Lipschitz, L =
 lambda_max(D^2 + X^2 + Y^2)^(1/2); so a node is bounded by the chord
 between the coarser nodes around it plus L times its distance from the
-chord, and where that bound falls below best - L rho (rho the grid's
-covering radius on the sphere) the node cannot hold the maximum and is
+chord.  Every point of the sphere lies within rho (the grid's chordal
+covering radius) of a node, so it lies within rho^2 / 2 of the hull of the
+nodes, and by convexity no point exceeds the best node by more than
+L rho^2 / 2; where a node's bound falls below best - L rho^2 / 2 it is
 never evaluated.  Every evaluated node is bitwise the full grid's, and the
-candidates are the full grid's local maxima above best - L rho.
+candidates are the full grid's local maxima above best - L rho^2 / 2.
 `omega_norm_many` runs grid, candidates and Newton for a whole stack of
 matrices at once; it is the `evaluate_many` of the Omega norm, so a radius
 with Omega as N solves each grid or golden-section step's operands
@@ -773,9 +775,9 @@ def _omega_gram(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # Strides of the nested lattices of the Omega half grid, coarsest first;
 # strides not below the number of evaluated rows are left out
 _OMEGA_STRIDES = (16, 8, 4, 2, 1)
-# A node is evaluated where its bound reaches best - L rho less this times
-# best, the rounding of the grid's eigvalsh, so that every skipped node lies
-# below best - L rho on the full grid as well
+# A node is evaluated where its bound reaches best - L rho^2 / 2 less this
+# times best, the rounding of the grid's eigvalsh, so that every skipped node
+# lies below best - L rho^2 / 2 on the full grid as well
 _PRUNE_SLACK = 1e-12
 
 
@@ -791,8 +793,11 @@ def _omega_lattice(grid_s: int, grid_psi: int):
     lattice before it (node indices, shape (q, 4)), the node's bilinear
     weights a between them in (s, psi) (shape (q, 4), non-negative, summing
     to 1, psi wrapping to 2 pi) and the residual |u - sum_c a_c u_c| (shape
-    (q,)); and rho = hypot(ds, dpsi / 2), an upper bound on the distance in
-    u from any point of the sphere to the nearest node of the full grid.  A
+    (q,)); and rho = hypot(ds, dpsi / 2), the chordal covering radius of
+    the full grid: every point of the sphere lies within rho in u of a node.
+    In polar angle theta = 2s and azimuth psi a nearest node is within
+    dtheta = ds and dpsi / 2, and |p - q|^2 = 4 sin^2(dtheta / 2) +
+    4 sin(theta) sin(theta') sin^2(dpsi / 2) <= dtheta^2 + dpsi^2.  A
     lattice of stride h holds the rows that are multiples of h, the last
     evaluated row and the columns that are multiples of h; the last lattice
     is the whole half grid.
@@ -886,21 +891,28 @@ def _omega_grid(basis: np.ndarray, grid_s: int, grid_psi: int):
     corners u_c, is bounded by the chord sum_c a_c lambda_max(G(u_c)) plus
     L |u - sum_c a_c u_c| (a skipped corner's bound standing in for its
     value), and it is evaluated only where that bound reaches
-    best - L rho (less the rounding margin _PRUNE_SLACK best), best being
-    the highest node evaluated so far.  Every point of the sphere lies
-    within rho of a node, so a point above the best node has a node above
-    best - L rho within rho, and that node is evaluated.  Each matrix keeps
-    its own bounds and best; the stack's needed nodes are evaluated
-    together (`_node_tops`).
+    best - L rho^2 / 2 (less the rounding margin _PRUNE_SLACK best), best
+    being the highest node evaluated so far.  Every point of the sphere
+    lies within rho of a node of the full grid (mirrored half included), so
+    each face of the nodes' convex hull, with unit normal nu and offset d,
+    has d >= nu . v >= 1 - rho^2 / 2 for the node v nearest to nu; the ray
+    to a sphere point p meets the hull at a convex combination c of nodes
+    with |p - c| <= rho^2 / 2, and lambda_max(G(p)) <= lambda_max(G(c)) +
+    L rho^2 / 2 <= (the best node) + L rho^2 / 2.  A skipped node lies below
+    that floor, and so cannot be the best node or above the floor.  Each
+    matrix keeps its own bounds and best; the stack's needed nodes are
+    evaluated together (`_node_tops`).
 
     Returns (tops of shape (m, rows, grid_psi), -inf at every skipped node
-    and row 0 filled with the one value at s = 0; floor = best - L rho, of
-    shape (m,); nodes evaluated per matrix, row 0 counting once).
+    and row 0 filled with the one value at s = 0; floor = best -
+    L rho^2 / 2, of shape (m,); nodes evaluated per matrix, row 0 counting
+    once).
     """
     weights, levels, rho = _omega_lattice(grid_s, grid_psi)
     m, n = basis.shape[0], basis.shape[-1]
     k = basis[:, 1:]
     lip = np.sqrt(np.maximum(np.linalg.eigvalsh((k @ k).sum(axis=1))[:, -1], 0.0))
+    margin = lip * rho**2 / 2
     # per node: its value where evaluated, else its bound
     bound = np.full((m, weights.shape[0]), -np.inf)
     done = np.zeros(bound.shape, dtype=bool)
@@ -910,14 +922,14 @@ def _omega_grid(basis: np.ndarray, grid_s: int, grid_psi: int):
             est = np.full((m, nodes.size), np.inf)
         else:
             est = np.einsum("qc,mqc->mq", a, bound[:, corners]) + lip[:, None] * resid
-        need = est >= ((1.0 - _PRUNE_SLACK) * best - lip * rho)[:, None]
+        need = est >= ((1.0 - _PRUNE_SLACK) * best - margin)[:, None]
         tops = _node_tops(weights[nodes], basis, need)
         bound[:, nodes] = np.where(need, tops, est)
         done[:, nodes] = need
         best = np.maximum(best, tops.max(axis=1, initial=-np.inf))
     half = np.where(done, bound, -np.inf).reshape(m, -1, grid_psi)
     half[:, 0] = half[:, 0, :1]
-    return half, best - lip * rho, done.sum(axis=1)
+    return half, best - margin, done.sum(axis=1)
 
 
 def _grid_candidates(half: np.ndarray, floor: np.ndarray, grid_s: int, top_cells: int):
@@ -925,13 +937,14 @@ def _grid_candidates(half: np.ndarray, floor: np.ndarray, grid_s: int, top_cells
     matrix whose lambda_max is at least its floor, best grid value
     ||.|| = sqrt(lambda_max) first, then smaller s, then smaller psi.
 
-    half (shape (m, rows, grid_psi)) and floor are `_omega_grid`'s.  A local
-    maximum is at least every cell of its 3 x 3 neighbourhood, psi wrapping
-    around and the row past the last evaluated one mirrored from row
-    grid_s - 1 - rows.  A node below the floor, skipped or not, is below
-    every such node and counts as -inf.  Row 0 (s = 0) is one point,
-    whatever psi: it counts once, as cell (0, 0), when it is at least all of
-    row 1.
+    half (shape (m, rows, grid_psi)) and floor (best - L rho^2 / 2, no
+    point of the sphere exceeding best by more than L rho^2 / 2) are
+    `_omega_grid`'s.  A local maximum is at least every cell of its 3 x 3
+    neighbourhood, psi wrapping around and the row past the last evaluated
+    one mirrored from row grid_s - 1 - rows.  A node below the floor,
+    skipped or not, is below every such node and counts as -inf.  Row 0
+    (s = 0) is one point, whatever psi: it counts once, as cell (0, 0), when
+    it is at least all of row 1.
     """
     rows = half.shape[1]
     above = half >= floor[:, None, None]
@@ -1122,12 +1135,14 @@ def omega_norm(T, **opts) -> OmegaResult:
     gives the candidates.  It is searched coarse to fine (`_omega_grid`):
     a node is evaluated only where its chord bound from the coarser nodes
     around it (convexity of lambda_max in u, plus L times the node's
-    distance from the chord) reaches best - L rho, best being the highest
-    node evaluated so far, L the Lipschitz constant of lambda_max in u and
-    rho the grid's covering radius; no skipped node, and no point of the
-    sphere near one, can beat the best node.  The candidates are the
-    `top_cells` best distinct grid local maxima whose lambda_max is at least
-    best - L rho, best grid value first, then smaller s, then smaller psi.
+    distance from the chord) reaches best - L rho^2 / 2, best being the
+    highest node evaluated so far, L the Lipschitz constant of lambda_max
+    in u and rho the grid's chordal covering radius; by convexity no point
+    of the sphere exceeds the best node by more than L rho^2 / 2, so
+    Omega(T)^2 <= best + L rho^2 / 2.  The candidates are the `top_cells`
+    best distinct grid local maxima whose lambda_max is at least
+    best - L rho^2 / 2, best grid value first, then smaller s, then
+    smaller psi.
     Each is refined by a safeguarded Newton ascent on the sphere
     (`_newton_on_sphere`): one eigh of G(u) gives lambda_max, its gradient
     and its Hessian; the Newton point is taken where the tangent Hessian is

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -958,11 +959,11 @@ class TestPrunedOmegaSearch:
 
     @pytest.mark.parametrize("k", range(len(PRUNING_DRAWS)))
     def test_lipschitz_constant_bounds_every_direction(self, k):
-        # L = (best - floor) / rho bounds ||c.K|| for unit c
+        # L = (best - floor) / (rho^2 / 2) bounds ||c.K|| for unit c
         t = PRUNING_DRAWS[k]
         basis = radius._omega_basis(t[None])
         tops, floor, _ = radius._omega_grid(basis, 13, 24)
-        lip = (tops.max() - floor[0]) / radius._omega_lattice(13, 24)[2]
+        lip = (tops.max() - floor[0]) / (radius._omega_lattice(13, 24)[2] ** 2 / 2)
         c = random_unit_vectors(1330 + k, 500, 3).real
         c /= np.linalg.norm(c, axis=1)[:, None]
         sizes = np.abs(np.linalg.eigvalsh(np.einsum("pi,ijk->pjk", c, basis[0, 1:])))
@@ -1000,11 +1001,15 @@ class TestPrunedOmegaSearch:
             for opts in ({}, radius.SLOW_OMEGA_INNER):
                 assert omega_norm(t, **opts).value == _reference_omega_value(t, **opts)
 
-    @pytest.mark.parametrize("kind, most", [("hermitian", 120), ("normal", 120),
-                                            ("square_zero", 1200)])
+    @pytest.mark.parametrize("kind, most", [("hermitian", 50), ("normal", 50),
+                                            ("square_zero", 210), ("ginibre", 70),
+                                            ("haar_unitary", 100)])
     def test_chord_bound_evaluates_few_nodes(self, kind, most):
         # the first-order bound min over corners of (value + L distance)
-        # evaluated 248, 244 to 247 and 1,923 nodes on these draws
+        # evaluated 248, 244 to 247 and 1,923 nodes on the first three
+        # families; the chord bound with the first-order floor best - L rho
+        # 110, 110 to 112, 1,191, 184 to 229 and 573 to 587; with the floor
+        # best - L rho^2 / 2, 40, 43 to 44, 195, 53 to 58 and 76 to 83
         for seed in (1400, 1401, 1402):
             assert omega_norm(generate(EnsembleSpec(kind, 8, seed))).evaluations <= most
 
@@ -1023,6 +1028,51 @@ class TestPrunedOmegaSearch:
             cj = np.where(cj < jj[:, None] - grid_psi // 2, cj + grid_psi, cj)
             np.testing.assert_allclose((a * ci).sum(axis=1), ii, atol=1e-12)
             np.testing.assert_allclose((a * cj).sum(axis=1), jj, atol=1e-12)
+
+    @staticmethod
+    def _assert_within_floor_margin(t, grid_s, grid_psi, seed):
+        # every point of the sphere is within rho of a node, so the nodes'
+        # hull holds the ball of radius 1 - rho^2 / 2 and each point p is
+        # within rho^2 / 2 of a convex combination of nodes: by convexity and
+        # the Lipschitz bound lambda_max(G(p)) <= best + L rho^2 / 2, best the
+        # best node of the whole grid, its mirrored rows included
+        basis = radius._omega_basis(t[None])[0]
+        k = basis[1:]
+        lip = math.sqrt(max(np.linalg.eigvalsh((k @ k).sum(axis=0))[-1], 0.0))
+        rho = radius._omega_lattice(grid_s, grid_psi)[2]
+        s_nodes = np.linspace(0.0, math.pi / 2, grid_s)
+        p_nodes = np.arange(grid_psi) * (2 * math.pi / grid_psi)
+        nodes = radius._sphere_weights(s_nodes[:, None], p_nodes[None, :]).reshape(-1, 4)
+        best = np.linalg.eigvalsh(radius._omega_gram(nodes, basis))[:, -1].max()
+        p = random_unit_vectors(seed, 4000, 3).real
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        w = np.concatenate((np.ones((p.shape[0], 1)), p), axis=1)
+        tops = np.linalg.eigvalsh(radius._omega_gram(w, basis))[:, -1]
+        omega = omega_norm(t, grid_s=grid_s, grid_psi=grid_psi).value
+        bound = best + lip * rho ** 2 / 2 + 1e-12 * max(1.0, abs(basis[0]).sum())
+        assert tops.max() <= bound
+        assert omega ** 2 <= bound
+
+    @pytest.mark.parametrize("grid_s, grid_psi", [(13, 24), (6, 8), (4, 4)])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.complex128, st.integers(1, 6).map(lambda n: (n, n)),
+                      elements=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                                  allow_infinity=False)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_no_point_beats_the_best_node_by_more_than_the_floor_margin(
+            self, grid_s, grid_psi, t, seed):
+        self._assert_within_floor_margin(t, grid_s, grid_psi, seed)
+
+    @pytest.mark.parametrize("grid_s, grid_psi", [(13, 24), (6, 8), (4, 4)])
+    def test_floor_margin_holds_where_it_is_nearly_tight(self, grid_s, grid_psi):
+        # for a unit scalar exp(i alpha), lambda_max(G(u)) = 1 + u . d with d
+        # = (0, cos 2 alpha, sin 2 alpha) and L = 1, so Omega^2 = 2 exceeds
+        # the best node by 1 - cos of the angle from d to its nearest node:
+        # up to 0.96 of the margin L rho^2 / 2 on the 6 x 8 grid and 0.87 on
+        # the 4 x 4 one, so a margin cut by 5% fails here
+        for a in range(64):
+            t = np.array([[cmath.exp(1j * math.pi * a / 64)]])
+            self._assert_within_floor_margin(t, grid_s, grid_psi, 1340 + a)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(hnp.arrays(np.complex128, st.integers(1, 6).map(lambda n: (n, n)),
