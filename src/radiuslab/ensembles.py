@@ -204,6 +204,19 @@ def _anticommuting_pair(stream: Stream, n: int, scale: float):
     return np.kron(_SIGMA_X, a), np.kron(_SIGMA_Z, b)
 
 
+# each kind's draw from a stream, a dimension and a scale
+_DRAWS = {
+    "ginibre": _ginibre,
+    "hermitian": _hermitian,
+    "haar_unitary": lambda stream, n, scale: _haar_unitary(stream, n),
+    "normal": _normal,
+    "square_zero": _square_zero,
+    "hermitian_contraction": lambda stream, n, scale: _hermitian_contraction(stream, n),
+    "commuting_hermitian_pair": _commuting_pair,
+    "anticommuting_hermitian_pair": _anticommuting_pair,
+}
+
+
 def generate(spec: EnsembleSpec):
     """Draw the matrix (or pair, for the *_pair kinds) described by `spec`.
 
@@ -224,25 +237,7 @@ def generate(spec: EnsembleSpec):
     * anticommuting_hermitian_pair: a commuting pair of dimension n/2,
       lifted through sigma_x (x) A and sigma_z (x) B.
     """
-    stream = Stream(spec.seed)
-    n, scale = spec.dim, spec.scale
-    if spec.kind == "ginibre":
-        return _ginibre(stream, n, scale)
-    if spec.kind == "hermitian":
-        return _hermitian(stream, n, scale)
-    if spec.kind == "haar_unitary":
-        return _haar_unitary(stream, n)
-    if spec.kind == "normal":
-        return _normal(stream, n, scale)
-    if spec.kind == "square_zero":
-        return _square_zero(stream, n, scale)
-    if spec.kind == "hermitian_contraction":
-        return _hermitian_contraction(stream, n)
-    if spec.kind == "commuting_hermitian_pair":
-        return _commuting_pair(stream, n, scale)
-    if spec.kind == "anticommuting_hermitian_pair":
-        return _anticommuting_pair(stream, n, scale)
-    raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+    return _DRAWS[spec.kind](Stream(spec.seed), spec.dim, spec.scale)
 
 
 def generate_pair(spec: EnsembleSpec):
@@ -253,17 +248,8 @@ def generate_pair(spec: EnsembleSpec):
     """
     if spec.kind in PAIR_KINDS:
         return generate(spec)
-    stream = Stream(spec.seed)
-    n, scale = spec.dim, spec.scale
-    maker = {
-        "ginibre": lambda: _ginibre(stream, n, scale),
-        "hermitian": lambda: _hermitian(stream, n, scale),
-        "haar_unitary": lambda: _haar_unitary(stream, n),
-        "normal": lambda: _normal(stream, n, scale),
-        "square_zero": lambda: _square_zero(stream, n, scale),
-        "hermitian_contraction": lambda: _hermitian_contraction(stream, n),
-    }[spec.kind]
-    return maker(), maker()
+    stream, draw = Stream(spec.seed), _DRAWS[spec.kind]
+    return draw(stream, spec.dim, spec.scale), draw(stream, spec.dim, spec.scale)
 
 
 def parse_ensemble_id(text: str) -> tuple[str, int]:

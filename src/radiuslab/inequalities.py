@@ -19,8 +19,10 @@ budgets uniform across the package.  The inf of `inf-upper` and the sup of
 `radius.rotated_objective_many`: each grid or lockstep golden-section call
 evaluates N(Re(e^{i phi}T)) and N(Im(e^{i phi}T)) together, on the joined
 angles phi and phi - pi/2, through `norm.evaluate_many`.  Like the radius
-searches it keeps its result per matrix in the open result memo
-(`radius.memo_per_matrix`), and a check reads it for its one matrix.
+searches it runs on the binary-scaled stack, so its objectives have degree
+1 in T (`lower-bound` squares the sup of a root), and it keeps its result
+per matrix in the open result memo (`radius.memo_per_matrix`); a check
+reads it for its one matrix.
 
 `run_suite` stacks each trial's slowest searches.  A check may declare a
 `stacked` function; before a trial's cells run, it is called once per norm
@@ -44,6 +46,8 @@ import numpy as np
 from .matcore import (
     adjoint,
     as_matrix,
+    binary_scaled,
+    binary_unscaled,
     cayley_unitary,
     frobenius_norm,
     hermitian_defect,
@@ -210,28 +214,33 @@ def _negated_quadrature(re_n, im_n):
 
 
 def _square_difference(re_n, im_n):
-    """|N^2(Re) - N^2(Im)|, the refinement term of the algebra lower bound."""
-    return np.abs(re_n ** 2 - im_n ** 2)
+    """sqrt|N^2(Re) - N^2(Im)|, the root of the refinement term of the
+    algebra lower bound, of degree 1 in T as `_phase_sups` requires."""
+    return np.sqrt(np.abs(re_n ** 2 - im_n ** 2))
 
 
 @memo_per_matrix
 def _phase_sups(stack, norm: NormSpec, pair) -> list:
     """(argmax phi in [0, 2 pi), value) of the maximum over phi of
-    pair(N(Re(e^{i phi} T)), N(Im(e^{i phi} T))) for each T of a stack.
+    pair(N(Re(e^{i phi} T)), N(Im(e^{i phi} T))) for each T of a stack,
+    pair being positively homogeneous of degree 1 (the stack is searched
+    binary-scaled, and the values scaled back).
 
     One `maximize_on_circle_many` searches every matrix in lockstep, and
     each of its calls evaluates N once, through `rotated_objective_many`, on
     the joined angles phi and phi - pi/2, since
     Im(e^{i phi} T) = Re(e^{i (phi - pi/2)} T).
     """
-    F = rotated_objective_many(stack, norm.evaluate_many)
+    scaled, exponent = binary_scaled(stack)
+    F = rotated_objective_many(scaled, norm.evaluate_many)
 
     def objective(owner, phis):
         both = F(np.concatenate((owner, owner)), np.concatenate((phis, phis - math.pi / 2)))
         return pair(both[:phis.size], both[phis.size:])
 
     found = maximize_on_circle_many(objective, stack.shape[0], norm.even)
-    return [(x % _TWO_PI, v) for x, v, _, _ in found]
+    values = binary_unscaled(np.array([v for _, v, _, _ in found]), exponent).tolist()
+    return [(x % _TWO_PI, v) for (x, _, _, _), v in zip(found, values)]
 
 
 def check_inf_upper(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -262,7 +271,8 @@ def check_lower_bound(T, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequal
         raise RequiresAlgebraNorm(f"norm {norm.id!r} does not declare the algebra flag")
     arr = as_matrix(T, square=True)
     w_n = generalized_radius(arr, norm).value
-    phi, sup_v = _phase_sups(arr[None], norm, _square_difference)[0]
+    phi, root = _phase_sups(arr[None], norm, _square_difference)[0]
+    sup_v = root ** 2
     quarter = norm.evaluate(arr @ adjoint(arr) + adjoint(arr) @ arr) / 4.0
     lhs = quarter + 0.5 * sup_v
     rhs = w_n ** 2
@@ -288,14 +298,19 @@ def _require_flags(norm: NormSpec, *, self_adjoint=False, algebra=False,
         raise RequiresFlags(f"norm {norm.id!r} lacks: {', '.join(missing)}")
 
 
+def _pair(T, S):
+    """T and S as finite square complex128 matrices of the same shape."""
+    t, s = as_matrix(T, square=True), as_matrix(S, square=True)
+    if t.shape != s.shape:
+        raise ValueError("T and S must have the same shape")
+    return t, s
+
+
 def check_norm_chain(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """For a self-adjoint algebra norm, the four-link product chain
     w_N(TS) <= N(TS) <= N(T) N(S) <= 2 N(T) w_N(S) <= 4 w_N(T) w_N(S)."""
     _require_flags(norm, self_adjoint=True, algebra=True)
-    t = as_matrix(T, square=True)
-    s = as_matrix(S, square=True)
-    if t.shape != s.shape:
-        raise ValueError("T and S must have the same shape")
+    t, s = _pair(T, S)
     ts = t @ s
     w_ts = generalized_radius(ts, norm).value
     n_ts = norm.evaluate(ts)
@@ -316,10 +331,7 @@ def check_commutator(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequ
     for a self-adjoint algebra norm also <= 2 w_N(S) N(T)."""
     if not norm.algebra:
         raise RequiresAlgebraNorm(f"norm {norm.id!r} does not declare the algebra flag")
-    t = as_matrix(T, square=True)
-    s = as_matrix(S, square=True)
-    if t.shape != s.shape:
-        raise ValueError("T and S must have the same shape")
+    t, s = _pair(T, S)
     w_s = generalized_radius(s, norm).value
     rhs = w_s * (norm.evaluate(t) + norm.evaluate(adjoint(t)))
     lhs_plus = generalized_radius(t @ s + s @ adjoint(t), norm).value
@@ -406,10 +418,7 @@ def check_product(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequali
     { N(T) w_N(S) + w_N(TS +/- ST*)/2, N(S) w_N(T) + w_N(TS +/- S*T)/2 }
     <= 2 min{N(T) w_N(S), N(S) w_N(T)} <= 4 w_N(T) w_N(S)."""
     _require_flags(norm, self_adjoint=True, algebra=True)
-    t = as_matrix(T, square=True)
-    s = as_matrix(S, square=True)
-    if t.shape != s.shape:
-        raise ValueError("T and S must have the same shape")
+    t, s = _pair(T, S)
     ts = t @ s
     w_ts = generalized_radius(ts, norm).value
     n_t, n_s = norm.evaluate(t), norm.evaluate(s)
@@ -436,10 +445,7 @@ def check_commuting_product(T, S, norm: NormSpec, *,
     """For Hermitian T, S with TS = +/- ST and a self-adjoint algebra norm,
     w_N(TS) <= min{N(T) w_N(S), N(S) w_N(T)}."""
     _require_flags(norm, self_adjoint=True, algebra=True)
-    t = as_matrix(T, square=True)
-    s = as_matrix(S, square=True)
-    if t.shape != s.shape:
-        raise ValueError("T and S must have the same shape")
+    t, s = _pair(T, S)
     for arr, what in ((t, "T"), (s, "S")):
         if hermitian_defect(arr) > 1e-8 * max(1.0, frobenius_norm(arr)):
             raise RequiresStructure(f"{what} is not Hermitian within tolerance")
@@ -617,10 +623,7 @@ def check_hs_pair(T, S, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     refinement and by its closed form 2 |tr(T^2)| (the objective is
     |2 Re(e^{2 i phi} tr T^2)|); the two must agree to 1e-10 relative.
     """
-    t = as_matrix(T, square=True)
-    s = as_matrix(S, square=True)
-    if t.shape != s.shape:
-        raise ValueError("T and S must have the same shape")
+    t, s = _pair(T, S)
     tr_t2 = complex(np.einsum("ij,ji->", t, t))
     tr_t2_adj = complex(np.einsum("ij,ji->", adjoint(t), adjoint(t)))
 

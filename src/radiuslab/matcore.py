@@ -63,15 +63,17 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def re_part(a) -> np.ndarray:
-    """Hermitian real part (A + A*) / 2 of a square matrix."""
-    arr = as_matrix(a, square=True)
-    return (arr + adjoint(arr)) / 2
+    """Hermitian real part (A + A*) / 2 of a square matrix, formed on
+    `binary_scaled(a)` and scaled back, so that it cannot overflow."""
+    arr, exponent = binary_scaled(as_matrix(a, square=True))
+    return binary_unscaled((arr + adjoint(arr)) / 2, exponent)
 
 
 def im_part(a) -> np.ndarray:
-    """Hermitian imaginary part (A - A*) / (2i) of a square matrix."""
-    arr = as_matrix(a, square=True)
-    return (arr - adjoint(arr)) / 2j
+    """Hermitian imaginary part (A - A*) / (2i) of a square matrix, formed
+    as `re_part` is."""
+    arr, exponent = binary_scaled(as_matrix(a, square=True))
+    return binary_unscaled((arr - adjoint(arr)) / 2j, exponent)
 
 
 def rotate(a, theta: float) -> np.ndarray:
@@ -95,9 +97,12 @@ def binary_scaled(a):
 
 
 def binary_unscaled(value, exponent):
-    """value * 2^exponent (elementwise for arrays), inf where that
-    overflows: undoes `binary_scaled` on a norm of the scaled matrix."""
+    """value * 2^exponent (elementwise for arrays, part by part for a
+    C-contiguous complex matrix), inf where that overflows: undoes
+    `binary_scaled` on a norm of the scaled matrix, or on a matrix."""
     with np.errstate(over="ignore"):
+        if np.iscomplexobj(value):
+            return np.ldexp(value.view(np.float64), exponent).view(np.complex128)
         return np.ldexp(value, exponent)
 
 

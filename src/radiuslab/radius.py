@@ -15,10 +15,10 @@ eigenvalue of the quadratic pencil z^2 T - 2 r z I + T*.  One shift-inverted
 2n x 2n eigensolve (shift 0.5 exp(i), off the unit circle and off the real
 axis, with a second shift tried when it sits on a pencil eigenvalue) finds
 every crossing of a level; eigenvalues within 1e-6 sqrt(max(1, ||M||_1)) of
-the unit circle count, M being the shift-inverted matrix of the pencil of
-T / max |T_ij|, so the tolerance is scale-free.  The midpoints of the
-intervals between crossings give the next level, and the iteration ends
-when a level has no crossings or raises r by at most CIRCLE_TOL * max(1, r).
+the unit circle count, M being the shift-inverted matrix of the pencil.  The
+midpoints of the intervals between crossings give the next level, and the
+iteration ends when a level has no crossings or raises r by at most
+CIRCLE_TOL * max(1, r), r taken on the binary-scaled T (see below).
 A pencil too close to singular to resolve crossings (flat lambda_max, as
 for square-zero T) hands the search to the grid optimizer below.  Ties go
 to the smallest angle.  `numerical_radius_many` runs the engine for a whole
@@ -84,6 +84,15 @@ candidates are the full grid's local maxima above best - L rho^2 / 2.
 matrices at once; it is the `evaluate_many` of the Omega norm, so a radius
 with Omega as N solves each grid or golden-section step's operands
 together.
+
+One scale rule serves every stack search (`numerical_radius_many` per
+chunk, `_circle_radii` and so every grid-path w_N and slow Omega radius,
+`omega_norm_many`, and the phase searches of `inequalities`): one
+`binary_scaled` call puts each matrix's largest entry part in [1/2, 1), the
+search runs on that copy, and one `binary_unscaled` call scales its values
+back (inf past the float range).  Every tolerance then acts on a scale-free
+problem, and f(2^k T) = 2^k f(T) exactly, argmax and evaluations unchanged,
+wherever 2^k T and the value are in the normal range.
 
 Inside a `result_memo` block (`cli.cmd_compute` runs as one, and
 `inequalities.run_suite` as one per trial) the stack searches
@@ -433,10 +442,12 @@ def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
 @memo_per_matrix
 def _circle_radii(arrs, norm, grid, refine_tol, top_brackets) -> list[RadiusResult]:
     """The grid path of `generalized_radius` for each matrix of a stack."""
-    F = rotated_objective_many(arrs, norm.evaluate_many)
+    scaled, exponent = binary_scaled(arrs)
+    F = rotated_objective_many(scaled, norm.evaluate_many)
     found = maximize_on_circle_many(F, arrs.shape[0], norm.even, grid, refine_tol, top_brackets)
+    values = binary_unscaled(np.array([v for _, v, _, _ in found]), exponent).tolist()
     return [RadiusResult(value=v, argmax_theta=x % _TWO_PI, achieved_interval=width,
-                         evaluations=evals) for x, v, width, evals in found]
+                         evaluations=evals) for (x, _, width, evals), v in zip(found, values)]
 
 
 def _square_stack(stack) -> np.ndarray:
@@ -554,15 +565,14 @@ def _level_crossings(a: np.ndarray, b: np.ndarray, levels: np.ndarray):
     return angles[np.lexsort((angles, on_circle.nonzero()[0]))], counts
 
 
-def _level_set(raw: np.ndarray, scale: np.ndarray):
+def _level_set(raw: np.ndarray):
     """`numerical_radius` of each matrix of a (m, n, n) stack of nonzero
-    matrices, scale being their largest entry moduli.  All matrices run in
-    lockstep, and a matrix leaves as its search ends.  Every lambda_max is
-    taken through one `rotated_objective_many` of the stack: the seeds, each
-    level's midpoints, and the grid fallback of each level's flat matrices.
+    binary-scaled matrices.  All matrices run in lockstep, and a matrix
+    leaves as its search ends.  Every lambda_max is taken through one
+    `rotated_objective_many` of the stack: the seeds, each level's
+    midpoints, and the grid fallback of each level's flat matrices.
 
-    Returns one (indices, value, argmax, width, evaluations) tuple of arrays
-    per group of matrices whose searches ended together.
+    Returns (value, argmax, width, evaluations) arrays, one entry per matrix.
     """
     ids = np.arange(raw.shape[0])
     F = rotated_objective_many(raw, _top_eigenvalue)
@@ -571,18 +581,18 @@ def _level_set(raw: np.ndarray, scale: np.ndarray):
     k = tops.argmax(axis=1)
     value, theta = tops[ids, k], _SEED_ANGLES[k]
     evals = np.full(ids.size, seeds)
-    # real divisions: a complex one overflows for subnormal scales
-    a, b = _pencils(raw.real / scale[:, None, None] + 1j * (raw.imag / scale[:, None, None]))
-    ended = []
+    a, b = _pencils(raw)
+    result = (np.empty(ids.size), np.empty(ids.size), np.empty(ids.size), np.empty_like(evals))
 
     def leave(done, width):
         """Record the matrices whose search ended; the others' state."""
-        ended.append(tuple(x[done] for x in (ids, value, theta, width, evals)))
+        for out, x in zip(result, (value, theta, width, evals)):
+            out[ids[done]] = x[done]
         keep = ~done
-        return (x[keep] for x in (ids, a, b, scale, value, theta, evals))
+        return (x[keep] for x in (ids, a, b, value, theta, evals))
 
     for level in range(_MAX_LEVELS):
-        cross, counts = _level_crossings(a, b, value / scale)
+        cross, counts = _level_crossings(a, b, value)
         if counts.min() <= 0:
             # no crossings (width 0), or the grid finishes the search
             width = np.zeros(ids.size)
@@ -602,9 +612,9 @@ def _level_set(raw: np.ndarray, scale: np.ndarray):
                 value[flat[higher]], theta[flat[higher]] = v[higher], x[higher]
             done = counts <= 0
             if done.all():
-                ended.append((ids, value, theta, width, evals))
+                leave(done, width)
                 break
-            ids, a, b, scale, value, theta, evals = leave(done, width)
+            ids, a, b, value, theta, evals = leave(done, width)
             counts = counts[~done]
         # each matrix's crossings cross[first:stop] and the intervals between
         # consecutive ones, its last wrapping around
@@ -633,10 +643,10 @@ def _level_set(raw: np.ndarray, scale: np.ndarray):
             hold = np.where(below > 0, first + below, stop) - 1
             width = ends[hold] - cross[hold]
             if final or done.all():
-                ended.append((ids, value, theta, width, evals))
+                leave(done | final, width)
                 break
-            ids, a, b, scale, value, theta, evals = leave(done, width)
-    return ended
+            ids, a, b, value, theta, evals = leave(done, width)
+    return result
 
 
 @memo_per_matrix
@@ -649,26 +659,21 @@ def numerical_radius_many(stack) -> list[RadiusResult]:
     matrices whose pencils are too close to singular at a level finish on
     the grid together, in one `maximize_on_circle_many`.  A chunk holds at
     most _PENCIL_ENTRIES pencil entries, so the working set does not grow
-    with the stack.  Every result is bitwise the one `numerical_radius`
-    gives for that matrix alone.
+    with the stack, and is binary-scaled on its own.  Every result is
+    bitwise the one `numerical_radius` gives for that matrix alone.
     """
     m, n = stack.shape[:2]
     results = [_ZERO_RADIUS] * m
     step = max(1, _PENCIL_ENTRIES // (4 * n * n))
     for lo in range(0, m, step):
-        chunk = stack[lo:lo + step]
-        scale = np.abs(chunk).max(axis=(1, 2))
-        nonzero = scale.nonzero()[0]
-        if nonzero.size < scale.size:   # zero matrices keep w = 0
-            if nonzero.size == 0:
-                continue
-            chunk, scale = chunk[nonzero], scale[nonzero]
-        place = (nonzero + lo).tolist()
-        for fields in _level_set(chunk, scale):
-            ids, values, thetas, widths, evals = (f.tolist() for f in fields)
-            for k, v, x, w, ev in zip(ids, values, thetas, widths, evals):
-                results[place[k]] = RadiusResult(value=v, argmax_theta=x,
-                                                 achieved_interval=w, evaluations=ev)
+        chunk, exponent = binary_scaled(stack[lo:lo + step])
+        nonzero = np.flatnonzero(chunk.any(axis=(1, 2)))   # zero matrices keep w = 0
+        if nonzero.size == 0:
+            continue
+        value, *rest = _level_set(chunk[nonzero])
+        columns = (c.tolist() for c in (binary_unscaled(value, exponent[nonzero]), *rest))
+        for k, *fields in zip((nonzero + lo).tolist(), *columns):
+            results[k] = RadiusResult(*fields)
     return results
 
 
@@ -683,18 +688,18 @@ def numerical_radius(T) -> RadiusResult:
     evaluates lambda_max at the midpoints of the intervals between
     consecutive crossings in one batched eigvalsh, and raises r to the best
     of them.  Near a smooth maximum the midpoint lands within O(gap^2) of
-    it, so r converges quadratically.  The pencil is built from
-    T / max |T_ij|, so the unimodularity tolerance acts on a scale-free
-    problem.
+    it, so r converges quadratically.  T is binary-scaled (the module's one
+    scale rule), so the unimodularity tolerance and the stopping rule act
+    on a scale-free problem.
 
     The iteration stops when a level has no crossings (then, up to rounding,
     no angle rises above it: a certificate that r = w), or when its best
-    midpoint raises r by at most CIRCLE_TOL * max(1, r).  Where the pencil
-    is too close to singular to resolve crossings (lambda_max flat to about
-    1e-6 relative, as for square-zero or nilpotent T), the grid-and-golden
-    optimizer `maximize_on_circle` finishes the search over the full circle
-    and the better of the two results is kept.  The zero matrix
-    gives exactly 0.
+    midpoint raises the scaled r by at most CIRCLE_TOL * max(1, r).  Where
+    the pencil is too close to singular to resolve crossings (lambda_max
+    flat to about 1e-6 relative, as for square-zero or nilpotent T), the
+    grid-and-golden optimizer `maximize_on_circle` finishes the search over
+    the full circle and the better of the two results is kept.  The zero
+    matrix gives exactly 0.
 
     `value` is lambda_max(H(argmax_theta)) as evaluated; ties go to the
     smallest angle in [0, 2 pi) among the evaluated maximizers.
@@ -1152,10 +1157,9 @@ def omega_norm(T, **opts) -> OmegaResult:
     after _NEWTON_ROUNDS eigensolves.  The highest refined value wins, ties
     to the earlier candidate.
 
-    The search runs on T scaled by a power of two so its largest entry part
-    lies in [1/2, 1), and the value is scaled back (inf past the float
-    range), so no Gram entry overflows or underflows.  The global phase of
-    the coefficient pair drops out (zeta is kept real non-negative).
+    The search follows the module's one scale rule, so no Gram entry
+    overflows or underflows.  The global phase of the coefficient pair
+    drops out (zeta is kept real non-negative).
 
     `value` is sqrt(lambda_max(G(u))) at the returned u, whose (s, psi) is
     `argmax` (psi = 0 where u is the pole s = 0 up to rounding);

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from radiuslab import cli
+from radiuslab.ensembles import EnsembleSpec, generate
 from radiuslab.matfile import save_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -77,6 +78,22 @@ class TestCompute:
         assert rec["omega"] == "inf" and rec["w_omega"] == "inf"
         assert rec["w"] == pytest.approx(1.5e308, rel=1e-12)
         assert rec["operator_norm"] == pytest.approx(1.5e308, rel=1e-12)
+
+    @pytest.mark.parametrize("part", [1.2e308, 1.5e308, 1.7e308])
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "square_zero"])
+    def test_near_the_top_of_the_float_range(self, kind, part, tmp_path):
+        # Re(T) and Im(T) of such a T overflow unless formed on a scaled copy
+        t = generate(EnsembleSpec(kind, 4, 5))
+        path = tmp_path / "top.json"
+        save_matrix(path, t / np.abs(t.view(float)).max() * part)
+        for norm in ("op", "schatten:1", "schatten:2", "wnum", "omega"):
+            code, text = run_cli(["compute", "--matrix", str(path), "--norm", norm,
+                                  "--format", "machine"], tmp_path)
+            assert code == 0, norm
+            (rec,) = machine_records(text)
+            # no NaN (null); a value past the float range is "inf"
+            assert None not in rec.values(), norm
+            assert rec["w"] == "inf" or rec["w"] > 0.0
 
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "zero.json"

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from radiuslab import matcore, radius
+from radiuslab import inequalities, matcore, radius
 from radiuslab.ensembles import EnsembleSpec, generate, random_unit_vectors
 from radiuslab.norms import (
     frobenius_norm_spec,
     numerical_radius_norm_spec,
+    omega_norm_spec,
     operator_norm_spec,
     schatten_norm_spec,
 )
@@ -521,9 +522,9 @@ class TestStackedRadii:
         calls = []
         engine = radius._level_set
 
-        def spy(raw, scale):
+        def spy(raw):
             calls.append(raw.shape[0])
-            return engine(raw, scale)
+            return engine(raw)
 
         monkeypatch.setattr(radius, "_level_set", spy)
         small = _stack_with_degenerate(4, 1350)
@@ -1174,6 +1175,63 @@ class TestHilbertSchmidtRadius:
             a = generate(EnsembleSpec("ginibre", 3, 600 + seed))
             w2 = generalized_radius(a, FRO).value
             assert abs(w2 ** 2 - hs_radius_sq(a)) <= 1e-9 * max(1.0, hs_radius_sq(a))
+
+
+def _ldexp(t, e):
+    """t * 2^e, entry part by entry part."""
+    return np.ldexp(np.ascontiguousarray(t).view(np.float64), e).view(np.complex128)
+
+
+def _fields(res):
+    """A result's value first, then whatever else it holds."""
+    if isinstance(res, tuple):   # a `_phase_sups` (argmax, value)
+        return res[::-1]
+    return dataclasses.astuple(res)
+
+
+# every stack search, as a one-matrix function; the nested norms at cheap
+# outer settings
+_CHEAP = {"grid": 24, "refine_tol": 1e-4}
+SCALED_SEARCHES = {
+    "numerical_radius": numerical_radius,
+    "op": lambda t: generalized_radius(t, OP),
+    "schatten:1": lambda t: generalized_radius(t, schatten_norm_spec(1)),
+    "schatten:2": lambda t: generalized_radius(t, FRO),
+    "wnum": lambda t: generalized_radius(t, numerical_radius_norm_spec(), **_CHEAP),
+    "omega": lambda t: generalized_radius(t, omega_norm_spec(), **_CHEAP),
+    "omega_norm": omega_norm,
+    "omega_radius_slow": omega_radius_slow,
+    "phase[inf-upper]": lambda t: inequalities._phase_sups(
+        t[None], OP, inequalities._negated_quadrature)[0],
+    "phase[lower-bound]": lambda t: inequalities._phase_sups(
+        t[None], schatten_norm_spec(1), inequalities._square_difference)[0],
+}
+
+
+class TestPowerOfTwoScaling:
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "square_zero", "hermitian"])
+    @pytest.mark.parametrize("search", sorted(SCALED_SEARCHES))
+    def test_searches_scale_exactly(self, kind, search):
+        # each search runs on the binary-scaled copy of its stack, so a
+        # power-of-two factor changes nothing but the value's exponent, far
+        # past where squares of the entries overflow or underflow
+        fn = SCALED_SEARCHES[search]
+        t = generate(EnsembleSpec(kind, 3, 1500))
+        value, *rest = _fields(fn(t))
+        for e in (600, -600, 1000, -1000):
+            scaled_value, *scaled_rest = _fields(fn(_ldexp(t, e)))
+            assert scaled_value == math.ldexp(value, e), e
+            assert scaled_rest == rest, e
+
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "hermitian"])
+    def test_small_scales_keep_full_precision(self, kind):
+        # the level-set engine stops on CIRCLE_TOL * max(1, r) of the scaled
+        # value, so a small w is not cut off at an absolute 1e-10
+        for n in (2, 4, 8):
+            t = generate(EnsembleSpec(kind, n, 1510 + n))
+            w = numerical_radius(t).value
+            for c in (1e-9, 1e-300):
+                assert numerical_radius(c * t).value == pytest.approx(c * w, rel=1e-13, abs=0.0)
 
 
 ENSEMBLE_CASES = [("ginibre", 3), ("ginibre", 5), ("hermitian", 4), ("normal", 4),
