@@ -16,7 +16,6 @@ from .matcore import (
     im_part,
     re_part,
     rotate,
-    singular_values,
     spectral_norm,
 )
 from .matfile import MatrixFormatError, load_matrix, loads_matrix, dumps_matrix, save_matrix

@@ -378,7 +378,7 @@ def check_unitary_commutator(T, S, norm: NormSpec, *,
         raise ValueError("T and S must have the same shape")
     n = t.shape[0]
     u = cayley_unitary(s)
-    cayley_defect = float(np.linalg.norm(re_part(u) - s, "fro"))
+    cayley_defect = frobenius_norm(re_part(u) - s)
     w_t = generalized_radius(t, norm).value
     w_s = generalized_radius(s, norm).value
     rhs = min(w_t, w_s) * 2.0 * float(norm.unitary_sup(n))
@@ -451,8 +451,8 @@ def check_commuting_product(T, S, norm: NormSpec, *,
             raise RequiresStructure(f"{what} is not Hermitian within tolerance")
     pair_scale = max(frobenius_norm(t) * frobenius_norm(s), 1e-300)
     ts, st = t @ s, s @ t
-    comm = float(np.linalg.norm(ts - st, "fro")) / pair_scale
-    anti = float(np.linalg.norm(ts + st, "fro")) / pair_scale
+    comm = frobenius_norm(ts - st) / pair_scale
+    anti = frobenius_norm(ts + st) / pair_scale
     if comm <= 1e-10:
         mode = 1.0
     elif anti <= 1e-10:
@@ -575,12 +575,11 @@ def check_special_forms(T, kind: str, *, tol: float = DEFAULT_TOL) -> Inequality
     arr = as_matrix(T, square=True)
     fro = frobenius_norm(arr)
     if kind == "normal":
-        residual = float(np.linalg.norm(
-            arr @ adjoint(arr) - adjoint(arr) @ arr, "fro"))
+        residual = frobenius_norm(arr @ adjoint(arr) - adjoint(arr) @ arr)
         if residual > 1e-8 * max(1.0, fro ** 2):
             raise RequiresStructure(f"normality residual {residual:.3e} too large")
     elif kind == "square_zero":
-        residual = float(np.linalg.norm(arr @ arr, "fro"))
+        residual = frobenius_norm(arr @ arr)
         if residual > 1e-8 * max(1.0, fro ** 2):
             raise RequiresStructure(f"T^2 residual {residual:.3e} too large")
     else:

@@ -16,7 +16,6 @@ arguments and there is no module state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,17 +105,18 @@ def binary_unscaled(value, exponent):
         return np.ldexp(value, exponent)
 
 
-def frobenius_norm(a) -> float:
-    """sqrt(sum |a_ij|^2), computed on `binary_scaled(a)` so no square
-    overflows or underflows."""
+def frobenius_norm(a):
+    """sqrt(sum |a_ij|^2) of a matrix, or of each matrix of a stack (an
+    array), computed on `binary_scaled(a)` so no square overflows or
+    underflows."""
     arr, exponent = binary_scaled(a)
-    return float(binary_unscaled(np.linalg.norm(arr, "fro"), exponent))
+    return binary_unscaled(np.sqrt(np.sum(np.abs(arr) ** 2, axis=(-2, -1))), exponent)
 
 
 def hermitian_defect(a: np.ndarray) -> float:
     """Frobenius distance from A to its Hermitian part's symmetrization, ||A - A*||_F."""
     arr = np.asarray(a, dtype=np.complex128)
-    return float(np.linalg.norm(arr - adjoint(arr), "fro"))
+    return frobenius_norm(arr - adjoint(arr))
 
 
 def require_hermitian(a, tol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -165,23 +165,16 @@ def hermitian_eigs(a, tol: float = HERMITIAN_RTOL) -> EigenResult:
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, residual=residual)
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values in descending order (via LAPACK bidiagonalization)."""
-    arr = as_matrix(a)
-    return np.linalg.svd(arr, compute_uv=False)
-
-
 def spectral_norm(a) -> float:
-    """Largest singular value, computed as sqrt(lambda_max(A* A)) on
-    `binary_scaled(a)` so the Gram matrix neither overflows nor underflows."""
-    arr, exponent = binary_scaled(as_matrix(a))
-    top = np.linalg.eigvalsh(adjoint(arr) @ arr)[-1]
-    return float(binary_unscaled(math.sqrt(max(top, 0.0)), exponent))
+    """Largest singular value of a matrix: `spectral_norm_many` on the
+    one-matrix stack."""
+    return float(spectral_norm_many(as_matrix(a)[None])[0])
 
 
 def spectral_norm_many(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of matrices, batched through eigvalsh on
-    `binary_scaled` copies."""
+    """Largest singular value of each matrix of a stack, sqrt(lambda_max(A* A))
+    batched through eigvalsh on `binary_scaled` copies, so no Gram matrix
+    overflows or underflows."""
     arr, exponent = binary_scaled(stack)
     gram = np.matmul(np.conj(np.swapaxes(arr, -2, -1)), arr)
     return binary_unscaled(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), exponent)
@@ -209,8 +202,8 @@ def cayley_unitary(s, tol: float = HERMITIAN_RTOL) -> np.ndarray:
     v = eig.eigenvectors
     u = (v * phases[None, :]) @ adjoint(v)
     n = u.shape[0]
-    unitary_defect = float(np.linalg.norm(adjoint(u) @ u - np.eye(n), "fro"))
-    real_defect = float(np.linalg.norm(re_part(u) - h, "fro"))
+    unitary_defect = frobenius_norm(adjoint(u) @ u - np.eye(n))
+    real_defect = frobenius_norm(re_part(u) - h)
     if unitary_defect > 1e-10 or real_defect > 1e-10:
         raise ArithmeticError(
             f"cayley_unitary postcondition failed: ||U*U - I||={unitary_defect:.3e}, "

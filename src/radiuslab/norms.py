@@ -3,6 +3,8 @@
 A NormSpec bundles an evaluator with declared properties (self-adjoint,
 algebra/submultiplicative, weakly unitarily invariant) and, where known in
 closed form, the supremum of the norm over the unitary group per dimension.
+Every shipped norm has one kernel, its `evaluate_many` on a stack, and
+its `evaluate` is that kernel on the one-matrix stack (`_one_matrix`).
 Flags are declarations, not runtime branches: `validate_norm` audits each
 declared flag on seeded random matrices and a flag failure is a test
 failure.  The unitary supremum is a closed-form constant rather than an
@@ -18,11 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import (adjoint, binary_scaled, binary_unscaled, frobenius_norm, singular_values,
-                      spectral_norm, spectral_norm_many)
+from .matcore import (adjoint, as_matrix, binary_scaled, binary_unscaled, frobenius_norm,
+                      spectral_norm_many)
 from .ensembles import EnsembleSpec, generate
-from .radius import (RadiusResult, numerical_radius, numerical_radius_many, omega_norm,
-                     omega_norm_many)
+from .radius import RadiusResult, numerical_radius_many, omega_norm_many
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,9 @@ class NormSpec:
 
     evaluate must be pure; evaluate_many maps a (m, n, n) stack to its m
     values and must agree with evaluate on every slice (the angle searches
-    evaluate N only through it, one stack of operands per step).
+    evaluate N only through it, one stack of operands per step).  Every
+    shipped norm's evaluate is its evaluate_many on the one-matrix stack,
+    so the two agree bitwise.
     unitary_sup maps a dimension to sup { N(U) : U unitary } or is None
     when no closed form is known.  `even` declares N(-A) == N(A), which lets
     the radius optimizers halve their search period; it is never assumed for
@@ -56,6 +59,11 @@ class UnknownNormId(ValueError):
     """A norm id string is not understood by the registry."""
 
 
+def _one_matrix(evaluate_many) -> Callable[[np.ndarray], float]:
+    """The evaluate of a norm: its evaluate_many on the one-matrix stack."""
+    return lambda a: float(evaluate_many(as_matrix(a, square=True)[None])[0])
+
+
 def operator_norm_spec() -> NormSpec:
     """The usual operator norm: largest singular value.  Its radius is the
     numerical radius, since ||H|| = max(lambda_max(H), lambda_max(-H)) for
@@ -63,7 +71,7 @@ def operator_norm_spec() -> NormSpec:
     stack's radii are one `numerical_radius_many` call."""
     return NormSpec(
         id="op",
-        evaluate=spectral_norm,
+        evaluate=_one_matrix(spectral_norm_many),
         self_adjoint=True,
         algebra=True,
         weakly_unitarily_invariant=True,
@@ -89,28 +97,20 @@ def schatten_norm_spec(p: float) -> NormSpec:
         return replace(spec, id="schatten:inf")
 
     if p == 2.0:
-        def evaluate(a) -> float:
-            return frobenius_norm(a)
-
-        def evaluate_many(stack):
-            # on the binary-scaled stack, as frobenius_norm: no square overflows
-            arr, exponent = binary_scaled(stack)
-            return binary_unscaled(np.sqrt(np.sum(np.abs(arr) ** 2, axis=(-2, -1))), exponent)
+        evaluate_many = frobenius_norm
     else:
-        def evaluate(a) -> float:
-            sv = singular_values(a)
-            return float(np.sum(sv ** p) ** (1.0 / p))
-
         def evaluate_many(stack):
-            # singular values straight from the SVD, as in evaluate: square
-            # roots of Gram eigenvalues would turn the rounding noise of zero
-            # singular values into ~1e-8 terms
-            sv = np.linalg.svd(np.asarray(stack, dtype=np.complex128), compute_uv=False)
-            return np.sum(sv ** p, axis=-1) ** (1.0 / p)
+            # singular values straight from the SVD: square roots of Gram
+            # eigenvalues would turn the rounding noise of zero singular
+            # values into ~1e-8 terms.  On the binary-scaled stack, so no
+            # power sv ** p overflows or underflows.
+            arr, exponent = binary_scaled(stack)
+            sv = np.linalg.svd(arr, compute_uv=False)
+            return binary_unscaled(np.sum(sv ** p, axis=-1) ** (1.0 / p), exponent)
 
     return NormSpec(
         id=f"schatten:{p:g}",
-        evaluate=evaluate,
+        evaluate=_one_matrix(evaluate_many),
         self_adjoint=True,
         algebra=True,
         weakly_unitarily_invariant=True,
@@ -132,17 +132,15 @@ def numerical_radius_norm_spec() -> NormSpec:
     the factor-4 chain holds.  w(U) = 1 for every unitary U (unitaries are
     normal), so the unitary supremum is 1.  `evaluate_many` runs the
     level-set engine on a whole stack in one `numerical_radius_many` call,
-    each value bitwise the one `evaluate` gives.
+    each value bitwise the one `numerical_radius` gives for that matrix
+    alone.
     """
-    def evaluate(a) -> float:
-        return numerical_radius(a).value
-
     def evaluate_many(stack):
         return np.array([res.value for res in numerical_radius_many(stack)])
 
     return NormSpec(
         id="wnum",
-        evaluate=evaluate,
+        evaluate=_one_matrix(evaluate_many),
         self_adjoint=True,
         algebra=False,
         weakly_unitarily_invariant=True,
@@ -163,15 +161,12 @@ def omega_norm_spec(**opts) -> NormSpec:
     at modulus sqrt(2) on the corresponding eigenvector.  `evaluate_many`
     solves a whole stack in one `omega_norm_many` call.
     """
-    def evaluate(a) -> float:
-        return omega_norm(a, **opts).value
-
     def evaluate_many(stack):
         return np.array([res.value for res in omega_norm_many(stack, **opts)])
 
     return NormSpec(
         id="omega",
-        evaluate=evaluate,
+        evaluate=_one_matrix(evaluate_many),
         self_adjoint=True,
         algebra=False,
         weakly_unitarily_invariant=True,

@@ -162,8 +162,7 @@ class TestSpectralNorm:
     def test_batched_matches_scalar(self):
         stack = np.stack([_ginibre(4, 100 + k) for k in range(6)])
         many = matcore.spectral_norm_many(stack)
-        singles = [matcore.spectral_norm(m) for m in stack]
-        np.testing.assert_allclose(many, singles, atol=1e-12)
+        assert many.tolist() == [matcore.spectral_norm(m) for m in stack]
 
 
 # far enough out that squares underflow or overflow, and at the edge of it
@@ -197,6 +196,23 @@ class TestScaleSafeNorms:
         np.testing.assert_array_equal(matcore.spectral_norm_many(np.stack([huge, np.eye(2)])),
                                       [math.inf, 1.0])
         assert matcore.spectral_norm_many(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_frobenius_of_a_stack(self):
+        a = _ginibre(4, 122)
+        stack = np.stack([a, 2.0 ** 600 * a, 2.0 ** -600 * np.kron(E12, np.eye(2)),
+                          np.zeros((4, 4))])
+        assert matcore.frobenius_norm(stack).tolist() == [
+            matcore.frobenius_norm(m) for m in stack]
+
+    def test_hermitian_defect_at_scale(self):
+        # ||A - A*||_F of the raw entries overflows at 1e200; near-Hermitian
+        # input there must still be accepted
+        h = generate(EnsembleSpec("hermitian", 4, 3))
+        g = generate(EnsembleSpec("ginibre", 4, 4))
+        a = 1e200 * (h + 1e-13 * g)
+        assert 0.0 < matcore.hermitian_defect(a) < 1e-10 * matcore.frobenius_norm(a)
+        np.testing.assert_array_equal(matcore.require_hermitian(a),
+                                      (a + matcore.adjoint(a)) / 2)
 
     def test_binary_scaled_is_exact(self):
         a = _ginibre(3, 121) * 1e-200

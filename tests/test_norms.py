@@ -64,8 +64,18 @@ class TestSchattenSpec:
             spec = schatten_norm_spec(p)
             stack = np.stack([generate(EnsembleSpec("ginibre", 3, 700 + k))
                               for k in range(5)])
-            np.testing.assert_allclose(spec.evaluate_many(stack),
-                                       [spec.evaluate(m) for m in stack], atol=1e-10)
+            assert spec.evaluate_many(stack).tolist() == [spec.evaluate(m) for m in stack]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 3.5])
+    def test_scales_exactly(self, p):
+        # sv ** p of the raw entries overflows near 2^300 (p = 3.5) and
+        # underflows near 2^-300; the kernel forms it on the binary-scaled
+        # stack, so a power-of-two factor comes out exactly
+        spec = schatten_norm_spec(p)
+        t = generate(EnsembleSpec("ginibre", 4, 5))
+        one = spec.evaluate(t)
+        for k in (300, -300, 600, -600, 1000, -1000):
+            assert spec.evaluate(2.0 ** k * t) == math.ldexp(one, k)
 
     @pytest.mark.parametrize("e", [530, -560])
     def test_frobenius_radius_scales_exactly(self, e):
@@ -103,32 +113,6 @@ class TestRadiusBackedSpecs:
 
     def test_omega_unitary_sup(self):
         assert omega_norm_spec().unitary_sup(3) == pytest.approx(math.sqrt(2.0))
-
-    @pytest.mark.parametrize("opts", [{}, {"grid_s": 13, "grid_psi": 24,
-                                           "refine_tol": 1e-4, "top_cells": 2}])
-    def test_omega_batched_is_bitwise_scalar(self, opts):
-        spec = omega_norm_spec(**opts)
-        for n in (1, 2, 5):
-            stack = [generate(EnsembleSpec(kind, n, 40 + n))
-                     for kind in ("ginibre", "normal", "hermitian", "haar_unitary")]
-            if n > 1:
-                stack.append(generate(EnsembleSpec("square_zero", n, 44)))
-            stack.append(np.zeros((n, n)))
-            stack = np.stack(stack)
-            many = spec.evaluate_many(stack)
-            assert many.tolist() == [spec.evaluate(m) for m in stack]
-
-    def test_wnum_batched_is_bitwise_scalar(self):
-        spec = numerical_radius_norm_spec()
-        for n in (1, 2, 5):
-            stack = [generate(EnsembleSpec(kind, n, 40 + n))
-                     for kind in ("ginibre", "normal", "hermitian", "haar_unitary")]
-            if n > 1:
-                stack.append(generate(EnsembleSpec("square_zero", n, 44)))
-            stack.append(np.zeros((n, n)))
-            stack = np.stack(stack)
-            many = spec.evaluate_many(stack)
-            assert many.tolist() == [spec.evaluate(m) for m in stack]
 
     def test_flags(self):
         for spec in (numerical_radius_norm_spec(), omega_norm_spec()):
@@ -194,6 +178,31 @@ class TestValidateNorm:
         assert algebra.witness
 
 
+SHIPPED_IDS = ("op", "schatten:1", "schatten:2", "schatten:3.5", "schatten:inf", "wnum",
+               "omega")
+
+
+def _mixed_stack(n):
+    stack = [generate(EnsembleSpec(kind, n, 40 + n))
+             for kind in ("ginibre", "normal", "hermitian", "haar_unitary")]
+    if n > 1:
+        stack.append(generate(EnsembleSpec("square_zero", n, 44)))
+    stack.append(np.zeros((n, n)))
+    return np.stack(stack)
+
+
+@pytest.mark.parametrize("e", [0, 600, -600])
+@pytest.mark.parametrize("spec", [parse_norm_id(norm_id) for norm_id in SHIPPED_IDS]
+                         + [omega_norm_spec(grid_s=13, grid_psi=24, refine_tol=1e-4,
+                                            top_cells=2)],
+                         ids=[*SHIPPED_IDS, "omega-coarse"])
+def test_evaluate_is_evaluate_many_bitwise(spec, e):
+    # mixed stacks with zero and square-zero members, at scales 1 and 2^+-600
+    for n in (1, 2, 3, 6):
+        stack = 2.0 ** e * _mixed_stack(n)
+        assert spec.evaluate_many(stack).tolist() == [spec.evaluate(m) for m in stack]
+
+
 class TestRegistryAndIds:
     def test_registry_contents(self):
         ids = set(registry())
@@ -225,8 +234,7 @@ class TestSchattenBatched:
             stack = np.cos(thetas)[:, None, None] * re - np.sin(thetas)[:, None, None] * im
             for spec in (s1, s3):
                 many = spec.evaluate_many(stack)
-                one = np.array([spec.evaluate(m) for m in stack])
-                np.testing.assert_allclose(many, one, rtol=1e-12)
+                assert many.tolist() == [spec.evaluate(m) for m in stack]
             # Re(e^{i theta} T) has eigenvalues +/- ||T||/2 and zeros
             nrm = matcore.spectral_norm(t)
             assert generalized_radius(t, s1).value == pytest.approx(nrm, rel=1e-12)
