@@ -154,7 +154,11 @@ def hermitian_eigs(a, tol: float = HERMITIAN_RTOL) -> EigenResult:
     eigenvectors, and the returned residual is guaranteed below
     EIGEN_RESIDUAL_RTOL * max(1, ||A||_F).
     """
-    h = require_hermitian(a, tol)
+    return _checked_eigh(require_hermitian(a, tol))
+
+
+def _checked_eigh(h: np.ndarray) -> EigenResult:
+    """`hermitian_eigs` of an already symmetrized matrix h."""
     vals, vecs = np.linalg.eigh(h)
     residual = float(np.max(np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)))
     bound = EIGEN_RESIDUAL_RTOL * max(1.0, frobenius_norm(h))
@@ -193,7 +197,7 @@ def cayley_unitary(s, tol: float = HERMITIAN_RTOL) -> np.ndarray:
     on the symmetrized operand before returning.
     """
     h = require_hermitian(s, tol)
-    eig = hermitian_eigs(h, tol)
+    eig = _checked_eigh(h)
     top = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
     if top > 1.0 + CONTRACTION_RTOL:
         raise NotAContraction(f"spectral norm {top:.12g} exceeds 1 + {CONTRACTION_RTOL:g}")

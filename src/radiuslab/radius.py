@@ -20,15 +20,20 @@ midpoints of the intervals between crossings give the next level, and the
 iteration ends when a level has no crossings or raises r by at most
 CIRCLE_TOL * max(1, r), r taken on the binary-scaled T (see below).
 A pencil too close to singular to resolve crossings (flat lambda_max, as
-for square-zero T) hands the search to the grid optimizer below.  Ties go
+for square-zero T) gets a disk test first: det(r' I - H(theta)) is a
+trigonometric polynomial of degree n, and its coefficients, from the
+spectra at N >= 2n + 1 uniform angles, can prove that no angle reaches
+r' = r + CIRCLE_TOL * max(1, r) (`_disk_certified`).  Only the matrices it
+does not certify hand the search to the grid optimizer below.  Ties go
 to the smallest angle.  `numerical_radius_many` runs the engine for a whole
 stack in lockstep: per level one batched solve and eigvals for every matrix
 still searching, the second shift solved only for the matrices whose first
 one fails, and a bounded number of matrices at a time.  Its seeds,
-midpoints and grid fallbacks are all values of lambda_max(H(theta)) taken
-through the one rotated-stack kernel, `rotated_objective_many`, one call
-per stage for the whole chunk.  `numerical_radius` is its one-matrix case,
-and the wnum norm's `evaluate_many` calls it.  The operator norm (and
+midpoints, disk-test spectra and grid fallbacks are all eigenvalues of
+H(theta) taken through the one rotated-stack kernel,
+`rotated_objective_many`, one call per stage for the whole chunk.
+`numerical_radius` is its one-matrix case, and the wnum norm's
+`evaluate_many` calls it.  The operator norm (and
 schatten:inf, the same norm) declares this engine as its radius
 (`NormSpec.radius`, which takes a stack), because ||Re(exp(i theta) T)|| is
 the larger of lambda_max(H(theta)) and lambda_max(H(theta + pi)); so
@@ -135,6 +140,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_PROBES = 300
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # cap on complex entries held by one batched grid evaluation (2 MiB): a
 # chunk stays in cache, and the process's peak memory does not hinge on how
 # many operands or Omega nodes an input happens to need
@@ -374,7 +380,8 @@ def rotated_objective_many(stack, evaluate_many):
     """The angle objectives of a (m, n, n) stack as one function
     F(owner, angles): N(Re(exp(i t) T_j)) at each pair (j, t) of the 1-d
     arrays owner and angles, evaluate_many mapping a stack of operands to
-    their norms N.
+    their norms N.  An evaluate_many that maps each operand to a row (such
+    as eigvalsh, its spectrum) gives F a trailing axis.
 
     The operands cos(t) Re(T_j) - sin(t) Im(T_j) are built and evaluated a
     chunk of at most _CHUNK_ENTRIES entries at a time, one evaluate_many
@@ -400,8 +407,11 @@ def rotated_objective_many(stack, evaluate_many):
             else:
                 mine = owner[lo:hi]
                 operands = a[lo:hi] * re[mine] - b[lo:hi] * im[mine]
-            out[lo:hi] = evaluate_many(operands)
+            vals = evaluate_many(operands)
             del operands  # freed before the next chunk is built
+            if lo == 0:   # the first chunk gives the shape of a value
+                out = np.empty((angles.size,) + np.shape(vals)[1:])
+            out[lo:hi] = vals
         return out
 
     return F
@@ -475,7 +485,9 @@ _SEED_ANGLES = np.arange(8) * (_TWO_PI / 8)
 _SHIFTS = np.array([0.5 * cmath.exp(1.0j), 0.5 * cmath.exp(2.5j)])
 # ||M||_1 of the shift-inverted matrix M above this for every shift means the
 # pencil is within ~1e-6 of singular (lambda_max(H(theta)) flat to that
-# level, as for square-zero T): double precision does not resolve crossings
+# level, as for square-zero T): double precision does not resolve crossings,
+# and the disk test, then for the matrices it does not certify the grid,
+# takes over
 _MAX_CONDITION = 1e6
 # | |z| - 1 | bound for a crossing, times sqrt(max(1, ||M||_1)): rounding
 # moves a transversal crossing by about eps ||M||, but splits the pair at a
@@ -565,15 +577,100 @@ def _level_crossings(a: np.ndarray, b: np.ndarray, levels: np.ndarray):
     return angles[np.lexsort((angles, on_circle.nonzero()[0]))], counts
 
 
+def _disk_angles(n: int) -> np.ndarray:
+    """The N = 8 ceil((2n + 1) / 8) uniform angles 2 pi j / N of the disk
+    test of an n x n matrix: enough samples to resolve a trigonometric
+    polynomial of degree n, and a multiple of 8, so that the seed angles
+    are among them."""
+    count = 8 * -(-(2 * n + 1) // 8)
+    return np.arange(count) * (_TWO_PI / count)
+
+
+def _trig_lower_bound(samples: np.ndarray, degree: int) -> np.ndarray:
+    """c_0 - 2 sum_{k=1..degree} |c_k| for each row of a (m, N) array of
+    samples, c_k = (1/N) sum_j samples[j] exp(-2 pi i j k / N): a lower
+    bound on every value of a real trigonometric polynomial p of degree at
+    most `degree` that takes those values at the angles 2 pi j / N.
+
+    For N >= 2 degree + 1 the c_k are p's own coefficients, with no
+    aliasing, and p(t) = c_0 + 2 Re sum_k c_k exp(i k t).  The DFT is a
+    product with an (N, degree + 1) table, one row at a time, so a row's
+    bound does not depend on the others.
+    """
+    count = samples.shape[-1]
+    # k j is reduced mod N before it becomes an angle, so every table angle
+    # lies in [0, 2 pi)
+    steps = (np.arange(count)[:, None] * np.arange(degree + 1)) % count
+    table = np.exp((-1j * _TWO_PI / count) * steps)
+    c = (samples[:, None, :] @ table)[:, 0] / count
+    return c[:, 0].real - 2.0 * np.abs(c[:, 1:]).sum(axis=1)
+
+
+def _disk_certified(spectra: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Where the disk test proves w(T) < r' = r + CIRCLE_TOL max(1, r), for
+    a stack of (binary-scaled) matrices T given their ascending spectra at
+    the `_disk_angles` (shape (m, N, n)) and their levels r, each at least
+    every sampled lambda_max.
+
+    p(t) = det(r' I - H(t)) is a real trigonometric polynomial of degree at
+    most n, since each entry of H(t) = cos(t) Re(T) - sin(t) Im(T) has
+    degree 1.  Its samples, divided by r'^n, are the products
+    s_j = prod_i f_ij of the factors f_ij = (r' - lambda_i(t_j)) / r'.  Where
+    `_trig_lower_bound` of the s_j exceeds their error bound, p has no
+    zero: r' is an eigenvalue of no H(t), and as lambda_max(H(t)) < r' at
+    the samples, it is below r' at every t by continuity.  This fires where
+    lambda_max is flat, W(T) a disk about 0 (square-zero T, Jordan blocks,
+    weighted shifts, ...), and the pencil of the level set is singular.
+
+    The error bound.  Each computed eigenvalue lies within
+    d = (4n + 40 sqrt(n)) eps h of the exact eigenvalue of H at the exact
+    angle 2 pi j / N, h being the largest |lambda_i(t_j)| sampled.  By
+    Weyl's inequality, 4 n eps h covers eigvalsh's backward error, and
+    40 sqrt(n) eps h the rounding of the angles, of their cosines and
+    sines, of Re(T), Im(T) and of the operands: at most
+    17 eps (||Re T||_F + ||Im T||_F) in norm, where
+    ||Re T||_F + ||Im T||_F <= 2 max_j ||H(t_j)||_F <= 2 sqrt(n) h (the
+    mean of ||H(t_j)||_F^2 over the samples is
+    (||Re T||_F^2 + ||Im T||_F^2) / 2).  So each computed factor is within
+    delta = d / r' + 2 eps of the exact one (2 eps for its own rounding),
+    and each sample within e_j = prod_i (f_ij + delta) - prod_i f_ij, plus
+    2 n eps prod_i (f_ij + delta) for the rounding of the products.  Each
+    DFT coefficient moves by at most max_j e_j, so the bound moves by at
+    most (2n + 1) max_j e_j; 2 N eps max_j s_j more, times 2n + 1, covers
+    the rounding of the DFT and of its sum.
+
+    Only matrices whose factors all exceed delta (so the exact lambda_max
+    is below r' at every sample) and whose products stay finite and in the
+    normal range can be certified.
+    """
+    count, n = spectra.shape[1:]
+    raised = (level + CIRCLE_TOL * np.maximum(1.0, level))[:, None, None]
+    factors = (raised - spectra) / raised
+    h = np.abs(spectra).max(axis=(1, 2))[:, None, None]
+    delta = (4 * n + 40 * math.sqrt(n)) * _EPS * h / raised + 2 * _EPS
+    with np.errstate(over="ignore"):
+        upper = (factors + delta).prod(axis=2)
+    candidate = ((factors > delta).all(axis=(1, 2)) & np.isfinite(upper).all(axis=1)
+                 & (np.minimum(factors, 1.0).prod(axis=2).min(axis=1) >= _TINY))
+    samples, upper = factors[candidate].prod(axis=2), upper[candidate]
+    err = (2 * n + 1) * ((upper - samples + 2 * n * _EPS * upper).max(axis=1)
+                         + 2 * count * _EPS * samples.max(axis=1))
+    certified = np.zeros(candidate.size, dtype=bool)
+    certified[candidate] = _trig_lower_bound(samples, n) > err
+    return certified
+
+
 def _level_set(raw: np.ndarray):
     """`numerical_radius` of each matrix of a (m, n, n) stack of nonzero
     binary-scaled matrices.  All matrices run in lockstep, and a matrix
-    leaves as its search ends.  Every lambda_max is taken through one
-    `rotated_objective_many` of the stack: the seeds, each level's
-    midpoints, and the grid fallback of each level's flat matrices.
+    leaves as its search ends.  Every eigenvalue is taken through
+    `rotated_objective_many` of the stack: lambda_max at the seeds, at
+    each level's midpoints and in the grid fallback, and the spectra of
+    each level's disk test.
 
     Returns (value, argmax, width, evaluations) arrays, one entry per matrix.
     """
+    n = raw.shape[1]
     ids = np.arange(raw.shape[0])
     F = rotated_objective_many(raw, _top_eigenvalue)
     seeds = _SEED_ANGLES.size
@@ -591,12 +688,28 @@ def _level_set(raw: np.ndarray):
         keep = ~done
         return (x[keep] for x in (ids, a, b, value, theta, evals))
 
+    def raise_to(where, v, x):
+        """Move the matrices `where` to the values v at the angles x that
+        beat theirs, or match them at a smaller angle."""
+        higher = (v > value[where]) | ((v == value[where]) & (x < theta[where]))
+        value[where[higher]], theta[where[higher]] = v[higher], x[higher]
+
     for level in range(_MAX_LEVELS):
         cross, counts = _level_crossings(a, b, value)
         if counts.min() <= 0:
-            # no crossings (width 0), or the grid finishes the search
+            # no crossings (width 0), a certified disk (width 0), or the grid
+            # finishes the search
             width = np.zeros(ids.size)
             flat = np.flatnonzero(counts < 0)
+            if flat.size:
+                disk = _disk_angles(n)
+                spectra = rotated_objective_many(raw, np.linalg.eigvalsh)(
+                    ids[flat].repeat(disk.size), np.tile(disk, flat.size))
+                spectra = spectra.reshape(flat.size, disk.size, n)
+                best = spectra[..., -1].argmax(axis=1)
+                raise_to(flat, spectra[np.arange(flat.size), best, -1], disk[best])
+                evals[flat] += disk.size
+                flat = flat[~_disk_certified(spectra, value[flat])]
             if flat.size:
                 owners = ids[flat]
                 found = maximize_on_circle_many(lambda own, angles: F(owners[own], angles),
@@ -606,10 +719,8 @@ def _level_set(raw: np.ndarray):
                 # each maximizer is evaluated again at the wrapped angle, so
                 # that value is lambda_max(H(argmax))
                 x %= _TWO_PI
-                v = F(owners, x)
                 evals[flat] += ev + 1
-                higher = (v > value[flat]) | ((v == value[flat]) & (x < theta[flat]))
-                value[flat[higher]], theta[flat[higher]] = v[higher], x[higher]
+                raise_to(flat, F(owners, x), x)
             done = counts <= 0
             if done.all():
                 leave(done, width)
@@ -656,10 +767,11 @@ def numerical_radius_many(stack) -> list[RadiusResult]:
     The seeds and the level steps run for the matrices of a chunk in
     lockstep: one batched eigvalsh of the seeds, then per level one batched
     solve, eigvals and eigvalsh, a matrix leaving as its search ends.  The
-    matrices whose pencils are too close to singular at a level finish on
-    the grid together, in one `maximize_on_circle_many`.  A chunk holds at
-    most _PENCIL_ENTRIES pencil entries, so the working set does not grow
-    with the stack, and is binary-scaled on its own.  Every result is
+    matrices whose pencils are too close to singular at a level take the
+    disk test together, in one batched eigvalsh, and those it does not
+    certify finish on the grid together, in one `maximize_on_circle_many`.
+    A chunk holds at most _PENCIL_ENTRIES pencil entries, so the working
+    set does not grow with the stack, and is binary-scaled on its own.  Every result is
     bitwise the one `numerical_radius` gives for that matrix alone.
     """
     m, n = stack.shape[:2]
@@ -696,18 +808,27 @@ def numerical_radius(T) -> RadiusResult:
     no angle rises above it: a certificate that r = w), or when its best
     midpoint raises the scaled r by at most CIRCLE_TOL * max(1, r).  Where
     the pencil is too close to singular to resolve crossings (lambda_max
-    flat to about 1e-6 relative, as for square-zero or nilpotent T), the
-    grid-and-golden optimizer `maximize_on_circle` finishes the search over
-    the full circle and the better of the two results is kept.  The zero
-    matrix gives exactly 0.
+    flat to about 1e-6 relative, as for square-zero or nilpotent T), a disk
+    test comes first: r is raised to the best lambda_max at
+    N = 8 ceil((2n + 1) / 8) uniform angles, and the spectra there bound
+    the trigonometric polynomial det(r' I - H(theta)) of degree n,
+    r' = r + CIRCLE_TOL * max(1, r), from below (`_disk_certified`).  A
+    positive bound certifies r <= w < r', and the search ends; this
+    settles disk matrices (W(T) a disk about 0: square-zero T, Jordan
+    blocks, weighted shifts) in N + 8 evaluations.  Only an uncertified matrix goes
+    on to the grid-and-golden optimizer `maximize_on_circle`, which
+    searches the full circle, and the better of the two results is kept.
+    The zero matrix gives exactly 0.
 
     `value` is lambda_max(H(argmax_theta)) as evaluated; ties go to the
     smallest angle in [0, 2 pi) among the evaluated maximizers.
     `achieved_interval` is the width of the interval between consecutive
     crossings, at the last level searched, that holds argmax_theta (0.0 when
-    that level had none), or the final golden-section bracket when the grid
-    finished the search.  `evaluations` counts the angles at which
-    lambda_max was evaluated (one pencil eigensolve per level is extra).
+    that level had none or the disk test certified it), or the final
+    golden-section bracket when the grid finished the search.
+    `evaluations` counts the angles at which lambda_max (or, in the disk
+    test, the spectrum) was evaluated (one pencil eigensolve per level is
+    extra).
     This is the one-matrix case of `numerical_radius_many`.
     """
     return numerical_radius_many(np.asarray(T, dtype=np.complex128)[None])[0]

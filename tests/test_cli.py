@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,27 @@ class TestCompute:
         (rec,) = machine_records(text)
         assert rec["w_N[omega]"] == pytest.approx(SQRT2 / 2, abs=1e-7)
         assert math.isfinite(rec["w_N[omega]_argmax_theta"])
+
+    def test_compute_does_not_load_numpy_fft(self, tmp_path):
+        # numpy imports numpy.fft lazily, and that import alone costs about
+        # 0.34 MB of peak RSS; a fresh process shows whether compute needs it
+        path = tmp_path / "nil8.json"
+        save_matrix(path, generate(EnsembleSpec("square_zero", 8, 3)))
+        script = (
+            "import sys\n"
+            "from radiuslab import cli\n"
+            f"code = cli.main(['compute', '--matrix', {str(path)!r}, '--format', 'machine',"
+            f" '--out', {str(tmp_path / 'out.jsonl')!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy.fft' not in sys.modules\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out.jsonl").read_text()
 
 
 class TestVerify:

@@ -263,6 +263,18 @@ class TestSqrtDefectAndCayley:
         assert np.abs(matcore.adjoint(u) @ u - np.eye(4)).max() <= 1e-10
         assert np.abs(matcore.re_part(u) - s).max() <= 1e-10
 
+    def test_cayley_validates_once(self, monkeypatch):
+        calls = []
+        require = matcore.require_hermitian
+
+        def spy(a, tol=matcore.HERMITIAN_RTOL):
+            calls.append(tol)
+            return require(a, tol)
+
+        monkeypatch.setattr(matcore, "require_hermitian", spy)
+        matcore.cayley_unitary(generate(EnsembleSpec("hermitian_contraction", 4, 11)))
+        assert len(calls) == 1
+
 
 class TestInvariants:
     def test_cartesian_identity(self):

@@ -279,6 +279,135 @@ def _split(cross, counts):
     return [None if c < 0 else cross[e - c:e] for c, e in zip(counts, ends)]
 
 
+def _certified(a):
+    """(numerical_radius(a), the disk test's verdicts while it ran): one
+    list of booleans per disk test, one boolean per matrix tested."""
+    verdicts = []
+    test = radius._disk_certified
+
+    def spy(spectra, level):
+        verdict = test(spectra, level)
+        verdicts.append(verdict.tolist())
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius, "_disk_certified", spy)
+        res = _engine(a)
+    return res, verdicts
+
+
+def _samples(n):
+    """N, the number of angles of the disk test of an n x n matrix."""
+    return 8 * math.ceil((2 * n + 1) / 8)
+
+
+def _jordan(n):
+    return np.diag(np.ones(n - 1), 1).astype(complex)
+
+
+def _disk_draws():
+    """Disk matrices (W(T) a disk about 0) with at most 4 rows."""
+    return st.one_of(
+        st.builds(lambda n, seed: generate(EnsembleSpec("square_zero", n, seed)),
+                  st.integers(2, 4), st.integers(0, 10 ** 6)),
+        st.builds(_jordan, st.integers(2, 4)),
+        st.builds(lambda w: np.diag(w, 1).astype(complex),
+                  hnp.arrays(np.float64, st.integers(1, 3), elements=st.floats(0.1, 2.0))))
+
+
+class TestDiskCertificate:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+    def test_square_zero_is_exact(self, n):
+        # ||T|| / 2 <= w(T) holds with equality when T^2 = 0
+        for seed in range(3):
+            a = generate(EnsembleSpec("square_zero", n, 1500 + seed))
+            res, verdicts = _certified(a)
+            assert verdicts == [[True]]
+            assert res.value == pytest.approx(matcore.spectral_norm(a) / 2, rel=1e-14, abs=0)
+            assert res.achieved_interval == 0.0
+            # against 939 for the grid fallback
+            assert res.evaluations <= 8 + _samples(n)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_jordan_block(self, n):
+        # w(J_n) = cos(pi / (n + 1)) (Haagerup & de la Harpe 1992)
+        res, verdicts = _certified(_jordan(n))
+        assert verdicts == [[True]]
+        assert res.value == pytest.approx(math.cos(math.pi / (n + 1)), rel=1e-14, abs=0)
+
+    def test_weighted_shift_and_disk_plus_inner_point(self):
+        # W(T) of a weighted shift is a disk about 0, of radius
+        # lambda_max(Re T); E12 + d with |d| < 1/2 adds a point inside W(E12)
+        shift = np.diag([1.0, 2.0, 0.5, 3.0, 0.25], 1).astype(complex)
+        res, verdicts = _certified(shift)
+        assert verdicts == [[True]]
+        w = np.linalg.eigvalsh(matcore.re_part(shift))[-1]
+        assert res.value == pytest.approx(w, rel=1e-14, abs=0)
+        for d in (0.0, 0.3, -0.4j, 0.45 * np.exp(2.0j)):
+            res, verdicts = _certified(_e12_plus(d))
+            assert verdicts == [[True]]
+            assert res.value == pytest.approx(0.5, rel=1e-15, abs=0)
+            assert res.achieved_interval == 0.0
+
+    def test_disk_plus_outer_point_goes_to_the_grid(self):
+        # w = |d| > 1/2 is attained off the seeds: the test must not fire
+        for d in (0.52 * np.exp(0.125j * math.pi), 0.5 + 1e-7, 0.53 * np.exp(2.75j)):
+            res, verdicts = _certified(_e12_plus(d))
+            assert verdicts == [[False]]
+            assert res.value == pytest.approx(abs(d), rel=1e-15, abs=0)
+            assert res.achieved_interval > 0.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_perturbed_disk_reaches_the_oracle(self, n):
+        for seed in range(2):
+            a = (generate(EnsembleSpec("square_zero", n, 1510 + seed))
+                 + 1e-8 * generate(EnsembleSpec("ginibre", n, 1520 + seed)))
+            w = numerical_radius(a).value
+            assert abs(w - numerical_radius_oracle(a)) <= 1e-9 * max(1.0, w)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 12), st.data())
+    def test_coefficient_bound_is_below_the_minimum(self, degree, data):
+        # p(t) = a_0 + sum_k (a_k cos kt + b_k sin kt), sampled at the N
+        # angles of the disk test
+        coef = data.draw(hnp.arrays(np.float64, (2, degree + 1),
+                                    elements=st.floats(-1.0, 1.0)))
+        count = _samples(degree)
+        assert radius._disk_angles(degree).size == count
+
+        def p(t):
+            k = np.arange(degree + 1)
+            return np.cos(np.outer(t, k)) @ coef[0] + np.sin(np.outer(t, k)) @ coef[1]
+
+        samples = p(np.arange(count) * (2 * math.pi / count))
+        bound = radius._trig_lower_bound(samples[None], degree)[0]
+        dense = p(np.linspace(0.0, 2 * math.pi, 20001)).min()
+        assert bound <= dense + 1e-12
+        # a constant polynomial's bound is its value
+        if not coef[:, 1:].any():
+            assert bound == pytest.approx(coef[0, 0], abs=1e-15)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_disk_draws(), st.sampled_from(["point", "perturbation"]),
+           st.complex_numbers(max_magnitude=1.5), st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8]),
+           st.integers(0, 10 ** 6))
+    def test_certificate_is_sound_near_disks(self, disk, kind, d, size, seed):
+        n = disk.shape[0]
+        if kind == "point":
+            a = np.zeros((n + 1, n + 1), dtype=complex)
+            a[:n, :n], a[n, n] = disk, d
+        else:
+            a = disk + size * generate(EnsembleSpec("ginibre", n, seed))
+        # on the binary-scaled matrix the certificate reads
+        # w < r' = value + CIRCLE_TOL max(1, value), and oracle <= w
+        a = matcore.binary_scaled(a)[0]
+        res, verdicts = _certified(a)
+        if any(v for verdict in verdicts for v in verdict):
+            oracle = numerical_radius_oracle(a)
+            raised = res.value + radius.CIRCLE_TOL * max(1.0, res.value)
+            assert oracle <= raised + 1e-14 * max(1.0, res.value)
+
+
 # tracemalloc peak of one numerical_radius_many call, whatever the stack's
 # length: unchunked, a 720-matrix n = 8 stack peaks at about 25 MB
 PEAK_BOUND = 4 * 2 ** 20
