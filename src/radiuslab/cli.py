@@ -45,8 +45,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-DEFAULT_ENSEMBLES = ("ginibre:2,ginibre:4,hermitian:4,normal:4,unitary:4,"
-                     "nil:2,nil:4,contraction:4,commute:4,anticommute:4")
+DEFAULT_ENSEMBLES = ("ginibre:2", "ginibre:4", "hermitian:4", "normal:4", "unitary:4",
+                     "nil:2", "nil:4", "contraction:4", "commute:4", "anticommute:4")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -57,10 +57,13 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
+    """One command line.  The field defaults are the CLI's defaults: `main`
+    sets a field only from a flag that is given."""
+
     command: str
     matrix_path: Optional[str] = None
     norm_id: Optional[str] = None
-    ensemble_ids: tuple = ()
+    ensemble_ids: tuple = DEFAULT_ENSEMBLES
     checks: Optional[tuple] = None
     trials: int = 100
     seed: int = 2024
@@ -85,8 +88,11 @@ class RunConfig:
     def flush(self) -> None:
         text = "\n".join(self.lines) + ("\n" if self.lines else "")
         if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(self.out_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"out: cannot write {self.out_path}: {exc.strerror or exc}")
         else:
             sys.stdout.write(text)
 
@@ -120,6 +126,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _ids(text: str) -> tuple:
+    """The non-empty items of a comma-separated list."""
+    return tuple(s for s in text.split(",") if s)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radiuslab",
@@ -127,38 +138,39 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification suite for the inequalities relating them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, matrix=False):
-        if matrix:
-            p.add_argument("--matrix", help="path to a matrix file (JSON rows/cols/data)")
-        p.add_argument("--norm", default=None,
+    # each flag sets the RunConfig field named by its dest, and only when given
+    flags = {
+        "--matrix": dict(dest="matrix_path", help="path to a matrix file (JSON rows/cols/data)"),
+        "--norm": dict(dest="norm_id",
                        help="norm id: op, schatten:p (p decimal or 'inf'), wnum, omega "
                             "(compute defaults to op; verify runs its norm-sweeping "
                             "checks with this norm alone; validate-norms defaults to "
-                            "the whole registry)")
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=("human", "machine"), default="human")
-
-    p = sub.add_parser("compute", help="compute every radius/norm of one matrix")
-    common(p, matrix=True)
-
-    p = sub.add_parser("verify", help="run the inequality suite over seeded ensembles")
-    common(p)
-    p.add_argument("--ensembles", default=DEFAULT_ENSEMBLES,
-                   help="comma-separated ensemble ids like ginibre:4,nil:2")
-    p.add_argument("--checks", default=None,
-                   help=f"comma-separated check names (default: all; known: "
-                        f"{','.join(DEFAULT_CHECK_NAMES)})")
-
-    p = sub.add_parser("paper-example",
-                       help="reproduce the worked 2x2 example and assert its closed forms")
-    common(p)
-
-    p = sub.add_parser("validate-norms", help="audit the registered norms' declared flags")
-    common(p)
+                            "the whole registry)"),
+        "--trials": dict(type=int),
+        "--seed": dict(type=int),
+        "--tol": dict(type=float),
+        "--out": dict(dest="out_path", help="write the report to this path instead of stdout"),
+        "--format": dict(choices=("human", "machine")),
+        "--ensembles": dict(dest="ensemble_ids", type=_ids,
+                            help="comma-separated ensemble ids like ginibre:4,nil:2"),
+        "--checks": dict(type=_ids, help=f"comma-separated check names (default: all; "
+                                         f"known: {','.join(DEFAULT_CHECK_NAMES)})"),
+    }
+    commands = [
+        ("compute", "compute every radius/norm of one matrix",
+         ("--matrix", "--norm", "--out", "--format")),
+        ("verify", "run the inequality suite over seeded ensembles",
+         ("--norm", "--trials", "--seed", "--tol", "--out", "--format", "--ensembles",
+          "--checks")),
+        ("paper-example", "reproduce the worked 2x2 example and assert its closed forms",
+         ("--tol", "--out", "--format")),
+        ("validate-norms", "audit the registered norms' declared flags",
+         ("--norm", "--trials", "--seed", "--out", "--format")),
+    ]
+    for name, text, names in commands:
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -167,6 +179,8 @@ def _load_square_matrix(config: RunConfig) -> np.ndarray:
         arr = load_matrix(config.matrix_path)
     except FileNotFoundError:
         raise UsageError(f"matrix: file not found: {config.matrix_path}")
+    except OSError as exc:
+        raise UsageError(f"matrix: cannot read {config.matrix_path}: {exc.strerror or exc}")
     except MatrixFormatError as exc:
         raise UsageError(f"matrix: {exc}")
     if arr.shape[0] != arr.shape[1]:
@@ -379,19 +393,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    config = RunConfig(
-        command=ns.command,
-        matrix_path=getattr(ns, "matrix", None),
-        norm_id=ns.norm,
-        ensemble_ids=tuple(s for s in getattr(ns, "ensembles", "").split(",") if s),
-        checks=(tuple(s for s in ns.checks.split(",") if s)
-                if getattr(ns, "checks", None) is not None else None),
-        trials=ns.trials,
-        seed=ns.seed,
-        tol=ns.tol,
-        out_path=ns.out,
-        format=ns.format,
-    )
+    config = RunConfig(**vars(ns))
     handlers = {
         "compute": cmd_compute,
         "verify": cmd_verify,
@@ -401,13 +403,10 @@ def main(argv=None) -> int:
     try:
         config.validate()
         code = handlers[config.command](config)
-    except UsageError as exc:
+        config.flush()
+    except (UsageError, MatrixShapeError, NonFiniteEntry, UnknownNormId) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MatrixShapeError, NonFiniteEntry, UnknownNormId) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    config.flush()
     return code
 
 

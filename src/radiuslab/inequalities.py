@@ -226,7 +226,8 @@ def _phase_sups(stack, norm: NormSpec, pair) -> list:
     pair being positively homogeneous of degree 1 (the stack is searched
     binary-scaled, and the values scaled back).
 
-    One `maximize_on_circle_many` searches every matrix in lockstep, and
+    One `maximize_on_circle_many` searches every matrix in lockstep over
+    [0, pi) (N(-A) = N(A), so the objective has period pi), and
     each of its calls evaluates N once, through `rotated_objective_many`, on
     the joined angles phi and phi - pi/2, since
     Im(e^{i phi} T) = Re(e^{i (phi - pi/2)} T).
@@ -238,7 +239,7 @@ def _phase_sups(stack, norm: NormSpec, pair) -> list:
         both = F(np.concatenate((owner, owner)), np.concatenate((phis, phis - math.pi / 2)))
         return pair(both[:phis.size], both[phis.size:])
 
-    found = maximize_on_circle_many(objective, stack.shape[0], norm.even)
+    found = maximize_on_circle_many(objective, stack.shape[0], True)
     values = binary_unscaled(np.array([v for _, v, _, _ in found]), exponent).tolist()
     return [(x % _TWO_PI, v) for (x, _, _, _), v in zip(found, values)]
 

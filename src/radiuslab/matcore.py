@@ -119,18 +119,18 @@ def hermitian_defect(a: np.ndarray) -> float:
     return frobenius_norm(arr - adjoint(arr))
 
 
-def require_hermitian(a, tol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Return the symmetrized copy (A + A*)/2, or raise NonHermitianInput.
 
-    Inputs whose defect ||A - A*||_F exceeds tol * max(1, ||A||_F) are
-    rejected; anything inside the tolerance is symmetrized so downstream
+    Inputs whose defect ||A - A*||_F exceeds HERMITIAN_RTOL * max(1, ||A||_F)
+    are rejected; anything inside the tolerance is symmetrized so downstream
     Hermitian-only math is exact.
     """
     arr = as_matrix(a, square=True)
     scale = max(1.0, frobenius_norm(arr))
-    if hermitian_defect(arr) > tol * scale:
+    if hermitian_defect(arr) > HERMITIAN_RTOL * scale:
         raise NonHermitianInput(
-            f"matrix is not Hermitian within tolerance {tol:g} (defect "
+            f"matrix is not Hermitian within tolerance {HERMITIAN_RTOL:g} (defect "
             f"{hermitian_defect(arr):.3e}, scale {scale:.3e})"
         )
     return (arr + adjoint(arr)) / 2
@@ -146,15 +146,15 @@ class EigenResult:
     residual: float
 
 
-def hermitian_eigs(a, tol: float = HERMITIAN_RTOL) -> EigenResult:
+def hermitian_eigs(a) -> EigenResult:
     """Eigendecomposition of a Hermitian matrix with a residual contract.
 
-    The input must be Hermitian to `tol` (relative); it is symmetrized
-    before solving.  Eigenvalues come back ascending with orthonormal
+    The input must be Hermitian to HERMITIAN_RTOL (relative); it is
+    symmetrized before solving.  Eigenvalues come back ascending with orthonormal
     eigenvectors, and the returned residual is guaranteed below
     EIGEN_RESIDUAL_RTOL * max(1, ||A||_F).
     """
-    return _checked_eigh(require_hermitian(a, tol))
+    return _checked_eigh(require_hermitian(a))
 
 
 def _checked_eigh(h: np.ndarray) -> EigenResult:
@@ -190,13 +190,13 @@ def hermitian_norm(h: np.ndarray):
     return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
 
 
-def cayley_unitary(s, tol: float = HERMITIAN_RTOL) -> np.ndarray:
+def cayley_unitary(s) -> np.ndarray:
     """U = S + i (I - S^2)^(1/2) for a Hermitian contraction S.
 
     U is unitary with Re(U) = S; both postconditions are verified to 1e-10
     on the symmetrized operand before returning.
     """
-    h = require_hermitian(s, tol)
+    h = require_hermitian(s)
     eig = _checked_eigh(h)
     top = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
     if top > 1.0 + CONTRACTION_RTOL:

@@ -67,7 +67,10 @@ def loads_matrix(text: str) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise MatrixFormatError(f"data[{k}]: expected an [re, im] pair, got {pair!r}")
-        out[k] = complex(float(pair[0]), float(pair[1]))
+        try:
+            out[k] = complex(float(pair[0]), float(pair[1]))
+        except OverflowError:   # an integer beyond the float range
+            raise MatrixFormatError(f"data[{k}]: entries must be finite") from None
     if not np.isfinite(out).all():
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise MatrixFormatError(f"data[{bad}]: entries must be finite")
@@ -81,4 +84,8 @@ def save_matrix(path, a) -> None:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"document: not valid UTF-8 ({exc})") from exc
+    return loads_matrix(text)

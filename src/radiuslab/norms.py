@@ -36,12 +36,12 @@ class NormSpec:
     shipped norm's evaluate is its evaluate_many on the one-matrix stack,
     so the two agree bitwise.
     unitary_sup maps a dimension to sup { N(U) : U unitary } or is None
-    when no closed form is known.  `even` declares N(-A) == N(A), which lets
-    the radius optimizers halve their search period; it is never assumed for
-    norms that do not set it.  `radius`, when given, computes w_N of each
-    matrix of a (m, n, n) stack (a list of RadiusResult) itself, and
-    `generalized_radius_many` returns it instead of searching the angle
-    grid.
+    when no closed form is known.  The radius searches assume
+    N(-A) == N(A), which homogeneity (audited by `validate_norm`) gives, and
+    search the angle over half the period.  `radius`, when given, computes
+    w_N of each matrix of a (m, n, n) stack (a list of RadiusResult)
+    itself, and `generalized_radius_many` returns it instead of searching
+    the angle grid.
     """
 
     id: str
@@ -51,7 +51,6 @@ class NormSpec:
     algebra: bool
     weakly_unitarily_invariant: bool
     unitary_sup: Optional[Callable[[int], float]] = None
-    even: bool = False
     radius: Optional[Callable[[np.ndarray], list[RadiusResult]]] = None
 
 
@@ -77,7 +76,6 @@ def operator_norm_spec() -> NormSpec:
         weakly_unitarily_invariant=True,
         unitary_sup=lambda n: 1.0,
         evaluate_many=spectral_norm_many,
-        even=True,
         # looked up when called, so a rebinding of numerical_radius_many reaches it
         radius=lambda stack: numerical_radius_many(stack),
     )
@@ -116,7 +114,6 @@ def schatten_norm_spec(p: float) -> NormSpec:
         weakly_unitarily_invariant=True,
         unitary_sup=lambda n: float(n) ** (1.0 / p),
         evaluate_many=evaluate_many,
-        even=True,
     )
 
 
@@ -146,7 +143,6 @@ def numerical_radius_norm_spec() -> NormSpec:
         weakly_unitarily_invariant=True,
         unitary_sup=lambda n: 1.0,
         evaluate_many=evaluate_many,
-        even=True,
     )
 
 
@@ -172,7 +168,6 @@ def omega_norm_spec(**opts) -> NormSpec:
         weakly_unitarily_invariant=True,
         unitary_sup=lambda n: math.sqrt(2.0),
         evaluate_many=evaluate_many,
-        even=True,
     )
 
 

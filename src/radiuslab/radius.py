@@ -41,12 +41,12 @@ w_op(T) = w(T).
 
 Every other supremum over one angle uses a uniform grid over the period
 followed by golden-section refinement of the best few local brackets
-(`maximize_on_circle`), which is derivative-free (eigenvalue branches may
-cross non-smoothly) and deterministic.  Its settings are CIRCLE_GRID points
-over 2 pi, brackets refined to width CIRCLE_TOL, and the CIRCLE_BRACKETS
-best of them.  Because every norm satisfies N(-A) = N(A), the angle
-objective has period pi; the optimizers exploit that only when the norm
-declares it (`even` flag), never for user-supplied evaluators.
+(`maximize_on_circle_many`), which is derivative-free (eigenvalue branches
+may cross non-smoothly) and deterministic.  Its settings are CIRCLE_GRID
+points over 2 pi, brackets refined to width CIRCLE_TOL, and the
+CIRCLE_BRACKETS best of them (coarser for the slow Omega radius).  Every
+norm satisfies N(-A) = N(A) by homogeneity, so the angle objective of a
+radius has period pi, and it is searched over [0, pi).
 
 `maximize_on_circle_many` searches many objectives at once, and
 `maximize_on_circle` is its one-objective case.  The objectives are one
@@ -259,16 +259,13 @@ class OmegaResult:
     evaluations: int
 
 
-def maximize_on_circle(F, even: bool, grid: int = CIRCLE_GRID,
-                       refine_tol: float = CIRCLE_TOL,
-                       top_brackets: int = CIRCLE_BRACKETS):
+def maximize_on_circle(F, even: bool):
     """Grid-plus-refinement maximum of an objective F of period 2 pi, or of
     period pi where `even` declares it; F maps a 1-d array of angles to
     their values.  Returns (argmax, value, final_width, evaluations).  This
-    is the one-objective case of `maximize_on_circle_many`.
+    is the one-objective case of `maximize_on_circle_many` at its defaults.
     """
-    return maximize_on_circle_many(lambda owner, angles: F(angles), 1, even, grid,
-                                   refine_tol, top_brackets)[0]
+    return maximize_on_circle_many(lambda owner, angles: F(angles), 1, even)[0]
 
 
 def maximize_on_circle_many(F, m: int, even: bool, grid: int = CIRCLE_GRID,
@@ -417,25 +414,20 @@ def rotated_objective_many(stack, evaluate_many):
     return F
 
 
-def generalized_radius(T, norm, *, grid: int = CIRCLE_GRID, refine_tol: float = CIRCLE_TOL,
-                       top_brackets: int = CIRCLE_BRACKETS) -> RadiusResult:
+def generalized_radius(T, norm) -> RadiusResult:
     """w_N(T), the maximum of N(Re(exp(i theta) T)) over theta.
 
-    A norm that declares its own radius gets it from `norm.radius`, and the
-    settings are ignored: `op` and `schatten:inf` declare
-    `numerical_radius_many`, since ||Re(exp(i theta) T)|| is the larger of
-    lambda_max(H(theta)) and lambda_max(H(theta + pi)).  Every other norm
-    goes through `maximize_on_circle` with these settings, over [0, pi) for
-    norms declaring `even`.  This is the one-matrix case of
-    `generalized_radius_many`.
+    A norm that declares its own radius gets it from `norm.radius`: `op` and
+    `schatten:inf` declare `numerical_radius_many`, since
+    ||Re(exp(i theta) T)|| is the larger of lambda_max(H(theta)) and
+    lambda_max(H(theta + pi)).  Every other norm goes through
+    `maximize_on_circle_many` over [0, pi) at the CIRCLE_* settings.  This
+    is the one-matrix case of `generalized_radius_many`.
     """
-    return generalized_radius_many(np.asarray(T, dtype=np.complex128)[None], norm, grid=grid,
-                                   refine_tol=refine_tol, top_brackets=top_brackets)[0]
+    return generalized_radius_many(np.asarray(T, dtype=np.complex128)[None], norm)[0]
 
 
-def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
-                            refine_tol: float = CIRCLE_TOL,
-                            top_brackets: int = CIRCLE_BRACKETS) -> list[RadiusResult]:
+def generalized_radius_many(stack, norm) -> list[RadiusResult]:
     """w_N of each matrix of a (m, n, n) stack; see `generalized_radius`.
 
     A norm's own radius gets the whole stack in one `norm.radius` call.
@@ -446,15 +438,15 @@ def generalized_radius_many(stack, norm, *, grid: int = CIRCLE_GRID,
     """
     if norm.radius is not None:
         return norm.radius(stack)
-    return _circle_radii(stack, norm, grid, refine_tol, top_brackets)
+    return _circle_radii(stack, norm, CIRCLE_GRID, CIRCLE_TOL, CIRCLE_BRACKETS)
 
 
 @memo_per_matrix
 def _circle_radii(arrs, norm, grid, refine_tol, top_brackets) -> list[RadiusResult]:
-    """The grid path of `generalized_radius` for each matrix of a stack."""
+    """The grid path of `generalized_radius`, at given settings, for each matrix of a stack."""
     scaled, exponent = binary_scaled(arrs)
     F = rotated_objective_many(scaled, norm.evaluate_many)
-    found = maximize_on_circle_many(F, arrs.shape[0], norm.even, grid, refine_tol, top_brackets)
+    found = maximize_on_circle_many(F, arrs.shape[0], True, grid, refine_tol, top_brackets)
     values = binary_unscaled(np.array([v for _, v, _, _ in found]), exponent).tolist()
     return [RadiusResult(value=v, argmax_theta=x % _TWO_PI, achieved_interval=width,
                          evaluations=evals) for (x, _, width, evals), v in zip(found, values)]
@@ -856,7 +848,7 @@ def alphabeta_radius(T, norm) -> float:
     (alpha, beta) = (cos t, sin t), which is the angle objective at -t;
     equals w_N(T)."""
     F = rotated_objective(T, norm.evaluate_many)
-    _, v, _, _ = maximize_on_circle(lambda t: F(-t), norm.even)
+    _, v, _, _ = maximize_on_circle(lambda t: F(-t), True)
     return float(v)
 
 
@@ -1249,9 +1241,9 @@ def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_
     return results
 
 
-def omega_norm(T, **opts) -> OmegaResult:
-    """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*||; `opts` are
-    the keyword options of `omega_norm_many`.
+def omega_norm(T) -> OmegaResult:
+    """Omega(T): maximize ||cos(s) T + exp(i psi) sin(s) T*|| by
+    `omega_norm_many` at the defaults of the settings named below.
 
     With u = (cos 2s, sin 2s cos psi, sin 2s sin psi) on the unit sphere,
     ||.||^2 = lambda_max(G(u)), G(u) = S + u_0 D + u_1 X - u_2 Y, the four
@@ -1289,7 +1281,7 @@ def omega_norm(T, **opts) -> OmegaResult:
     counts the grid nodes evaluated (the row s = 0 once) plus eigensolves.
     This is the one-matrix case of `omega_norm_many`.
     """
-    return omega_norm_many(np.asarray(T, dtype=np.complex128)[None], **opts)[0]
+    return omega_norm_many(np.asarray(T, dtype=np.complex128)[None])[0]
 
 
 # Reduced (but still refined) settings for the slow w_Omega path: the

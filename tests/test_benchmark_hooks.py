@@ -2,6 +2,7 @@
 by module and name.  A renamed or inlined target would leave its layer
 metrics silently at zero, so every target it names must resolve here."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -46,3 +47,12 @@ def test_check_runners_are_swappable_module_functions(monkeypatch):
             patch.setattr(inequalities, name, stand_in)
             swapped = {d.name: d.runner for d in inequalities.default_checks()}
         assert swapped[defn.name] is stand_in, defn.name
+
+
+def test_traced_norm_fields_are_init_fields():
+    # the tracer builds a traced norm with dataclasses.replace(spec,
+    # evaluate=..., evaluate_many=...), which needs both as init fields
+    from radiuslab.norms import NormSpec
+
+    init = {f.name for f in dataclasses.fields(NormSpec) if f.init}
+    assert {"evaluate", "evaluate_many"} <= init

@@ -141,6 +141,30 @@ class TestCompute:
         assert cli.main(["compute", "--matrix", str(path)]) == 2
         assert "data" in capsys.readouterr().err
 
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ", 0]]}")
+        assert cli.main(["compute", "--matrix", str(path)]) == 2
+        assert "error: matrix: data[0]: entries must be finite" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"rows": 1, "cols": 1, "data": [[1, 0]]} \xe9')
+        assert cli.main(["compute", "--matrix", str(path)]) == 2
+        assert "error: matrix: document: " in capsys.readouterr().err
+
+    def test_directory_cannot_be_read(self, tmp_path, capsys):
+        assert cli.main(["compute", "--matrix", str(tmp_path)]) == 2
+        assert f"error: matrix: cannot read {tmp_path}" in capsys.readouterr().err
+
+    def test_unreadable_file(self, e12_matrix, monkeypatch, capsys):
+        def denied(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "load_matrix", denied)
+        assert cli.main(["compute", "--matrix", e12_matrix]) == 2
+        assert "error: matrix: cannot read" in capsys.readouterr().err
+
     def test_wnum_norm_id(self, e12_matrix, tmp_path):
         code, text = run_cli(["compute", "--matrix", e12_matrix, "--norm", "wnum",
                               "--format", "machine"], tmp_path)
@@ -314,3 +338,37 @@ class TestUsage:
 
     def test_bad_tol(self):
         assert cli.main(["paper-example", "--tol", "-1"]) == 2
+
+    @pytest.mark.parametrize("out", ["missing/report.txt", "."])
+    def test_unwritable_out(self, tmp_path, out, capsys):
+        assert cli.main(["paper-example", "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("error: out: cannot write ")
+
+    @pytest.mark.parametrize("args", [
+        ["compute", "--matrix", "T.json", "--trials", "5"],
+        ["compute", "--matrix", "T.json", "--seed", "5"],
+        ["compute", "--matrix", "T.json", "--tol", "1e-3"],
+        ["paper-example", "--norm", "op"],
+        ["paper-example", "--trials", "7"],
+        ["paper-example", "--seed", "7"],
+        ["validate-norms", "--tol", "1e-3"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, args):
+        assert cli.main(args) == 2
+
+    @pytest.mark.parametrize("args, fields", [
+        (["compute", "--matrix", "T.json", "--norm", "op"],
+         {"matrix_path": "T.json", "norm_id": "op"}),
+        (["verify", "--norm", "op", "--trials", "2", "--seed", "3", "--tol", "1e-3",
+          "--ensembles", "nil:2,", "--checks", "basic"],
+         {"norm_id": "op", "trials": 2, "seed": 3, "tol": 1e-3, "ensemble_ids": ("nil:2",),
+          "checks": ("basic",)}),
+        (["paper-example", "--tol", "1e-3"], {"tol": 1e-3}),
+        (["validate-norms", "--norm", "op", "--trials", "2", "--seed", "3"],
+         {"norm_id": "op", "trials": 2, "seed": 3}),
+    ])
+    def test_each_flag_sets_its_field(self, args, fields):
+        # the flags not given keep the RunConfig defaults
+        ns = cli._build_parser().parse_args(args + ["--out", "o.txt", "--format", "machine"])
+        assert cli.RunConfig(**vars(ns)) == cli.RunConfig(
+            command=args[0], out_path="o.txt", format="machine", **fields)

@@ -55,3 +55,16 @@ def test_errors_name_offending_field(text, field):
     with pytest.raises(MatrixFormatError) as exc:
         loads_matrix(text)
     assert str(exc.value).startswith(field)
+
+
+def test_integer_beyond_the_float_range_is_not_finite():
+    text = '{"rows": 1, "cols": 2, "data": [[0, 0], [1' + "0" * 400 + ", 0]]}"
+    with pytest.raises(MatrixFormatError, match=r"^data\[1\]: entries must be finite$"):
+        loads_matrix(text)
+
+
+def test_non_utf8_file_names_the_document(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"rows": 1, "cols": 1, "data": [[1, 0]]} é'.encode("latin-1"))
+    with pytest.raises(MatrixFormatError, match="^document: "):
+        load_matrix(path)

@@ -36,6 +36,11 @@ def _batched(evaluate):
     return lambda stack: np.array([evaluate(a) for a in stack])
 
 
+def _cheap_radius(t, norm):
+    # w_N(t) by the grid path of generalized_radius on a coarse grid
+    return radius._circle_radii(t[None], norm, 16, 1e-3, radius.CIRCLE_BRACKETS)[0]
+
+
 def _count_searches(monkeypatch, record):
     """Rebind radius._circle_radii to the same memoized search, around a spy
     that calls record(arrs, norm) for every raw grid search (memo hits
@@ -167,10 +172,10 @@ def test_a_raising_call_is_not_remembered():
     a = generate(EnsembleSpec("ginibre", 2, 60))
     with radius.result_memo():
         with pytest.raises(RuntimeError):
-            radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3)
-        first = radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3)
+            _cheap_radius(a, norm)
+        first = _cheap_radius(a, norm)
         spent = len(calls)
-        assert radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3) is first
+        assert _cheap_radius(a, norm) is first
         assert len(calls) == spent
 
 
@@ -178,14 +183,12 @@ def test_omega_settings_never_share_an_entry():
     t = generate(EnsembleSpec("ginibre", 2, 70))
     specs = (omega_norm_spec(), omega_norm_spec(**radius.SLOW_OMEGA_INNER))
     assert specs[0].id == specs[1].id == "omega"
-    cheap = {"grid": 16, "refine_tol": 1e-3}
-    alone = [(spec.evaluate(t), radius.generalized_radius(t, spec, **cheap))
-             for spec in specs]
+    alone = [(spec.evaluate(t), _cheap_radius(t, spec)) for spec in specs]
     with radius.result_memo():
         memo = radius._MEMO.get()
         for k in (0, 1, 1, 0):
             spec = specs[k]
-            assert (spec.evaluate(t), radius.generalized_radius(t, spec, **cheap)) == alone[k]
+            assert (spec.evaluate(t), _cheap_radius(t, spec)) == alone[k]
         assert len(_entries(memo, radius.omega_norm_many)) == 2
         assert len(_entries(memo, radius._circle_radii)) == 2
 
@@ -194,14 +197,12 @@ def test_nested_calls_bypass_the_memo():
     t = generate(EnsembleSpec("ginibre", 3, 80))
     with radius.result_memo():
         memo = radius._MEMO.get()
-        res = radius.generalized_radius(t, numerical_radius_norm_spec(), grid=16,
-                                        refine_tol=1e-3)
+        res = _cheap_radius(t, numerical_radius_norm_spec())
         # the inner numerical radii of the wnum grid are not remembered
         assert len(memo) == 1 and len(_entries(memo, radius._circle_radii)) == 1
         with radius.result_memo():
             assert radius._MEMO.get() is memo
-    assert res == radius.generalized_radius(t, numerical_radius_norm_spec(), grid=16,
-                                            refine_tol=1e-3)
+    assert res == _cheap_radius(t, numerical_radius_norm_spec())
 
 
 def test_op_radius_is_the_numerical_radius_entry():
@@ -224,9 +225,9 @@ def test_an_unhashable_norm_runs_unremembered():
     norm = NormSpec(id="scaled", evaluate=Scaled(2.0), evaluate_many=_batched(Scaled(2.0)),
                     self_adjoint=True, algebra=True, weakly_unitarily_invariant=True)
     a = generate(EnsembleSpec("ginibre", 2, 100))
-    alone = radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3)
+    alone = _cheap_radius(a, norm)
     with radius.result_memo():
-        assert radius.generalized_radius(a, norm, grid=16, refine_tol=1e-3) == alone
+        assert _cheap_radius(a, norm) == alone
         assert len(radius._MEMO.get()) == 0
 
 
@@ -321,8 +322,7 @@ def test_stacked_work_fills_only_what_the_cells_read(monkeypatch):
             return self.factor * float(np.linalg.norm(a, 2))
 
     norm = NormSpec(id="scaled", evaluate=Scaled(2.0), evaluate_many=_batched(Scaled(2.0)),
-                    self_adjoint=True, algebra=True, weakly_unitarily_invariant=True,
-                    even=True)
+                    self_adjoint=True, algebra=True, weakly_unitarily_invariant=True)
     rep = inequalities.run_suite([EnsembleSpec("ginibre", 2, 140)], checks=["inf-upper"],
                                  trials=1, norm=norm)
     assert [r.status for r in rep.records] == ["ok"] and searched == [1]

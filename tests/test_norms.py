@@ -35,7 +35,16 @@ class TestOperatorSpec:
     def test_flags(self):
         spec = operator_norm_spec()
         assert spec.self_adjoint and spec.algebra and spec.weakly_unitarily_invariant
-        assert spec.even
+
+
+@pytest.mark.parametrize("norm_id", [*registry(), "schatten:3", "schatten:inf"])
+def test_negation_leaves_the_norm_unchanged(norm_id):
+    # the radius searches rely on N(-A) = N(A) to search half the angle period
+    spec = parse_norm_id(norm_id)
+    for n in (2, 4, 8):
+        for seed in range(3):
+            a = generate(EnsembleSpec("ginibre", n, 700 + 10 * n + seed))
+            assert spec.evaluate(-a) == pytest.approx(spec.evaluate(a), rel=1e-12, abs=0.0)
 
 
 class TestSchattenSpec:

@@ -37,6 +37,13 @@ OP = operator_norm_spec()
 # an optimizer independent of the level-set engine
 OP_GRID = dataclasses.replace(OP, radius=None)
 FRO = frobenius_norm_spec()
+# coarse settings of the grid path, for radii of the nested norms
+_CHEAP = (24, 1e-4, radius.CIRCLE_BRACKETS)
+
+
+def _cheap_radius(t, norm):
+    """w_N(t) by the grid path of `generalized_radius` at _CHEAP."""
+    return radius._circle_radii(np.asarray(t)[None], norm, *_CHEAP)[0]
 
 
 class TestGeneralizedRadius:
@@ -57,7 +64,7 @@ class TestGeneralizedRadius:
     def test_result_invariants(self):
         for seed in range(5):
             a = generate(EnsembleSpec("ginibre", 4, 50 + seed))
-            res = generalized_radius(a, OP_GRID, refine_tol=1e-10)
+            res = generalized_radius(a, OP_GRID)
             assert res.achieved_interval <= 1e-10
             assert 0.0 <= res.argmax_theta < 2 * math.pi
             re_eval = OP.evaluate(matcore.re_part(matcore.rotate(a, res.argmax_theta)))
@@ -65,11 +72,9 @@ class TestGeneralizedRadius:
             assert res.evaluations > 0
 
     @pytest.mark.parametrize("spec", [OP, schatten_norm_spec(math.inf)])
-    def test_declared_radius_ignores_the_settings(self, spec):
+    def test_declared_radius_is_the_numerical_radius(self, spec):
         a = generate(EnsembleSpec("ginibre", 4, 55))
-        w = numerical_radius(a)
-        assert generalized_radius(a, spec) == w
-        assert generalized_radius(a, spec, grid=8, refine_tol=1.0, top_brackets=1) == w
+        assert generalized_radius(a, spec) == numerical_radius(a)
 
 
 def _top_eigenvalue(h):
@@ -525,6 +530,13 @@ def _golden_max(f, lo, hi, tol, seed, max_iter=300):
     return best_x, best_v, h, evals
 
 
+def _maximize_one(F, even, grid, refine_tol, top_brackets):
+    """`maximize_on_circle` of F at the given settings: the lockstep search
+    of the one objective F."""
+    return radius.maximize_on_circle_many(lambda owner, angles: F(angles), 1, even, grid,
+                                          refine_tol, top_brackets)[0]
+
+
 def _scalar_maximize_on_circle(F, period, points, refine_tol, top_brackets):
     """maximize_on_circle with one bracket after the other, F on one angle
     per probe."""
@@ -554,7 +566,7 @@ class TestLockstepBrackets:
         F = radius.rotated_objective(a, spec.evaluate_many)
         for points, tol, brackets in ((720, 1e-10, 5), (96, 1e-6, 3), (16, 1e-3, 8),
                                       (8, 10.0, 2)):
-            lockstep = radius.maximize_on_circle(F, True, 2 * points, tol, brackets)
+            lockstep = _maximize_one(F, True, 2 * points, tol, brackets)
             assert lockstep == _scalar_maximize_on_circle(F, math.pi, points, tol, brackets)
 
     def test_ties_and_probe_cap(self):
@@ -562,7 +574,7 @@ class TestLockstepBrackets:
         def F(angles):
             return np.cos(4.0 * angles)
 
-        lockstep = radius.maximize_on_circle(F, False, 64, 0.0, 4)
+        lockstep = _maximize_one(F, False, 64, 0.0, 4)
         assert lockstep == _scalar_maximize_on_circle(F, 2 * math.pi, 64, 0.0, 4)
         assert lockstep[3] == 64 + 4 * radius._MAX_PROBES
         assert lockstep[0] == pytest.approx(0.0, abs=1e-8)
@@ -582,11 +594,12 @@ class TestLockstepBrackets:
         assert calls[1] == (2 * np.arange(m).repeat(3).tolist(), 6 * m)
         assert {size for _, size in calls[2:]} == {3 * m}
         assert all(owner == np.arange(m).repeat(3).tolist() for owner, _ in calls[2:])
-        if m == 1:   # the one-objective search makes the same calls
+        if m == 1:   # the one-objective search makes the same calls, at the defaults
+            calls.clear()
+            radius.maximize_on_circle_many(F, 1, False)
             sizes = []
             radius.maximize_on_circle(
-                lambda t: sizes.append(t.size) or -np.cos(3.0 * t) + 0.1 * np.sin(t),
-                False, 96, 1e-8, 3)
+                lambda t: sizes.append(t.size) or -np.cos(3.0 * t) + 0.1 * np.sin(t), False)
             assert sizes == [size for _, size in calls]
 
     def test_many_matches_each_objective_alone(self):
@@ -612,8 +625,7 @@ class TestLockstepBrackets:
                                           (True, 96, 1e-6, 3), (False, 16, 10.0, 2)):
             together = radius.maximize_on_circle_many(F, len(objectives), even, grid, tol,
                                                       brackets)
-            alone = [radius.maximize_on_circle(f, even, grid, tol, brackets)
-                     for f in objectives]
+            alone = [_maximize_one(f, even, grid, tol, brackets) for f in objectives]
             assert repr(together) == repr(alone)
         capped = radius.maximize_on_circle_many(F, len(objectives), False, 64, 0.0, 4)
         assert capped[0][3] == 64 + 4 * radius._MAX_PROBES
@@ -636,9 +648,9 @@ class TestStackedRadii:
 
     def test_nested_norm_and_settings(self):
         stack = _stack_with_degenerate(3, 1330)
-        wnum, cheap = numerical_radius_norm_spec(), {"grid": 24, "refine_tol": 1e-4}
-        alone = [generalized_radius(t, wnum, **cheap) for t in stack]
-        assert repr(radius.generalized_radius_many(stack, wnum, **cheap)) == repr(alone)
+        wnum = numerical_radius_norm_spec()
+        alone = [_cheap_radius(t, wnum) for t in stack]
+        assert repr(radius._circle_radii(stack, wnum, *_CHEAP)) == repr(alone)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_omega_radius_slow_many_is_the_one_matrix_path(self, n):
@@ -885,7 +897,7 @@ class TestOmegaGramGrid:
         for dim in (2, 3, 8):
             t = generate(EnsembleSpec(kind, dim, 980 + dim))
             for opts in ({}, radius.SLOW_OMEGA_INNER):
-                res = omega_norm(t, **opts)
+                res = radius.omega_norm_many(t[None], **opts)[0]
                 s, psi = res.argmax
                 at_max = math.cos(s) * t + np.exp(1j * psi) * math.sin(s) * matcore.adjoint(t)
                 assert res.value == pytest.approx(_svd_norm(at_max), rel=1e-12)
@@ -896,7 +908,8 @@ class TestOmegaGramGrid:
         # the half grid is evaluated, the row s = 0 once, and the one
         # candidate stops after two eigensolves, its start and then the
         # zero-length step the zero gradient gives
-        res = omega_norm(np.zeros((2, 2)), grid_s=grid_s, grid_psi=24, top_cells=1)
+        res = radius.omega_norm_many(np.zeros((1, 2, 2)), grid_s=grid_s, grid_psi=24,
+                                     top_cells=1)[0]
         assert res.evaluations == (rows - 1) * 24 + 1 + 2
 
     def test_node_tops_hold_one_chunk(self):
@@ -1006,8 +1019,9 @@ class TestOmegaNewton:
     def test_many_is_the_one_matrix_path(self):
         stack = np.stack([generate(EnsembleSpec("ginibre", 3, 1240 + k)) for k in range(4)])
         for opts in ({}, radius.SLOW_OMEGA_INNER):
-            assert radius.omega_norm_many(stack, **opts) == [omega_norm(t, **opts)
-                                                            for t in stack]
+            assert radius.omega_norm_many(stack, **opts) == [
+                radius.omega_norm_many(t[None], **opts)[0] for t in stack]
+        assert radius.omega_norm_many(stack) == [omega_norm(t) for t in stack]
         assert radius.omega_norm_many(np.zeros((0, 2, 2))) == []
 
     def test_candidates_are_distinct_half_grid_maxima(self):
@@ -1121,7 +1135,8 @@ class TestPrunedOmegaSearch:
         assert len(draws) == 60
         for t in draws:
             for opts in ({}, radius.SLOW_OMEGA_INNER):
-                assert omega_norm(t, **opts).value == _reference_omega_value(t, **opts)
+                assert (radius.omega_norm_many(t[None], **opts)[0].value
+                        == _reference_omega_value(t, **opts))
 
     @pytest.mark.parametrize("kind", OMEGA_KINDS)
     def test_values_match_the_full_grid_search_at_larger_n(self, kind):
@@ -1129,7 +1144,8 @@ class TestPrunedOmegaSearch:
         for n in (16, 32):
             t = generate(EnsembleSpec(kind, n, 1320 + n))
             for opts in ({}, radius.SLOW_OMEGA_INNER):
-                assert omega_norm(t, **opts).value == _reference_omega_value(t, **opts)
+                assert (radius.omega_norm_many(t[None], **opts)[0].value
+                        == _reference_omega_value(t, **opts))
 
     @pytest.mark.parametrize("kind, most", [("hermitian", 50), ("normal", 50),
                                             ("square_zero", 210), ("ginibre", 70),
@@ -1178,7 +1194,7 @@ class TestPrunedOmegaSearch:
         p /= np.linalg.norm(p, axis=1)[:, None]
         w = np.concatenate((np.ones((p.shape[0], 1)), p), axis=1)
         tops = np.linalg.eigvalsh(radius._omega_gram(w, basis))[:, -1]
-        omega = omega_norm(t, grid_s=grid_s, grid_psi=grid_psi).value
+        omega = radius.omega_norm_many(t[None], grid_s=grid_s, grid_psi=grid_psi)[0].value
         bound = best + lip * rho ** 2 / 2 + 1e-12 * max(1.0, abs(basis[0]).sum())
         assert tops.max() <= bound
         assert omega ** 2 <= bound
@@ -1320,14 +1336,13 @@ def _fields(res):
 
 # every stack search, as a one-matrix function; the nested norms at cheap
 # outer settings
-_CHEAP = {"grid": 24, "refine_tol": 1e-4}
 SCALED_SEARCHES = {
     "numerical_radius": numerical_radius,
     "op": lambda t: generalized_radius(t, OP),
     "schatten:1": lambda t: generalized_radius(t, schatten_norm_spec(1)),
     "schatten:2": lambda t: generalized_radius(t, FRO),
-    "wnum": lambda t: generalized_radius(t, numerical_radius_norm_spec(), **_CHEAP),
-    "omega": lambda t: generalized_radius(t, omega_norm_spec(), **_CHEAP),
+    "wnum": lambda t: _cheap_radius(t, numerical_radius_norm_spec()),
+    "omega": lambda t: _cheap_radius(t, omega_norm_spec()),
     "omega_norm": omega_norm,
     "omega_radius_slow": omega_radius_slow,
     "phase[inf-upper]": lambda t: inequalities._phase_sups(
