@@ -444,6 +444,28 @@ class TestSuiteRunner:
         assert errors == {("golden", "RuntimeError: golden boom"),
                           ("ginibre:2", "RuntimeError: boom")}
 
+    def test_near_equality_order(self):
+        def flagged(T, *, tol):
+            report = iq.check_basic_bounds(T, tol=tol)
+            return dataclasses.replace(report, terms={**report.terms, "near_equality": 1.0})
+
+        # the checks are not in name order, nor the ensembles in kind order
+        checks = [iq.CheckDef(name=name, tag="selftest", runner=flagged,
+                              kinds=("ginibre", "hermitian"),
+                              golden=(iq.GoldenCase("e12", (E12,)),))
+                  for name in ("zeta", "alpha")]
+        specs = [EnsembleSpec("hermitian", 3, 20), EnsembleSpec("ginibre", 2, 10)]
+        rep = iq.run_suite(specs, checks=checks, trials=2, include_golden=True)
+        digest = {(r.name, r.ensemble, r.trial): r.input_digest for r in rep.records}
+        expected = []
+        for name in ("zeta", "alpha"):
+            expected.append(f"{name} golden:e12")
+            for ens, seed in (("hermitian:3", 20), ("ginibre:2", 10)):
+                for trial in (0, 1):
+                    expected.append(f"{name} {ens} trial {trial} seed {seed + trial} "
+                                    f"digest {digest[name, ens, trial]}")
+        assert list(rep.near_equality) == expected
+
     def test_aggregation_order_independent(self):
         specs = [EnsembleSpec("ginibre", 2, 300), EnsembleSpec("hermitian", 3, 300)]
         rep1 = iq.run_suite(specs, checks=["basic"], trials=3)
