@@ -29,7 +29,7 @@ from .inequalities import DEFAULT_CHECK_NAMES, check_inf_upper, run_suite
 from .matcore import (MatrixShapeError, NonFiniteEntry, frobenius_norm, hermitian_norm,
                       im_part, re_part, spectral_norm)
 from .matfile import MatrixFormatError, load_matrix
-from .norms import (UnknownNormId, operator_norm_spec, parse_norm_id, registry,
+from .norms import (NormSpec, UnknownNormId, operator_norm_spec, parse_norm_id, registry,
                     validate_norm)
 from .radius import (
     generalized_radius,
@@ -93,6 +93,8 @@ class RunConfig:
                     fh.write(text)
             except OSError as exc:
                 raise UsageError(f"out: cannot write {self.out_path}: {exc.strerror or exc}")
+            except ValueError as exc:   # open() refuses a path with a NUL byte
+                raise UsageError(f"out: cannot write {self.out_path!r}: {exc}")
         else:
             sys.stdout.write(text)
 
@@ -183,20 +185,26 @@ def _load_square_matrix(config: RunConfig) -> np.ndarray:
         raise UsageError(f"matrix: cannot read {config.matrix_path}: {exc.strerror or exc}")
     except MatrixFormatError as exc:
         raise UsageError(f"matrix: {exc}")
+    except ValueError as exc:   # open() refuses a path with a NUL byte
+        raise UsageError(f"matrix: cannot read {config.matrix_path!r}: {exc}")
     if arr.shape[0] != arr.shape[1]:
         raise UsageError(f"matrix: rows/cols: operator-level quantities need a "
                          f"square matrix, got {arr.shape[0]}x{arr.shape[1]}")
     return arr
 
 
+def _parse_norm(norm_id: str) -> NormSpec:
+    try:
+        return parse_norm_id(norm_id)
+    except UnknownNormId as exc:
+        raise UsageError(f"norm: {exc}")
+
+
 @result_memo()
 def cmd_compute(config: RunConfig) -> int:
     arr = _load_square_matrix(config)
     norm_id = config.norm_id or "op"
-    try:
-        norm = parse_norm_id(norm_id)
-    except UnknownNormId as exc:
-        raise UsageError(f"norm: {exc}")
+    norm = _parse_norm(norm_id)
     w = numerical_radius(arr)
     if norm_id == "omega":
         # the Omega norm as N(.) is itself a 2-D optimization; the reduced
@@ -250,14 +258,9 @@ def cmd_verify(config: RunConfig) -> int:
         repeated = list(dict.fromkeys(c for c in checks if checks.count(c) > 1))
         if repeated:
             raise UsageError(f"checks: repeated check(s) {', '.join(repeated)}")
-    norm = None
-    if config.norm_id is not None:
-        try:
-            norm = parse_norm_id(config.norm_id)
-        except UnknownNormId as exc:
-            raise UsageError(f"norm: {exc}")
-    report = run_suite(specs, checks=checks, trials=config.trials,
-                       tol=config.tol, include_golden=True, norm=norm)
+    norm = None if config.norm_id is None else _parse_norm(config.norm_id)
+    report = run_suite(specs, checks=checks, trials=config.trials, tol=config.tol,
+                       norm=norm)
     if config.format == "machine":
         # one JSON field per dataclass field, in declaration order
         for rec in report.records:
@@ -341,18 +344,11 @@ def cmd_paper_example(config: RunConfig) -> int:
 
 
 def cmd_validate_norms(config: RunConfig) -> int:
-    specs = registry()
     if config.norm_id is None:
-        selected = specs
-    elif config.norm_id in specs:
-        selected = {config.norm_id: specs[config.norm_id]}
+        selected = registry()
     else:
-        # --norm narrows the audit; ids outside the registry are still fine
-        # as long as they parse (e.g. schatten:3), anything else is usage
-        try:
-            selected = {config.norm_id: parse_norm_id(config.norm_id)}
-        except UnknownNormId as exc:
-            raise UsageError(f"norm: {exc}")
+        # --norm narrows the audit to any id that parses (e.g. schatten:3)
+        selected = {config.norm_id: _parse_norm(config.norm_id)}
     all_passed = True
     witnesses = {}
     for norm_id, spec in selected.items():
@@ -404,7 +400,7 @@ def main(argv=None) -> int:
         config.validate()
         code = handlers[config.command](config)
         config.flush()
-    except (UsageError, MatrixShapeError, NonFiniteEntry, UnknownNormId) as exc:
+    except (UsageError, MatrixShapeError, NonFiniteEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -24,9 +24,10 @@ searches it runs on the binary-scaled stack, so its objectives have degree
 per matrix in the open result memo (`radius.memo_per_matrix`); a check
 reads it for its one matrix.
 
-`run_suite` stacks each trial's slowest searches.  A check may declare a
-`stacked` function; before a trial's cells run, it is called once per norm
-and matrix size on the stack of the trial's draws, and fills the trial's
+`run_suite` runs its cells in blocks, the golden cases and then one block
+per trial, and stacks each block's slowest searches.  A check may declare a
+`stacked` function; before a block's cells run, it is called once per norm
+and matrix size on the stack of the block's matrices, and fills the block's
 result memo with what the cells will read: the slow Omega radii of
 `omega-chain` and the radii and inf / sup searches of `inf-upper` and
 `lower-bound`, each searched for the whole stack at once by
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -57,7 +59,6 @@ from .matcore import (
     spectral_norm,
 )
 from .ensembles import (
-    PAIR_KINDS,
     EnsembleSpec,
     ensemble_id,
     generate,
@@ -349,10 +350,13 @@ def check_commutator(T, S, norm: NormSpec, *, tol: float = DEFAULT_TOL) -> Inequ
                    _digest([t, s], norm.id))
 
 
-def _require_hermitian_contraction(arr, what: str) -> np.ndarray:
-    scale = max(1.0, frobenius_norm(arr))
-    if hermitian_defect(arr) > 1e-8 * scale:
+def _require_hermitian(arr, what: str) -> None:
+    if hermitian_defect(arr) > 1e-8 * max(1.0, frobenius_norm(arr)):
         raise RequiresStructure(f"{what} is not Hermitian within tolerance")
+
+
+def _require_hermitian_contraction(arr, what: str) -> np.ndarray:
+    _require_hermitian(arr, what)
     h = (arr + adjoint(arr)) / 2
     top = spectral_norm(h)
     if top > 1.0 + 1e-9:
@@ -447,9 +451,8 @@ def check_commuting_product(T, S, norm: NormSpec, *,
     w_N(TS) <= min{N(T) w_N(S), N(S) w_N(T)}."""
     _require_flags(norm, self_adjoint=True, algebra=True)
     t, s = _pair(T, S)
-    for arr, what in ((t, "T"), (s, "S")):
-        if hermitian_defect(arr) > 1e-8 * max(1.0, frobenius_norm(arr)):
-            raise RequiresStructure(f"{what} is not Hermitian within tolerance")
+    _require_hermitian(t, "T")
+    _require_hermitian(s, "S")
     pair_scale = max(frobenius_norm(t) * frobenius_norm(s), 1e-300)
     ts, st = t @ s, s @ t
     comm = frobenius_norm(ts - st) / pair_scale
@@ -896,10 +899,7 @@ def _cell_record(defn: CheckDef, norm_id, ensemble: str, trial: int, seed: int,
 
 def _draw(defn: CheckDef, spec: EnsembleSpec) -> list:
     """The matrices of one trial of `defn`."""
-    if defn.pair and spec.kind not in PAIR_KINDS:
-        drawn = generate_pair(spec)
-    else:
-        drawn = generate(spec)
+    drawn = generate_pair(spec) if defn.pair else generate(spec)
     matrices = list(drawn) if isinstance(drawn, tuple) else [drawn]
     if defn.adapter == "contraction":
         matrices = [_to_unit_ball(m) for m in matrices]
@@ -916,22 +916,49 @@ def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
     return defn.runner(*args, tol=tol)
 
 
+def _golden_cells(selected, sweeps) -> list:
+    """The golden block: each check's golden cases, skipping those pinned
+    to a norm outside its sweep."""
+    return [((c, -1, idx), defn, (case.norm_id,), "golden", idx, 0, case.kind, case.label,
+             functools.partial(list, case.matrices))
+            for c, (defn, norm_ids) in enumerate(zip(selected, sweeps))
+            for idx, case in enumerate(defn.golden)
+            if case.norm_id is None or case.norm_id in norm_ids]
+
+
+def _trial_cells(selected, sweeps, ensembles, trial: int) -> list:
+    """The block of one trial: each check's draws from its ensembles."""
+    cells = []
+    for c, (defn, norm_ids) in enumerate(zip(selected, sweeps)):
+        for e, spec in enumerate(ensembles):
+            if spec.kind in defn.kinds:
+                seed = spec.seed + trial
+                # drawn once per trial, on first use; a draw that raises
+                # makes an error record for every norm id
+                draw = functools.cache(functools.partial(
+                    _draw, defn, EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)))
+                cells.append(((c, e, trial), defn, norm_ids, ensemble_id(spec.kind, spec.dim),
+                              trial, seed, _SPECIAL_KIND_MAP.get(spec.kind), "", draw))
+    return cells
+
+
 def _stack_trial(cells, norm_specs: dict) -> None:
-    """Run the stacked work of one trial's cells ahead of them, inside the
-    trial's result memo: for each check with a `stacked` function, one call
-    per norm of its sweep and per size of its draws, on the stack of those
-    draws in ensemble order.  Nothing here makes a record: a draw that
-    raises is left out, and a call that raises stores nothing, so the cells
-    concerned compute (and fail) on their own."""
+    """Run the stacked work of one block's cells ahead of them, inside the
+    block's result memo: for each check with a `stacked` function and each
+    norm sweep of its cells, one call per norm of the sweep and per size of
+    the cells' first matrices, on the stack of those matrices in cell order.
+    Nothing here makes a record: a draw that raises is left out, and a call
+    that raises stores nothing, so the cells concerned compute (and fail)
+    on their own."""
     groups = {}
-    for defn, norm_ids, _, _, _, draw in cells:
+    for _, defn, norm_ids, *_, draw in cells:
         if defn.stacked is None:
             continue
         try:
             arr = as_matrix(draw()[0], square=True)
         except Exception:
             continue
-        by_size = groups.setdefault(id(defn), (defn, norm_ids, {}))[2]
+        by_size = groups.setdefault((id(defn), norm_ids), (defn, norm_ids, {}))[2]
         by_size.setdefault(arr.shape[0], []).append(arr)
     for defn, norm_ids, by_size in groups.values():
         for norm_id in norm_ids:
@@ -948,28 +975,30 @@ def _stack_trial(cells, norm_specs: dict) -> None:
 
 
 def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
-              tol: float = DEFAULT_TOL, include_golden: bool = False,
-              norm: Optional[NormSpec] = None) -> SuiteReport:
-    """Run the selected checks over every applicable ensemble.
+              tol: float = DEFAULT_TOL, norm: Optional[NormSpec] = None) -> SuiteReport:
+    """Run the selected checks on their golden witness cases and over every
+    applicable ensemble.
 
-    Trial i of an ensemble uses seed `spec.seed + i`, so reports are pure
-    functions of (ensembles, checks, trials, tol) and aggregation is
-    order-independent.  Every cell, golden or drawn, goes through
-    `_cell_record`: hypothesis failures become "inapplicable" records, and
-    unexpected exceptions, a failed draw included, become "error" records
-    that never abort other cells.
-    With include_golden, every check's golden witness cases additionally
-    run once each under the pseudo-ensemble "golden" (the CLI default).
-    A given `norm` replaces the norm sweep of every norm-sweeping check,
-    and golden cases pinned to another norm are skipped; checks without a
-    norm sweep are unaffected.  The golden cases run as one `result_memo`
-    block and every trial as one more, so a radius or Omega value that
-    several cells of a trial need is computed once, and the memo never
-    holds more than one trial's values.  Before a trial's cells run, the
-    checks that declare `stacked` work get it done for the trial's draws,
-    one call per norm and matrix size (`_stack_trial`), so their slow
-    searches run on stacks; the records are the same as with one matrix
-    at a time.
+    Every golden case runs once, under the pseudo-ensemble "golden" with
+    its index as the trial.  Trial i of an ensemble uses seed
+    `spec.seed + i`, so reports are pure functions of (ensembles, checks,
+    trials, tol, norm) and aggregation is order-independent.  A given
+    `norm` replaces the norm sweep of every norm-sweeping check, and golden
+    cases pinned to another norm are skipped; checks without a norm sweep
+    are unaffected.
+
+    The cells run in blocks: the golden cases first, then one block per
+    trial.  Each block runs in one `result_memo`, so a radius or Omega
+    value that several of its cells need is computed once, and the memo
+    never holds more than one block's values.  Before a block's cells run,
+    the checks that declare `stacked` work get it done for the block's
+    matrices, one call per norm and matrix size (`_stack_trial`), so their
+    slow searches run on stacks; the records are the same as with one
+    matrix at a time.  Every cell goes through `_cell_record`: hypothesis
+    failures become "inapplicable" records, and unexpected exceptions, a
+    failed draw included, become "error" records that never abort other
+    cells.  Near-equality notes come in check order; within a check, the
+    golden cases, then each ensemble in the order given, trials ascending.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -996,49 +1025,28 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
             norm_ids = (norm.id,)
         sweeps.append(norm_ids)
     records = []
-    # near-equality notes per check: its golden cases, then one list per
-    # ensemble in trial order; joined in check order at the end
-    notes = [[[] for _ in range(1 + len(ensembles))] for _ in selected]
-    if include_golden:
+    # (check index, -1 for golden or the ensemble index, case index or
+    # trial) and the near-equality note
+    notes = []
+    blocks = itertools.chain([_golden_cells(selected, sweeps)],
+                             (_trial_cells(selected, sweeps, ensembles, trial)
+                              for trial in range(trials)))
+    for cells in blocks:
         with result_memo():
-            for defn, norm_ids, (near, *_) in zip(selected, sweeps, notes):
-                for idx, case in enumerate(defn.golden):
-                    if case.norm_id is not None and case.norm_id not in norm_ids:
-                        continue
-                    case_norm = norm_specs[case.norm_id] if case.norm_id else None
-                    rec, report = _cell_record(
-                        defn, case.norm_id, "golden", idx, 0, tol,
-                        lambda: _run_one(defn, case.matrices, case_norm, case.kind, tol),
-                        note=case.label)
-                    if report is not None and report.terms.get("near_equality"):
-                        near.append(f"{rec.name} golden:{case.label}")
-                    records.append(rec)
-    for trial in range(trials):
-        with result_memo():
-            cells = []
-            for defn, norm_ids, (_, *by_spec) in zip(selected, sweeps, notes):
-                for spec, near in zip(ensembles, by_spec):
-                    if spec.kind in defn.kinds:
-                        seed = spec.seed + trial
-                        # drawn once per trial, on first use; a draw that
-                        # raises makes an error record for every norm id
-                        draw = functools.cache(functools.partial(
-                            _draw, defn, EnsembleSpec(spec.kind, spec.dim, seed, spec.scale)))
-                        cells.append((defn, norm_ids, spec, near, seed, draw))
             _stack_trial(cells, norm_specs)
-            for defn, norm_ids, spec, near, seed, draw in cells:
-                ens_name = ensemble_id(spec.kind, spec.dim)
-                kind_arg = _SPECIAL_KIND_MAP.get(spec.kind)
+            for key, defn, norm_ids, ensemble, trial, seed, kind, note, draw in cells:
                 for norm_id in norm_ids:
-                    trial_norm = norm_specs[norm_id] if norm_id else None
+                    cell_norm = norm_specs[norm_id] if norm_id else None
                     rec, report = _cell_record(
-                        defn, norm_id, ens_name, trial, seed, tol,
-                        lambda: _run_one(defn, draw(), trial_norm, kind_arg, tol))
+                        defn, norm_id, ensemble, trial, seed, tol,
+                        lambda: _run_one(defn, draw(), cell_norm, kind, tol), note=note)
                     if report is not None and report.terms.get("near_equality"):
-                        near.append(f"{rec.name} {ens_name} trial {trial} "
-                                    f"seed {seed} digest {report.input_digest}")
+                        where = (f"golden:{note}" if ensemble == "golden" else
+                                 f"{ensemble} trial {trial} seed {seed} "
+                                 f"digest {report.input_digest}")
+                        notes.append((key, f"{rec.name} {where}"))
                     records.append(rec)
-    near = [note for per_check in notes for part in per_check for note in part]
+    near = [text for _, text in sorted(notes, key=lambda item: item[0])]
     records.sort(key=lambda r: (r.name, r.ensemble, r.trial))
     by_name = {}
     for rec in records:

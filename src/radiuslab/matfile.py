@@ -43,6 +43,8 @@ def loads_matrix(text: str) -> np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"document: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise MatrixFormatError("document: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise MatrixFormatError("document: expected a JSON object")
     for field in ("rows", "cols", "data"):

@@ -100,7 +100,7 @@ problem, and f(2^k T) = 2^k f(T) exactly, argmax and evaluations unchanged,
 wherever 2^k T and the value are in the normal range.
 
 Inside a `result_memo` block (`cli.cmd_compute` runs as one, and
-`inequalities.run_suite` as one per trial) the stack searches
+`inequalities.run_suite` as one per block) the stack searches
 `numerical_radius_many`, `omega_norm_many`, the grid path `_circle_radii`
 of `generalized_radius_many` and `omega_radius_slow_many` remember their
 result for each matrix, norm and settings until the block ends; calls made

@@ -157,6 +157,20 @@ class TestCompute:
         assert cli.main(["compute", "--matrix", str(tmp_path)]) == 2
         assert f"error: matrix: cannot read {tmp_path}" in capsys.readouterr().err
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["compute", "--matrix", str(path)]) == 2
+        assert "error: matrix: document: " in capsys.readouterr().err
+
+    def test_nul_byte_in_a_path(self, e12_matrix, capsys):
+        assert cli.main(["compute", "--matrix", "a\x00b"]) == 2
+        assert capsys.readouterr().err == ("error: matrix: cannot read 'a\\x00b': "
+                                           "embedded null byte\n")
+        assert cli.main(["compute", "--matrix", e12_matrix, "--out", "a\x00b"]) == 2
+        assert capsys.readouterr().err == ("error: out: cannot write 'a\\x00b': "
+                                           "embedded null byte\n")
+
     def test_unreadable_file(self, e12_matrix, monkeypatch, capsys):
         def denied(path):
             raise PermissionError(13, "Permission denied", path)

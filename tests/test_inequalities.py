@@ -379,8 +379,7 @@ class TestReportContract:
 class TestSuiteRunner:
     def test_small_run_clean(self):
         specs = [EnsembleSpec("ginibre", 3, 2024), EnsembleSpec("square_zero", 4, 2024)]
-        rep = iq.run_suite(specs, checks=["basic", "kittaneh", "omega-upper"], trials=4,
-                           include_golden=True)
+        rep = iq.run_suite(specs, checks=["basic", "kittaneh", "omega-upper"], trials=4)
         assert rep.failures == 0 and rep.errors == 0
         names = {r.name for r in rep.records}
         assert names == {"basic", "kittaneh", "omega-upper"}
@@ -390,7 +389,12 @@ class TestSuiteRunner:
     def test_trial_seed_mapping(self):
         specs = [EnsembleSpec("ginibre", 2, 5000)]
         rep = iq.run_suite(specs, checks=["kittaneh"], trials=3)
-        assert [r.seed for r in rep.records] == [5000, 5001, 5002]
+        drawn = [r for r in rep.records if r.ensemble != "golden"]
+        assert [(r.trial, r.seed) for r in drawn] == [(0, 5000), (1, 5001), (2, 5002)]
+        # the golden cases run once each, with seed 0 and their index as trial
+        golden = [r for r in rep.records if r.ensemble == "golden"]
+        assert [(r.trial, r.seed, r.note) for r in golden] == [(0, 0, "square-zero-e12"),
+                                                               (1, 0, "identity")]
 
     def test_corrupted_check_surfaces_witness(self):
         def broken(T, *, tol):
@@ -405,8 +409,15 @@ class TestSuiteRunner:
         assert all(r.status == "violation" and r.input_digest for r in rep.records)
 
     def test_empty_ensembles(self):
+        # only the golden cases run, each once whatever the trial count
         rep = iq.run_suite([], trials=5)
-        assert rep.records == () and rep.failures == 0
+        cases = [case for defn in iq.default_checks() for case in defn.golden]
+        assert len(rep.records) == len(cases) and rep.failures == 0 and rep.errors == 0
+        assert all(r.ensemble == "golden" for r in rep.records)
+        assert sorted(r.note for r in rep.records) == sorted(case.label for case in cases)
+        bare = iq.CheckDef(name="bare", tag="selftest", runner=iq.check_basic_bounds,
+                           kinds=("ginibre",))
+        assert iq.run_suite([], checks=[bare], trials=5).records == ()
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
@@ -435,8 +446,7 @@ class TestSuiteRunner:
 
         defn = iq.CheckDef(name="flaky", tag="selftest", runner=flaky,
                            kinds=("ginibre",), golden=(iq.GoldenCase("e12", (E12,)),))
-        rep = iq.run_suite([EnsembleSpec("ginibre", 2, 11)], checks=[defn], trials=3,
-                           include_golden=True)
+        rep = iq.run_suite([EnsembleSpec("ginibre", 2, 11)], checks=[defn], trials=3)
         assert rep.errors == 2
         statuses = [r.status for r in rep.records]
         assert statuses.count("error") == 2 and statuses.count("ok") == 2
@@ -455,7 +465,7 @@ class TestSuiteRunner:
                               golden=(iq.GoldenCase("e12", (E12,)),))
                   for name in ("zeta", "alpha")]
         specs = [EnsembleSpec("hermitian", 3, 20), EnsembleSpec("ginibre", 2, 10)]
-        rep = iq.run_suite(specs, checks=checks, trials=2, include_golden=True)
+        rep = iq.run_suite(specs, checks=checks, trials=2)
         digest = {(r.name, r.ensemble, r.trial): r.input_digest for r in rep.records}
         expected = []
         for name in ("zeta", "alpha"):

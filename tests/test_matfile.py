@@ -50,6 +50,7 @@ def test_document_shape():
     ('{"rows": 1, "cols": 1, "data": [[1]]}', "data[0]"),
     ('{"rows": 1, "cols": 1, "data": [["x", 0]]}', "data[0]"),
     ("not json", "document"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "document", id="deeply-nested"),
 ])
 def test_errors_name_offending_field(text, field):
     with pytest.raises(MatrixFormatError) as exc:

@@ -64,7 +64,7 @@ STACK_SEARCHES = (("numerical_radius_many", radius.numerical_radius_many),
 
 def test_suite_records_are_the_same_with_the_memo_off(monkeypatch):
     def run():
-        return inequalities.run_suite(SUITE_ENSEMBLES, trials=1, include_golden=True)
+        return inequalities.run_suite(SUITE_ENSEMBLES, trials=1)
 
     with_memo = run()
     _memo_off(monkeypatch)
@@ -109,8 +109,7 @@ def test_suite_opens_one_memo_per_trial():
     defn = inequalities.CheckDef(name="spy", tag="selftest", runner=spy,
                                  kinds=("ginibre",), golden=golden)
     ensembles = [EnsembleSpec("ginibre", 3, 40), EnsembleSpec("ginibre", 2, 40)]
-    rep = inequalities.run_suite(ensembles, checks=["dragomir", defn], trials=3,
-                                 include_golden=True)
+    rep = inequalities.run_suite(ensembles, checks=["dragomir", defn], trials=3)
     assert rep.errors == 0
     # the golden block, then one block per trial holding both ensembles
     memos = [seen[0], seen[2], seen[4], seen[6]]
@@ -150,8 +149,7 @@ def test_every_omega_chain_cell_runs_the_slow_path(monkeypatch):
     _count_searches(monkeypatch, lambda arrs, norm: norm.id == "omega"
                     and slow_stacks.append(arrs.shape[0]))
     ensembles = [EnsembleSpec("ginibre", 2, 50), EnsembleSpec("square_zero", 2, 50)]
-    rep = inequalities.run_suite(ensembles, checks=["omega-chain"], trials=2,
-                                 include_golden=True)
+    rep = inequalities.run_suite(ensembles, checks=["omega-chain"], trials=2)
     assert [r.status for r in rep.records] == ["ok"] * 5
     assert sum(slow_stacks) == len(rep.records)
     # the golden case alone, then each trial's two n = 2 draws together
@@ -270,7 +268,10 @@ def test_one_omega_call_per_step_per_size_group(monkeypatch):
         radius.omega_radius_slow(generate(spec))
         alone.append(len(sizes))
     sizes.clear()
-    rep = inequalities.run_suite(ensembles, checks=["omega-chain"], trials=1)
+    # the check without its golden case, whose block would add its own calls
+    (chain,) = [d for d in inequalities.default_checks() if d.name == "omega-chain"]
+    rep = inequalities.run_suite(ensembles, checks=[dataclasses.replace(chain, golden=())],
+                                 trials=1)
     assert [r.status for r in rep.records] == ["ok"] * 4
     # per size group: one grid call, one call for the first probes, then one
     # per golden-section step, as many steps as its longest search
@@ -377,7 +378,7 @@ def test_rebound_names_leave_the_memo_keys_alone(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(inequalities, "result_memo", counting)
-            report = inequalities.run_suite(SUITE_ENSEMBLES, trials=1, include_golden=True)
+            report = inequalities.run_suite(SUITE_ENSEMBLES, trials=1)
         return report, counts
 
     plain, plain_counts = run()
