@@ -259,8 +259,8 @@ def cmd_verify(config: RunConfig) -> int:
         if repeated:
             raise UsageError(f"checks: repeated check(s) {', '.join(repeated)}")
     norm = None if config.norm_id is None else _parse_norm(config.norm_id)
-    report = run_suite(specs, checks=checks, trials=config.trials, tol=config.tol,
-                       norm=norm)
+    report = run_suite(specs, checks=checks, trials=config.trials,
+                       tol=config.tol, norm=norm)
     if config.format == "machine":
         # one JSON field per dataclass field, in declaration order
         for rec in report.records:

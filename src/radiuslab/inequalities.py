@@ -918,7 +918,11 @@ def _run_one(defn: CheckDef, matrices, norm: Optional[NormSpec],
 
 def _golden_cells(selected, sweeps) -> list:
     """The golden block: each check's golden cases, skipping those pinned
-    to a norm outside its sweep."""
+    to a norm outside its sweep.
+
+    A cell is (key, check, norm ids, ensemble, trial, seed, special-forms
+    kind, note, draw), where key orders the near-equality notes and draw()
+    returns the cell's matrices."""
     return [((c, -1, idx), defn, (case.norm_id,), "golden", idx, 0, case.kind, case.label,
              functools.partial(list, case.matrices))
             for c, (defn, norm_ids) in enumerate(zip(selected, sweeps))
@@ -1025,8 +1029,8 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
             norm_ids = (norm.id,)
         sweeps.append(norm_ids)
     records = []
-    # (check index, -1 for golden or the ensemble index, case index or
-    # trial) and the near-equality note
+    # (cell key, text): check index, -1 for golden or the ensemble index,
+    # case index or trial
     notes = []
     blocks = itertools.chain([_golden_cells(selected, sweeps)],
                              (_trial_cells(selected, sweeps, ensembles, trial)
