@@ -64,6 +64,12 @@ KIND_IDS = {
     "anticommute": "anticommuting_hermitian_pair",
 }
 
+# The largest dimension a CLI ensemble id may ask for.  Every eigensolve of a
+# suite trial costs O(n^3): one default trial of ginibre:64 takes under a
+# minute, while one `basic` trial of ginibre:3000 does not end in a minute.
+# The default ensembles stop at 4.
+MAX_ENSEMBLE_DIM = 64
+
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """The raw 64-bit output stream for `seed`, entries offset+1 .. offset+count."""
@@ -254,7 +260,8 @@ def generate_pair(spec: EnsembleSpec):
 
 def parse_ensemble_id(text: str) -> tuple[str, int]:
     """Parse a CLI ensemble id like 'ginibre:4' into (kind, dim), rejecting
-    dimensions the kind cannot be drawn at."""
+    dimensions above MAX_ENSEMBLE_DIM and those the kind cannot be drawn
+    at."""
     parts = text.split(":")
     if len(parts) != 2 or parts[0] not in KIND_IDS:
         known = ", ".join(sorted(KIND_IDS))
@@ -265,6 +272,8 @@ def parse_ensemble_id(text: str) -> tuple[str, int]:
         raise ValueError(f"ensemble id {text!r}: dimension is not an integer") from None
     if dim < 1:
         raise ValueError(f"ensemble id {text!r}: dimension must be >= 1")
+    if dim > MAX_ENSEMBLE_DIM:
+        raise ValueError(f"ensemble id {text!r}: dimension must be <= {MAX_ENSEMBLE_DIM}")
     kind = KIND_IDS[parts[0]]
     try:
         _check_dim(kind, dim)

@@ -127,10 +127,13 @@ def numerical_radius_norm_spec() -> NormSpec:
     Self-adjoint and weakly unitarily invariant, but NOT an algebra norm:
     w(TS) <= w(T) w(S) fails in general (nilpotent pairs witness it), only
     the factor-4 chain holds.  w(U) = 1 for every unitary U (unitaries are
-    normal), so the unitary supremum is 1.  `evaluate_many` runs the
-    level-set engine on a whole stack in one `numerical_radius_many` call,
-    each value bitwise the one `numerical_radius` gives for that matrix
-    alone.
+    normal), so the unitary supremum is 1.  `evaluate_many` takes a whole
+    stack in one `numerical_radius_many` call, each value bitwise the one
+    `numerical_radius` gives for that matrix alone.  The operands of a
+    radius, Re(exp(i theta) T), are Hermitian, so each is answered from one
+    eigvalsh as ||Re(exp(i theta) T)|| (one evaluation), and the level-set
+    engine runs on none of them: the identity w_wnum(T) = w(T) compares
+    the grid path of ||Re(exp(i theta) T)|| with the level-set w(T).
     """
     def evaluate_many(stack):
         return np.array([res.value for res in numerical_radius_many(stack)])

@@ -9,7 +9,11 @@ angles:
 * ``w_Omega(T) = sqrt(2) w(T)``.
 
 w(T) has its own engine, `numerical_radius`: a level-set iteration on
-lambda_max(H(theta)), H(theta) = Re(exp(i theta) T).  A level r is an
+lambda_max(H(theta)), H(theta) = Re(exp(i theta) T).  A T equal to its
+adjoint bitwise (on its binary-scaled copy) never enters it: Hermitian T is
+normal, so w(T) = ||T|| = max(lambda_max(T), -lambda_min(T)), from one
+eigvalsh at angle 0.  That answers every operand of the wnum norm, which
+are all Hermitian.  A level r is an
 eigenvalue of some H(theta) exactly when z = exp(i theta) is a unimodular
 eigenvalue of the quadratic pencil z^2 T - 2 r z I + T*.  One shift-inverted
 2n x 2n eigensolve (shift 0.5 exp(i), off the unit circle and off the real
@@ -28,9 +32,9 @@ does not certify hand the search to the grid optimizer below.  Ties go
 to the smallest angle.  `numerical_radius_many` runs the engine for a whole
 stack in lockstep: per level one batched solve and eigvals for every matrix
 still searching, the second shift solved only for the matrices whose first
-one fails, and a bounded number of matrices at a time.  Its seeds,
-midpoints, disk-test spectra and grid fallbacks are all eigenvalues of
-H(theta) taken through the one rotated-stack kernel,
+one fails, and a bounded number of matrices at a time.  Its Hermitian
+spectra, seeds, midpoints, disk-test spectra and grid fallbacks are all
+eigenvalues of H(theta) taken through the one rotated-stack kernel,
 `rotated_objective_many`, one call per stage for the whole chunk.
 `numerical_radius` is its one-matrix case, and the wnum norm's
 `evaluate_many` calls it.  The operator norm (and
@@ -463,10 +467,6 @@ def _square_stack(stack) -> np.ndarray:
     return raw
 
 
-def _top_eigenvalue(h):
-    return np.linalg.eigvalsh(h)[..., -1]
-
-
 # Level-set engine for w(T).  Seed angles: multiples of pi/4, so the
 # maximizer of a Hermitian or skew-Hermitian T is a seed.
 _SEED_ANGLES = np.arange(8) * (_TWO_PI / 8)
@@ -654,24 +654,43 @@ def _disk_certified(spectra: np.ndarray, level: np.ndarray) -> np.ndarray:
 
 def _level_set(raw: np.ndarray):
     """`numerical_radius` of each matrix of a (m, n, n) stack of nonzero
-    binary-scaled matrices.  All matrices run in lockstep, and a matrix
-    leaves as its search ends.  Every eigenvalue is taken through
-    `rotated_objective_many` of the stack: lambda_max at the seeds, at
-    each level's midpoints and in the grid fallback, and the spectra of
-    each level's disk test.
+    binary-scaled matrices.  A matrix equal to its adjoint bitwise is
+    answered from its spectrum at angle 0, its H(0) being the matrix
+    itself: Hermitian H is normal, so w(H) = ||H|| = max(lambda_max,
+    -lambda_min), at angle 0 when lambda_max >= -lambda_min and pi
+    otherwise, width 0 (an exact value) and one evaluation.  The other
+    matrices run in lockstep, and a matrix leaves as its search ends.
+    Every eigenvalue is taken through `rotated_objective_many` of the
+    stack: the Hermitian spectra, lambda_max at the seeds, at each level's
+    midpoints and in the grid fallback, and the spectra of each level's
+    disk test.
 
     Returns (value, argmax, width, evaluations) arrays, one entry per matrix.
     """
-    n = raw.shape[1]
-    ids = np.arange(raw.shape[0])
-    F = rotated_objective_many(raw, _top_eigenvalue)
+    m, n = raw.shape[:2]
+    spectra_at = rotated_objective_many(raw, np.linalg.eigvalsh)
+    result = (np.empty(m), np.empty(m), np.zeros(m), np.ones(m, dtype=np.intp))
+    hermitian = (raw == adjoint(raw)).all(axis=(1, 2))
+    ids = np.flatnonzero(hermitian)
+    if ids.size:
+        spectra = spectra_at(ids, np.zeros(ids.size))
+        top, bottom = spectra[:, -1], -spectra[:, 0]
+        result[0][ids] = np.maximum(top, bottom)
+        result[1][ids] = np.where(top >= bottom, 0.0, math.pi)
+    ids = np.flatnonzero(~hermitian)
+    if ids.size == 0:
+        return result
+
+    def F(owner, angles):
+        """lambda_max of each operand."""
+        return spectra_at(owner, angles)[:, -1]
+
     seeds = _SEED_ANGLES.size
     tops = F(ids.repeat(seeds), np.tile(_SEED_ANGLES, ids.size)).reshape(ids.size, seeds)
     k = tops.argmax(axis=1)
-    value, theta = tops[ids, k], _SEED_ANGLES[k]
+    value, theta = tops[np.arange(ids.size), k], _SEED_ANGLES[k]
     evals = np.full(ids.size, seeds)
-    a, b = _pencils(raw)
-    result = (np.empty(ids.size), np.empty(ids.size), np.empty(ids.size), np.empty_like(evals))
+    a, b = _pencils(raw[ids])
 
     def leave(done, width):
         """Record the matrices whose search ended; the others' state."""
@@ -695,8 +714,7 @@ def _level_set(raw: np.ndarray):
             flat = np.flatnonzero(counts < 0)
             if flat.size:
                 disk = _disk_angles(n)
-                spectra = rotated_objective_many(raw, np.linalg.eigvalsh)(
-                    ids[flat].repeat(disk.size), np.tile(disk, flat.size))
+                spectra = spectra_at(ids[flat].repeat(disk.size), np.tile(disk, flat.size))
                 spectra = spectra.reshape(flat.size, disk.size, n)
                 best = spectra[..., -1].argmax(axis=1)
                 raise_to(flat, spectra[np.arange(flat.size), best, -1], disk[best])
@@ -756,8 +774,10 @@ def _level_set(raw: np.ndarray):
 def numerical_radius_many(stack) -> list[RadiusResult]:
     """w of each matrix of a (m, n, n) stack; see `numerical_radius`.
 
-    The seeds and the level steps run for the matrices of a chunk in
-    lockstep: one batched eigvalsh of the seeds, then per level one batched
+    The Hermitian matrices of a chunk (bitwise, on the scaled copy) are
+    answered together from one batched eigvalsh at angle 0, one evaluation
+    each.  For the others the seeds and the level steps run in lockstep:
+    one batched eigvalsh of the seeds, then per level one batched
     solve, eigvals and eigvalsh, a matrix leaving as its search ends.  The
     matrices whose pencils are too close to singular at a level take the
     disk test together, in one batched eigvalsh, and those it does not
@@ -785,6 +805,12 @@ def numerical_radius(T) -> RadiusResult:
     """w(T) = max over theta of lambda_max(H(theta)), where
     H(theta) = Re(exp(i theta) T) = cos(theta) Re(T) - sin(theta) Im(T),
     by level sets (He & Watson 1997; Mengi & Overton 2005).
+
+    A T whose binary-scaled copy equals its adjoint bitwise is normal, so
+    w(T) = ||T|| = max(lambda_max, -lambda_min), read from the spectrum of
+    H(0) = T: argmax_theta is 0.0 where lambda_max >= -lambda_min and
+    exactly pi otherwise, achieved_interval is 0.0 (an exact value) and
+    evaluations is 1.  Every other T runs the level sets below.
 
     The value r starts as the best lambda_max over eight seed angles.  Each
     level step finds every angle where r is an eigenvalue of H(theta) (the
@@ -819,8 +845,8 @@ def numerical_radius(T) -> RadiusResult:
     that level had none or the disk test certified it), or the final
     golden-section bracket when the grid finished the search.
     `evaluations` counts the angles at which lambda_max (or, in the disk
-    test, the spectrum) was evaluated (one pencil eigensolve per level is
-    extra).
+    test and for Hermitian T, the spectrum) was evaluated (one pencil
+    eigensolve per level is extra).
     This is the one-matrix case of `numerical_radius_many`.
     """
     return numerical_radius_many(np.asarray(T, dtype=np.complex128)[None])[0]

@@ -99,6 +99,17 @@ class TestCompute:
             assert None not in rec.values(), norm
             assert rec["w"] == "inf" or rec["w"] > 0.0
 
+    def test_hermitian_matrix_is_answered_by_its_spectrum(self, tmp_path):
+        path = tmp_path / "hermitian.json"
+        # -lambda_min > lambda_max on this draw: the maximizer is pi, exactly
+        save_matrix(path, generate(EnsembleSpec("hermitian", 6, 4)))
+        code, text = run_cli(["compute", "--matrix", str(path),
+                              "--format", "machine"], tmp_path)
+        assert code == 0
+        (rec,) = machine_records(text)
+        assert rec["w_argmax_theta"] == math.pi
+        assert rec["w"] == pytest.approx(rec["operator_norm"], rel=1e-14, abs=0.0)
+
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "zero.json"
         save_matrix(path, np.zeros((2, 2)))
@@ -283,6 +294,20 @@ class TestVerify:
         recs = [r for r in machine_records(text) if r["record"] == "check"]
         assert recs
         assert {r["name"] for r in recs} == {"inf-upper[schatten:1]"}
+
+    @pytest.mark.parametrize("ident", ["ginibre:65", "nil:100000", "anticommute:3000"])
+    def test_ensemble_dims_above_the_bound(self, ident, capsys):
+        assert cli.main(["verify", "--checks", "basic", "--ensembles", ident,
+                         "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "ensembles:" in err and "<= 64" in err
+
+    def test_ensemble_dim_at_the_bound(self, tmp_path):
+        code, text = run_cli(["verify", "--checks", "basic", "--ensembles", "hermitian:64",
+                              "--trials", "1", "--format", "machine"], tmp_path)
+        assert code == 0
+        assert {r["ensemble"] for r in machine_records(text)
+                if r["record"] == "check"} >= {"hermitian:64"}
 
     def test_undrawable_ensemble_dims(self):
         assert cli.main(["verify", "--checks", "basic", "--ensembles", "nil:1",

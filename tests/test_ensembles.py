@@ -159,7 +159,8 @@ class TestPairsAndIds:
             ident = ensemble_id(kind, 4)
             assert parse_ensemble_id(ident) == (kind, 4)
 
-    @pytest.mark.parametrize("bad", ["ginibre", "nope:4", "ginibre:x", "ginibre:0"])
+    @pytest.mark.parametrize("bad", ["ginibre", "nope:4", "ginibre:x", "ginibre:0",
+                                     "ginibre:65"])
     def test_bad_ids(self, bad):
         with pytest.raises(ValueError):
             parse_ensemble_id(bad)

@@ -134,9 +134,15 @@ class TestNumericalRadius:
 
 
 def _top_at(a, theta):
-    """lambda_max(Re(exp(i theta) A)) from the explicit operand."""
-    re, im = matcore.re_part(a), matcore.im_part(a)
-    return float(np.linalg.eigvalsh(math.cos(theta) * re - math.sin(theta) * im)[-1])
+    """lambda_max(Re(exp(i theta) A)) from the explicit operand of the
+    binary-scaled A, scaled back, as the engine's scale rule takes it.  An
+    eigvalsh of A itself rescales A by LAPACK's own factor, not a power of
+    two, where its entries are below about 1e-146, and may differ by an ulp
+    there."""
+    scaled, exponent = matcore.binary_scaled(a)
+    re, im = matcore.re_part(scaled), matcore.im_part(scaled)
+    top = np.linalg.eigvalsh(math.cos(theta) * re - math.sin(theta) * im)[-1]
+    return float(matcore.binary_unscaled(top, exponent))
 
 
 def _engine(a):
@@ -459,6 +465,77 @@ class TestLevelSetStack:
         finally:
             tracemalloc.stop()
         assert peak < PEAK_BOUND
+
+
+def _spy_on_pencils(monkeypatch):
+    """The matrices `radius._pencils` is given from now on, one per entry."""
+    seen = []
+    pencils = radius._pencils
+
+    def spy(thats):
+        seen.extend(thats)
+        return pencils(thats)
+
+    monkeypatch.setattr(radius, "_pencils", spy)
+    return seen
+
+
+def _off_hermitian(h):
+    """h with the real part of its (0, 1) entry one ulp higher."""
+    off = h.copy()
+    off[0, 1] = complex(np.nextafter(off[0, 1].real, np.inf), off[0, 1].imag)
+    return off
+
+
+class TestHermitianExit:
+    @pytest.mark.parametrize("e", [0, 600, -600])
+    def test_value_is_the_largest_eigenvalue_modulus(self, e):
+        draws = [generate(EnsembleSpec("hermitian", n, 1600 + n)) for n in (1, 2, 3, 5, 8)]
+        # a tie between lambda_max and -lambda_min, and a negative spectrum
+        draws += [np.diag([1.0, -1.0]).astype(complex), -np.eye(3, dtype=complex)]
+        angles = []
+        for h in draws:
+            t = _ldexp(h, e)
+            scaled, exponent = matcore.binary_scaled(t[None])
+            spectrum = np.linalg.eigvalsh(scaled[0])
+            res = numerical_radius(t)
+            assert res.value == matcore.binary_unscaled(np.abs(spectrum).max(), exponent)[0]
+            assert res.argmax_theta in (0.0, math.pi)
+            assert res.argmax_theta == (0.0 if spectrum[-1] >= -spectrum[0] else math.pi)
+            assert (res.achieved_interval, res.evaluations) == (0.0, 1)
+            angles.append(res.argmax_theta)
+        assert angles[-2:] == [0.0, math.pi]
+
+    def test_wnum_operands_never_reach_the_pencils(self, monkeypatch):
+        # every operand Re(exp(i t) T) of the wnum objective is Hermitian
+        t = generate(EnsembleSpec("ginibre", 4, 1610))
+        seen = _spy_on_pencils(monkeypatch)
+        generalized_radius(t, numerical_radius_norm_spec())
+        assert seen == []
+        numerical_radius(t)
+        assert len(seen) == 1 and np.array_equal(seen[0], matcore.binary_scaled(t)[0])
+
+    def test_one_ulp_off_hermitian_runs_the_engine(self, monkeypatch):
+        h = generate(EnsembleSpec("hermitian", 4, 1620))
+        off = _off_hermitian(h)
+        assert not np.array_equal(off, matcore.adjoint(off))
+        seen = _spy_on_pencils(monkeypatch)
+        res = numerical_radius(off)
+        assert len(seen) == 1 and res.evaluations > 1
+        assert abs(res.value - numerical_radius_oracle(off)) <= 1e-9 * max(1.0, res.value)
+        assert res.value == pytest.approx(numerical_radius(h).value, rel=1e-14)
+
+    def test_mixed_stack_is_the_one_matrix_path(self):
+        n = 4
+        herm = [generate(EnsembleSpec("hermitian", n, 1630 + k)) for k in range(3)]
+        other = [generate(EnsembleSpec(kind, n, 1640))
+                 for kind in ("ginibre", "square_zero", "normal")]
+        stack = np.stack([herm[0], other[0], np.zeros((n, n)), herm[1], other[1],
+                          -np.eye(n), _off_hermitian(herm[2]), other[2], herm[2]])
+        many = radius.numerical_radius_many(stack)
+        assert repr(many) == repr([numerical_radius(t) for t in stack])
+        assert [res.evaluations == 1 for res in many] == [
+            True, False, False, True, False, True, False, False, True]
 
 
 AGREEMENT_KINDS = ("ginibre", "hermitian", "normal", "square_zero", "haar_unitary")
