@@ -13,11 +13,11 @@ ball, a pair that does not commute) raise a CheckInapplicable subclass;
 the suite runner turns those into "inapplicable" records, never passes.
 
 The sup/inf over a rotation angle that several bounds need reuses the same
-grid + golden-section machinery as the radius optimizers, keeping error
-budgets uniform across the package.  The inf of `inf-upper` and the sup of
-`lower-bound` are one stack search, `_phase_sups`, over
-`radius.rotated_objective_many`: each grid or lockstep golden-section call
-evaluates N(Re(e^{i phi}T)) and N(Im(e^{i phi}T)) together, on the joined
+grid + Brent machinery as the radius optimizers (`radius.maximize_on_circle`
+and its stack form), keeping error budgets uniform across the package.  The
+inf of `inf-upper` and the sup of `lower-bound` are one stack search,
+`_phase_sups`, over `radius.rotated_objective_many`: each grid or lockstep
+Brent call evaluates N(Re(e^{i phi}T)) and N(Im(e^{i phi}T)) together, on the joined
 angles phi and phi - pi/2, through `norm.evaluate_many`.  Like the radius
 searches it runs on the binary-scaled stack, so its objectives have degree
 1 in T (`lower-bound` squares the sup of a root), and it keeps its result
@@ -622,8 +622,8 @@ def check_hs_pair(T, S, *, tol: float = DEFAULT_TOL) -> InequalityReport:
          <= 4 min{||T||_F^2 (||S||_F^2 + |tr S^2|),
                   ||S||_F^2 (||T||_F^2 + |tr T^2|)}.
 
-    The phi-supremum in (i) is computed both by grid + golden-section
-    refinement and by its closed form 2 |tr(T^2)| (the objective is
+    The phi-supremum in (i) is computed both by the grid + Brent search
+    `maximize_on_circle` and by its closed form 2 |tr(T^2)| (the objective is
     |2 Re(e^{2 i phi} tr T^2)|); the two must agree to 1e-10 relative.
     """
     t, s = _pair(T, S)

@@ -44,22 +44,26 @@ the larger of lambda_max(H(theta)) and lambda_max(H(theta + pi)); so
 w_op(T) = w(T).
 
 Every other supremum over one angle uses a uniform grid over the period
-followed by golden-section refinement of the best few local brackets
+followed by Brent's method on the best few local brackets
 (`maximize_on_circle_many`), which is derivative-free (eigenvalue branches
-may cross non-smoothly) and deterministic.  Its settings are CIRCLE_GRID
-points over 2 pi, brackets refined to width CIRCLE_TOL, and the
-CIRCLE_BRACKETS best of them (coarser for the slow Omega radius).  Every
-norm satisfies N(-A) = N(A) by homogeneity, so the angle objective of a
-radius has period pi, and it is searched over [0, pi).
+may cross non-smoothly) and deterministic.  Brent's method (1973, ch. 5)
+steps to the vertex of the parabola through the three best points of a
+bracket where that step is trusted, so it converges superlinearly at a
+smooth peak, and takes a section step into the larger part of the bracket
+where it is not, as at a kink.  Its settings are CIRCLE_GRID points over
+2 pi, brackets refined to width CIRCLE_TOL, and the CIRCLE_BRACKETS best of
+them (coarser for the slow Omega radius).  Every norm satisfies
+N(-A) = N(A) by homogeneity, so the angle objective of a radius has period
+pi, and it is searched over [0, pi).
 
 `maximize_on_circle_many` searches many objectives at once, and
 `maximize_on_circle` is its one-objective case.  The objectives are one
 function F(owner, angles) of two 1-d arrays, objective owner[k] at
 angles[k]: the coarse grid calls it once on every objective's grid
 angles, and the brackets of every objective are refined in lockstep, one
-call per golden-section step on every live bracket's next probe.  Each
-objective keeps its own grid, brackets and probe sequence, so its result
-is bitwise the one it gets alone.  `rotated_objective_many` builds F on
+call per Brent step on every live bracket's next probe.  Each objective
+keeps its own grid, brackets and probe sequence, so its result is bitwise
+the one it gets alone.  `rotated_objective_many` builds F on
 cos(t) Re(T_j) - sin(t) Im(T_j) for a stack of matrices T_j, as one
 chunked stack of operands per call through a batched evaluator (a norm's
 `evaluate_many`), each chunk gathering its owners' parts; a one-matrix
@@ -91,8 +95,7 @@ never evaluated.  Every evaluated node is bitwise the full grid's, and the
 candidates are the full grid's local maxima above best - L rho^2 / 2.
 `omega_norm_many` runs grid, candidates and Newton for a whole stack of
 matrices at once; it is the `evaluate_many` of the Omega norm, so a radius
-with Omega as N solves each grid or golden-section step's operands
-together.
+with Omega as N solves each grid or Brent step's operands together.
 
 One scale rule serves every stack search (`numerical_radius_many` per
 chunk, `_circle_radii` and so every grid-path w_N and slow Omega radius,
@@ -139,8 +142,10 @@ from .matcore import (
     re_part,
 )
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section probes per bracket, at most
+# Brent's section step: this fraction of the larger part of a bracket, taken
+# where a parabola is not trusted
+_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
+# probes per bracket, at most
 _MAX_PROBES = 300
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -151,7 +156,7 @@ _TINY = float(np.finfo(float).tiny)
 _CHUNK_ENTRIES = 131_072
 
 # The one-angle search: grid points over 2 pi (over pi for an even
-# objective, at the same resolution), golden-section width, brackets refined
+# objective, at the same resolution), final bracket width, brackets refined
 CIRCLE_GRID = 720
 CIRCLE_TOL = 1e-10
 CIRCLE_BRACKETS = 5
@@ -283,13 +288,15 @@ def maximize_on_circle_many(F, m: int, even: bool, grid: int = CIRCLE_GRID,
     period, max(8, grid) over 2 pi or, for even objectives, max(8, grid // 2)
     over pi, and keeps the `top_brackets` best cyclic local maxima of its
     own samples (ties to the smaller angle).  Each bracket
-    [center - h, center + h], h = period / points, is then refined by
-    golden section to width `refine_tol` (at most _MAX_PROBES probes), every
-    bracket of every objective in lockstep: each step makes one F call on
+    [center - h, center + h], h = period / points, starts at its grid point
+    and is then refined by Brent's method (`_Bracket`) until it passes
+    Brent's centred test, which implies a width of at most `refine_tol`,
+    makes _MAX_PROBES probes, or holds no untried angle.  Every bracket of
+    every objective is refined in lockstep: each step makes one F call on
     the live brackets' next probes, so each bracket sees the probe sequence
-    a scalar golden section would give it, whatever the other objectives
-    do.  Returns, per objective, (argmax, value, final_width, evaluations);
-    an objective's best evaluated point wins, ties to the smaller angle.
+    a scalar Brent search would give it, whatever the other objectives do.
+    Returns, per objective, (argmax, value, final_width, evaluations); an
+    objective's best evaluated point wins, ties to the smaller angle.
     """
     period = math.pi if even else _TWO_PI
     points = max(8, grid // 2 if even else grid)
@@ -298,70 +305,125 @@ def maximize_on_circle_many(F, m: int, even: bool, grid: int = CIRCLE_GRID,
                       dtype=float).reshape(m, points)
     local = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     h = period / points
-    # per objective, its brackets' seeds: (angle, value); per bracket:
-    # [a, b, x1, f1, x2, f2, probes made, objective]
-    seeds, brackets = [], []
+    tol1 = refine_tol / 4
+    brackets = []   # per objective, its brackets
     for k in range(m):
         row = vals[k]
         peaks = np.flatnonzero(local[k])
         if peaks.size == 0:
             peaks = np.array([int(np.argmax(row))])
         order = sorted(peaks.tolist(), key=lambda i: (-row[i], i))[: max(1, top_brackets)]
-        seeds.append([(float(thetas[i]), float(row[i])) for i in order])
-        for x, _ in seeds[-1]:
-            a, b = x - h, x + h
-            brackets.append([a, b, b - _INVPHI * (b - a), -math.inf,
-                             a + _INVPHI * (b - a), -math.inf, 0, k])
-    live = [s for s in brackets if s[1] - s[0] > refine_tol]
+        brackets.append([_Bracket(k, float(thetas[i]), float(row[i]), h) for i in order])
+    live = [s for own in brackets for s in own if s.aim(tol1)]
     # the objective of each live bracket, rebuilt only as brackets finish
-    owners = np.array([s[7] for s in live], dtype=np.intp)
-    if live:
-        values = _values(F, np.concatenate((owners, owners)),
-                         [s[2] for s in live] + [s[4] for s in live])
-        for s, f1, f2 in zip(live, values, values[len(live):]):
-            s[3], s[5], s[6] = f1, f2, 2
-    live = [s for s in live if s[6] < _MAX_PROBES]
+    owners = np.array([s.owner for s in live], dtype=np.intp)
     while live:
         if len(live) < owners.size:
-            owners = np.array([s[7] for s in live], dtype=np.intp)
-        slots, probes = [], []
-        for s in live:
-            a, b, x1, f1, x2, f2, _, _ = s
-            if f1 >= f2:   # keep [a, x2], probe anew left of x1
-                s[1], s[4], s[5] = x2, x1, f1
-                s[2] = x2 - _INVPHI * (x2 - a)
-                probes.append(s[2])
-                slots.append(3)
-            else:          # keep [x1, b], probe anew right of x2
-                s[0], s[2], s[3] = x1, x2, f2
-                s[4] = x1 + _INVPHI * (b - x1)
-                probes.append(s[4])
-                slots.append(5)
-        kept = []
-        for s, k, v in zip(live, slots, _values(F, owners, probes)):
-            s[k] = v
-            s[6] += 1
-            if s[1] - s[0] > refine_tol and s[6] < _MAX_PROBES:
-                kept.append(s)
-        live = kept
-    results, first = [], 0
-    for own in seeds:
-        mine = brackets[first:first + len(own)]
-        first += len(own)
-        # a step drops only a probe that the kept one matches at a smaller
-        # angle or beats, so each bracket's best probe is its x1 or x2
-        candidates = [(-v, x, j) for j, (s, seed) in enumerate(zip(mine, own))
-                      for x, v in [seed] + ([(s[2], s[3]), (s[4], s[5])] if s[6] else [])]
-        neg_value, x, j = min(candidates)
-        s = mine[j]
-        results.append((x, -neg_value, s[1] - s[0], points + sum(s[6] for s in mine)))
+            owners = np.array([s.owner for s in live], dtype=np.intp)
+        values = np.asarray(F(owners, np.array([s.u for s in live])), dtype=float).tolist()
+        for s, v in zip(live, values):
+            s.tell(v)
+        live = [s for s in live if s.aim(tol1)]
+    results = []
+    for own in brackets:
+        win = min(own, key=lambda s: (-s.fx, s.best))
+        results.append((win.best, win.fx, win.b - win.a, points + sum(s.probes for s in own)))
     return results
 
 
-def _values(F, owners: np.ndarray, angles: list) -> list:
-    """F on an array of objectives and a list of angles, as a list of
-    floats."""
-    return np.asarray(F(owners, np.array(angles)), dtype=float).tolist()
+class _Bracket:
+    """One bracket of `maximize_on_circle_many`, refined by Brent's method
+    for a maximum (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5): [a, b] holds x, the highest point evaluated in it, with
+    value fx; w and v are the second and third highest, d the last step and
+    e the one before.  It starts at its grid point x with its known value,
+    w = v = x, so its first step needs no probe of x.
+
+    Each step probes u, the vertex of the parabola through x, w and v where
+    that vertex lies inside the bracket and the step is less than half the
+    step before last, and otherwise a point _SECTION of the way from x into
+    the larger part of the bracket.  A step is at least tol1 long, and a
+    parabolic probe at least 2 tol1 from the ends.  x moves only to a
+    higher value, so a tie never moves the bracket's centre; `best` is the
+    smallest angle evaluated at the value fx.  u lies strictly inside
+    (a, b) and is not x, and every angle probed before is x or outside
+    (a, b), so no angle is probed twice.
+    """
+
+    __slots__ = ("owner", "a", "b", "x", "fx", "w", "fw", "v", "fv", "d", "e",
+                 "u", "best", "probes")
+
+    def __init__(self, owner: int, x: float, fx: float, h: float):
+        self.owner, self.a, self.b = owner, x - h, x + h
+        self.x = self.w = self.v = self.best = x
+        self.fx = self.fw = self.fv = fx
+        self.d = self.e = 0.0
+        self.probes = 0
+
+    def aim(self, tol1: float) -> bool:
+        """Set the next probe u; False where the bracket is done: Brent's
+        centred test |x - m| <= 2 tol1 - (b - a) / 2 holds (so
+        b - a <= 4 tol1), it made _MAX_PROBES probes, or no angle but x lies
+        in (a, b)."""
+        a, b, x = self.a, self.b, self.x
+        mid = 0.5 * (a + b)
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a) or self.probes >= _MAX_PROBES:
+            return False
+        # the step from x to the end of the larger part of the bracket
+        larger = (a if x - a >= b - x else b) - x
+        parabolic = False
+        if abs(self.e) > tol1:
+            # the vertex x + p / q of the parabola through x, w and v
+            r = (x - self.w) * (self.fx - self.fv)
+            q = (x - self.v) * (self.fx - self.fw)
+            p = (x - self.v) * q - (x - self.w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabolic = abs(p) < abs(0.5 * q * self.e) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            self.e, self.d = self.d, p / q
+            if x + self.d - a < tol2 or b - (x + self.d) < tol2:
+                self.d = tol1 if x < mid else -tol1
+        else:
+            self.e, self.d = larger, _SECTION * larger
+        d = self.d
+        u = x + (d if abs(d) >= tol1 else (tol1 if d > 0.0 else -tol1))
+        if not (a < u < b and u != x):
+            # a step below the spacing of floats at x: a section step, at
+            # least to the next float
+            self.e, self.d = larger, _SECTION * larger
+            u = x + self.d
+            if u == x:
+                u = math.nextafter(x, x + larger)
+        self.u = u
+        return a < u < b
+
+    def tell(self, fu: float) -> None:
+        """Take the value fu of the probe u."""
+        u, x = self.u, self.x
+        self.probes += 1
+        if fu > self.fx:
+            if u < x:
+                self.b = x
+            else:
+                self.a = x
+            self.v, self.fv, self.w, self.fw = self.w, self.fw, x, self.fx
+            self.x = self.best = u
+            self.fx = fu
+            return
+        if fu == self.fx and u < self.best:
+            self.best = u
+        if u < x:
+            self.a = u
+        else:
+            self.b = u
+        if fu >= self.fw or self.w == x:
+            self.v, self.fv, self.w, self.fw = self.w, self.fw, u, fu
+        elif fu >= self.fv or self.v == x or self.v == self.w:
+            self.v, self.fv = u, fu
 
 
 def rotated_objective(T, evaluate_many):
@@ -436,8 +498,8 @@ def generalized_radius_many(stack, norm) -> list[RadiusResult]:
 
     A norm's own radius gets the whole stack in one `norm.radius` call.
     Otherwise the matrices are searched together by
-    `maximize_on_circle_many`, one `evaluate_many` per grid or
-    golden-section step for all of them.  Every result is bitwise the one
+    `maximize_on_circle_many`, one `evaluate_many` per grid or Brent step
+    for all of them.  Every result is bitwise the one
     `generalized_radius` gives for that matrix alone.
     """
     if norm.radius is not None:
@@ -834,7 +896,7 @@ def numerical_radius(T) -> RadiusResult:
     positive bound certifies r <= w < r', and the search ends; this
     settles disk matrices (W(T) a disk about 0: square-zero T, Jordan
     blocks, weighted shifts) in N + 8 evaluations.  Only an uncertified matrix goes
-    on to the grid-and-golden optimizer `maximize_on_circle`, which
+    on to the grid-and-Brent optimizer `maximize_on_circle`, which
     searches the full circle, and the better of the two results is kept.
     The zero matrix gives exactly 0.
 
@@ -843,7 +905,7 @@ def numerical_radius(T) -> RadiusResult:
     `achieved_interval` is the width of the interval between consecutive
     crossings, at the last level searched, that holds argmax_theta (0.0 when
     that level had none or the disk test certified it), or the final
-    golden-section bracket when the grid finished the search.
+    Brent bracket when the grid finished the search.
     `evaluations` counts the angles at which lambda_max (or, in the disk
     test and for Hermitian T, the spectrum) was evaluated (one pencil
     eigensolve per level is extra).
@@ -1313,9 +1375,11 @@ def omega_norm(T) -> OmegaResult:
 # Reduced (but still refined) settings for the slow w_Omega path: the
 # outer objective is the smooth numerical-radius objective scaled by
 # sqrt(2) and the inner Omega evaluations act on Hermitian matrices, so
-# coarse grids localize the maxima; golden section (outer) and Newton
+# coarse grids localize the maxima; Brent's method (outer) and Newton
 # (inner) recover the precision, and a bracket or step of width w costs only
-# O(w^2) in value.
+# O(w^2) in value.  The inner value is noisy at the scale of the outer
+# steps, so an outer bracket keeps its best point on a tie and ends by
+# Brent's centred test.
 SLOW_OMEGA_OUTER = {"grid": 96, "refine_tol": 1e-6, "top_brackets": 3}
 SLOW_OMEGA_INNER = {"grid_s": 13, "grid_psi": 24, "refine_tol": 1e-4, "top_cells": 2}
 
@@ -1338,8 +1402,8 @@ def omega_radius_slow(T) -> RadiusResult:
 @memo_per_matrix
 def omega_radius_slow_many(stack) -> list[RadiusResult]:
     """`omega_radius_slow` of each matrix of a (m, n, n) stack, all of them
-    searched together: every grid or golden-section step is one
-    `omega_norm_many` call on the operands of every matrix.  Every result is
+    searched together: every grid or Brent step is one `omega_norm_many`
+    call on the operands of every matrix.  Every result is
     bitwise the one-matrix one."""
     from .norms import omega_norm_spec
 

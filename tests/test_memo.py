@@ -273,8 +273,8 @@ def test_one_omega_call_per_step_per_size_group(monkeypatch):
     rep = inequalities.run_suite(ensembles, checks=[dataclasses.replace(chain, golden=())],
                                  trials=1)
     assert [r.status for r in rep.records] == ["ok"] * 4
-    # per size group: one grid call, one call for the first probes, then one
-    # per golden-section step, as many steps as its longest search
+    # per size group: one grid call, then one per Brent step, as many steps
+    # as its longest search
     assert len(sizes) == max(alone[:2]) + max(alone[2:])
     grid = radius.SLOW_OMEGA_OUTER["grid"] // 2
     assert [k for k, size in enumerate(sizes) if size == 2 * grid] == [0, max(alone[:2])]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -569,42 +569,120 @@ class TestLevelSetAgreement:
                       .filter(lambda shape: shape[0] == shape[1]),
                       elements=st.complex_numbers(max_magnitude=10.0, allow_nan=False,
                                                   allow_infinity=False)))
+    # a draw at 1e-197 scale, where an eigvalsh of the raw matrix rescales it
+    # by LAPACK's own factor and differs from the engine's value by an ulp
+    @example(4.8e-197 * (1 + 1j) * np.ones((3, 3)))
     def test_grid_path_never_exceeds_the_engine(self, a):
         # every grid value is attained, so it is a lower bound on w
         w = _engine(a).value
         assert generalized_radius(a, OP_GRID).value <= w + 1e-12 * max(1.0, w)
 
 
-def _golden_max(f, lo, hi, tol, seed, max_iter=300):
-    """Scalar golden-section maximization on [lo, hi] down to bracket width
-    tol, one f call per probe, starting from the known point `seed`; ties go
-    to the smaller x.  Returns (x, fx, width, evaluations)."""
-    a, b = lo, hi
-    best_x, best_v = seed
+# golden section's ratio, for the reference search below
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, x, fx, h, tol):
+    """Scalar golden-section maximization on [x - h, x + h] down to bracket
+    width tol, one f call per probe, at most _MAX_PROBES probes, starting
+    from the known point (x, fx); ties go to the smaller angle.  The search
+    the one-angle optimizer used before Brent's method.  Returns (argmax,
+    value, width, probes)."""
+    a, b = x - h, x + h
+    best_x, best_v = x, fx
     h = b - a
     if h <= tol:
         return best_x, best_v, h, 0
-    x1, x2 = b - radius._INVPHI * h, a + radius._INVPHI * h
+    x1, x2 = b - _INVPHI * h, a + _INVPHI * h
     f1, f2 = f(x1), f(x2)
     evals = 2
     for x, v in ((x1, f1), (x2, f2)):
         if v > best_v or (v == best_v and x < best_x):
             best_x, best_v = x, v
-    while h > tol and evals < max_iter:
+    while h > tol and evals < radius._MAX_PROBES:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             h = b - a
-            x = x1 = b - radius._INVPHI * h
+            x = x1 = b - _INVPHI * h
             v = f1 = f(x1)
         else:
             a, x1, f1 = x1, x2, f2
             h = b - a
-            x = x2 = a + radius._INVPHI * h
+            x = x2 = a + _INVPHI * h
             v = f2 = f(x2)
         evals += 1
         if v > best_v or (v == best_v and x < best_x):
             best_x, best_v = x, v
     return best_x, best_v, h, evals
+
+
+def _brent_max(f, x, fx, h, tol):
+    """Scalar Brent maximization (Brent 1973, ch. 5, procedure localmin,
+    for -f) on [x - h, x + h], one f call per probe, at most _MAX_PROBES
+    probes, starting from the known point (x, fx) with w = v = x and
+    tol1 = tol / 4; x moves only to a higher value.  Where a step falls
+    below the float spacing at x, or out of the open bracket, a section
+    step to at least the next float replaces it, and the search ends where
+    even that leaves the bracket.  Returns (argmax, value, width, probes),
+    the argmax being the smallest angle probed at the best value."""
+    section = (3.0 - math.sqrt(5.0)) / 2.0
+    a, b = x - h, x + h
+    v = w = best = x
+    fv = fw = fx
+    d = e = 0.0
+    tol1 = tol / 4
+    probes = 0
+    while probes < radius._MAX_PROBES:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            u = x + d
+            if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (a if x - a >= b - x else b) - x
+            d = section * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d > 0.0 else -tol1))
+        if u <= a or u >= b or u == x:
+            e = (a if x - a >= b - x else b) - x
+            d = section * e
+            u = x + d
+            if u == x:
+                u = math.nextafter(x, x + e)
+            if u <= a or u >= b:
+                break
+        fu = f(u)
+        probes += 1
+        if fu > fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu, u
+        else:
+            if fu == fx and u < best:
+                best = u
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return best, fx, b - a, probes
 
 
 def _maximize_one(F, even, grid, refine_tol, top_brackets):
@@ -614,9 +692,10 @@ def _maximize_one(F, even, grid, refine_tol, top_brackets):
                                           refine_tol, top_brackets)[0]
 
 
-def _scalar_maximize_on_circle(F, period, points, refine_tol, top_brackets):
-    """maximize_on_circle with one bracket after the other, F on one angle
-    per probe."""
+def _scalar_runs(F, period, points, refine_tol, top_brackets, refine=_brent_max):
+    """The grid of maximize_on_circle, then each bracket refined by `refine`
+    one after the other, F on one angle per probe: the grid values and one
+    `refine` result per bracket, best grid point first."""
     thetas = np.arange(points) * (period / points)
     vals = np.asarray(F(thetas), dtype=float)
     local = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
@@ -624,21 +703,24 @@ def _scalar_maximize_on_circle(F, period, points, refine_tol, top_brackets):
         local = np.array([int(np.argmax(vals))])
     order = sorted(local.tolist(), key=lambda i: (-vals[i], i))[: max(1, top_brackets)]
     h = period / points
-    best, evals = None, points
-    for i in order:
-        center = thetas[i]
-        x, v, w, ev = _golden_max(lambda t: float(F(np.array([t]))[0]), center - h,
-                                  center + h, refine_tol, (center, vals[i]))
-        evals += ev
-        if best is None or v > best[0] or (v == best[0] and x < best[1]):
-            best = (v, x, w)
-    return best[1], best[0], best[2], evals
+    return vals, [refine(lambda t: float(F(np.array([t]))[0]), float(thetas[i]),
+                         float(vals[i]), h, refine_tol) for i in order]
+
+
+def _scalar_maximize_on_circle(F, period, points, refine_tol, top_brackets,
+                               refine=_brent_max):
+    """maximize_on_circle with one bracket after the other: the best
+    bracket's (argmax, value, width), ties to the smaller angle, and every
+    evaluation."""
+    _, runs = _scalar_runs(F, period, points, refine_tol, top_brackets, refine)
+    x, v, w, _ = min(runs, key=lambda run: (-run[1], run[0]))
+    return x, v, w, points + sum(run[3] for run in runs)
 
 
 class TestLockstepBrackets:
     @pytest.mark.parametrize("spec", [OP, FRO, schatten_norm_spec(1)])
     @pytest.mark.parametrize("kind", ["ginibre", "normal", "square_zero"])
-    def test_matches_scalar_golden_section(self, spec, kind):
+    def test_matches_scalar_brent(self, spec, kind):
         a = generate(EnsembleSpec(kind, 4, 1300))
         F = radius.rotated_objective(a, spec.evaluate_many)
         for points, tol, brackets in ((720, 1e-10, 5), (96, 1e-6, 3), (16, 1e-3, 8),
@@ -647,37 +729,54 @@ class TestLockstepBrackets:
             assert lockstep == _scalar_maximize_on_circle(F, math.pi, points, tol, brackets)
 
     def test_ties_and_probe_cap(self):
-        # cos(4t) has four equal peaks; a zero tolerance runs into the cap
+        # cos(4t) has four equal peaks; a zero tolerance never passes the
+        # centred test
+        probed = []
+
         def F(angles):
+            probed.extend(angles.tolist())
             return np.cos(4.0 * angles)
 
         lockstep = _maximize_one(F, False, 64, 0.0, 4)
+        grid, probes = probed[:64], probed[64:]
+        # no angle is probed twice, and no grid angle again
+        assert len(set(probes)) == len(probes) and not set(probes) & set(grid)
         assert lockstep == _scalar_maximize_on_circle(F, 2 * math.pi, 64, 0.0, 4)
-        assert lockstep[3] == 64 + 4 * radius._MAX_PROBES
+        _, runs = _scalar_runs(F, 2 * math.pi, 64, 0.0, 4)
+        # the peak at 0 has floats to spare and runs to the cap; at the
+        # others the bracket closes on the peak and its two neighbouring floats
+        assert runs[0][3] == radius._MAX_PROBES
+        for (_, _, width, count), x in zip(runs[1:], (math.pi / 2, math.pi, 1.5 * math.pi)):
+            assert count < radius._MAX_PROBES
+            assert width == math.nextafter(x, math.inf) - math.nextafter(x, -math.inf)
+        assert lockstep[3] == 64 + sum(run[3] for run in runs)
         assert lockstep[0] == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_call_per_step(self, m):
-        # one call for every objective's grid, one for the first two probes
-        # of every bracket, then one per golden-section step for all brackets
+        # one call for every objective's grid, one for the first probe of
+        # every bracket, then one per step for the brackets still live
         calls = []
 
         def F(owner, angles):
-            calls.append((owner.tolist(), angles.size))
+            calls.append(owner.tolist())
             return -np.cos(3.0 * angles + owner) + 0.1 * np.sin(angles)
 
-        radius.maximize_on_circle_many(F, m, False, 96, 1e-8, 3)
-        assert calls[0] == (np.arange(m).repeat(96).tolist(), 96 * m)
-        assert calls[1] == (2 * np.arange(m).repeat(3).tolist(), 6 * m)
-        assert {size for _, size in calls[2:]} == {3 * m}
-        assert all(owner == np.arange(m).repeat(3).tolist() for owner, _ in calls[2:])
+        found = radius.maximize_on_circle_many(F, m, False, 96, 1e-8, 3)
+        assert calls[0] == np.arange(m).repeat(96).tolist()
+        assert calls[1] == np.arange(m).repeat(3).tolist()
+        # brackets only leave, in objective order
+        sizes = [len(owners) for owners in calls[1:]]
+        assert sizes == sorted(sizes, reverse=True) and len(sizes) > 3
+        assert all(owners == sorted(owners) for owners in calls[1:])
+        assert sum(f[3] for f in found) == sum(len(owners) for owners in calls)
         if m == 1:   # the one-objective search makes the same calls, at the defaults
             calls.clear()
             radius.maximize_on_circle_many(F, 1, False)
             sizes = []
             radius.maximize_on_circle(
                 lambda t: sizes.append(t.size) or -np.cos(3.0 * t) + 0.1 * np.sin(t), False)
-            assert sizes == [size for _, size in calls]
+            assert sizes == [len(owners) for owners in calls]
 
     def test_many_matches_each_objective_alone(self):
         a = generate(EnsembleSpec("ginibre", 3, 1310))
@@ -705,7 +804,71 @@ class TestLockstepBrackets:
             alone = [_maximize_one(f, even, grid, tol, brackets) for f in objectives]
             assert repr(together) == repr(alone)
         capped = radius.maximize_on_circle_many(F, len(objectives), False, 64, 0.0, 4)
-        assert capped[0][3] == 64 + 4 * radius._MAX_PROBES
+        # the bracket at 0 of cos(4t) runs to the cap
+        assert capped[0][3] > 64 + radius._MAX_PROBES
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 1e-3]), st.sampled_from([16, 64, 720]))
+    def test_brackets_end_narrow_and_above_the_grid(self, coef, tol, grid):
+        # a trigonometric polynomial of degree 4, one bracket
+        def f(t):
+            return sum(c * np.cos(k * t) + s * np.sin(k * t)
+                       for k, c, s in zip(range(1, 5), coef[::2], coef[1::2]))
+
+        probed = []
+
+        def F(owner, angles):
+            probed.extend(angles.tolist())
+            return f(angles)
+
+        x, v, width, evals = radius.maximize_on_circle_many(F, 1, False, grid, tol, 1)[0]
+        grid_vals, probes = f(np.arange(grid) * (2 * math.pi / grid)), probed[grid:]
+        assert len(set(probes)) == len(probes) and evals == grid + len(probes)
+        # the best evaluated point, never below the best grid point
+        assert v == f(np.array([x]))[0] and v >= grid_vals.max()
+        # Brent's centred test ends each bracket within refine_tol
+        assert width <= tol or len(probes) == radius._MAX_PROBES or tol == 0.0
+
+
+class TestBrentAgainstGoldenSection:
+    """Brent's method against the golden section it replaced: values within
+    1e-12 relative, final widths within refine_tol, never below the grid."""
+
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "hermitian", "square_zero"])
+    @pytest.mark.parametrize("spec", [schatten_norm_spec(1), FRO,
+                                      numerical_radius_norm_spec()],
+                             ids=["schatten:1", "schatten:2", "wnum"])
+    def test_grid_path_radii(self, kind, spec):
+        for n, seed in ((3, 1400), (5, 1401)):
+            a = generate(EnsembleSpec(kind, n, seed))
+            F = radius.rotated_objective(a, spec.evaluate_many)
+            points = radius.CIRCLE_GRID // 2
+            golden = _scalar_maximize_on_circle(F, math.pi, points, radius.CIRCLE_TOL,
+                                                radius.CIRCLE_BRACKETS, _golden_max)
+            brent = _maximize_one(F, True, radius.CIRCLE_GRID, radius.CIRCLE_TOL,
+                                  radius.CIRCLE_BRACKETS)
+            res = generalized_radius(a, spec)
+            for value in (brent[1], res.value):
+                assert abs(value - golden[1]) <= 1e-12 * golden[1], (kind, n)
+            assert brent[1] >= F(np.arange(points) * (math.pi / points)).max()
+            assert res.achieved_interval <= radius.CIRCLE_TOL
+
+    @pytest.mark.parametrize("kind", ["ginibre", "normal", "hermitian", "square_zero"])
+    def test_slow_omega_radii(self, kind):
+        outer = radius.SLOW_OMEGA_OUTER
+        spec = omega_norm_spec(**radius.SLOW_OMEGA_INNER)
+        points = outer["grid"] // 2
+        for n, seed in ((2, 1410), (4, 1411)):
+            a = generate(EnsembleSpec(kind, n, seed))
+            F = radius.rotated_objective(a, spec.evaluate_many)
+            golden = _scalar_maximize_on_circle(F, math.pi, points, outer["refine_tol"],
+                                                outer["top_brackets"], _golden_max)
+            res = omega_radius_slow(a)
+            assert abs(res.value - golden[1]) <= 1e-12 * golden[1], (kind, n)
+            assert res.value >= F(np.arange(points) * (math.pi / points)).max()
+            assert res.achieved_interval <= outer["refine_tol"]
+            assert res.evaluations < golden[3]
 
 
 def _stack_with_degenerate(n, seed):
@@ -1017,9 +1180,9 @@ def _attained(t, res):
     return res
 
 
-# SVD norms at points the refinement reached, truncated to ten decimals: the
-# alternating golden-section search stopped 2.2e-6, 1.7e-6, 1.0e-6 and
-# 1.4e-8 (relative) below them on ridges
+# SVD norms at points the refinement reached, truncated to ten decimals: an
+# earlier alternating one-angle search of Omega stopped 2.2e-6, 1.7e-6,
+# 1.0e-6 and 1.4e-8 (relative) below them on ridges
 OMEGA_ATTAINED = [((6, 104), 3.6235378155), ((4, 107), 3.2476572542),
                   ((8, 103), 4.9415254446), ((8, 105), 4.7688778795)]
 
