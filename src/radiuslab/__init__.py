@@ -41,7 +41,6 @@ from .radius import (
     numerical_radius,
     numerical_radius_oracle,
     omega_norm,
-    omega_radius,
     omega_radius_slow,
 )
 from .inequalities import (

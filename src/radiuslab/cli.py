@@ -17,6 +17,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -100,7 +101,8 @@ class RunConfig:
 
 
 def _j(value) -> str:
-    """Canonical JSON fragment: floats at 17 significant digits."""
+    """Canonical JSON fragment: floats at 17 significant digits, strings
+    with control characters escaped, so a record stays on one line."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -113,8 +115,7 @@ def _j(value) -> str:
             return '"inf"' if x > 0 else '"-inf"'
         return f"{x:.17g}"
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_j(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)}")

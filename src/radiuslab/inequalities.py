@@ -25,17 +25,19 @@ per matrix in the open result memo (`radius.memo_per_matrix`); a check
 reads it for its one matrix.
 
 `run_suite` runs its cells in blocks, the golden cases and then one block
-per trial, and stacks each block's slowest searches.  A check may declare a
-`stacked` function; before a block's cells run, it is called once per norm
-and matrix size on the stack of the block's matrices, and fills the block's
-result memo with what the cells will read: the slow Omega radii of
-`omega-chain` and the radii and inf / sup searches of `inf-upper` and
-`lower-bound`, each searched for the whole stack at once by
-`radius.maximize_on_circle_many`.
+per trial, each in one result memo, and stacks every memoized search that
+a block's cells read: before they run, `_stack_trial` runs each cell once
+as a dry run under `radius.search_ahead`, which records the matrices each
+search misses and then searches each group (one search, its arguments and
+a matrix size) as one stack.  The radii of derived matrices such as TS,
+TS +/- ST* and TT* - T*T are stacked as well as the inputs' own, with no
+declaration by the check.  A check runner therefore runs twice per cell
+and must be a pure function of its inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -68,17 +70,16 @@ from .norms import NormSpec, registry
 from .radius import (
     CIRCLE_GRID,
     generalized_radius,
-    generalized_radius_many,
     maximize_on_circle,
     maximize_on_circle_many,
     memo_per_matrix,
     numerical_radius,
     omega_norm,
     omega_radius_slow,
-    omega_radius_slow_many,
     result_memo,
     rotated_objective,
     rotated_objective_many,
+    search_ahead,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -220,7 +221,7 @@ def _square_difference(re_n, im_n):
     return np.sqrt(np.abs(re_n ** 2 - im_n ** 2))
 
 
-@memo_per_matrix
+@memo_per_matrix((math.nan, math.nan))
 def _phase_sups(stack, norm: NormSpec, pair) -> list:
     """(argmax phi in [0, 2 pi), value) of the maximum over phi of
     pair(N(Re(e^{i phi} T)), N(Im(e^{i phi} T))) for each T of a stack,
@@ -481,21 +482,6 @@ def _omega_branches(arr):
     return b1, b2
 
 
-def _stacked_omega_chain(stack, norm) -> None:
-    omega_radius_slow_many(stack)
-
-
-def _stacked_inf_upper(stack, norm: NormSpec) -> None:
-    generalized_radius_many(stack, norm)
-    _phase_sups(stack, norm, _negated_quadrature)
-
-
-def _stacked_lower_bound(stack, norm: NormSpec) -> None:
-    if norm.algebra:   # otherwise the check reads nothing
-        generalized_radius_many(stack, norm)
-        _phase_sups(stack, norm, _square_difference)
-
-
 def check_omega_upper(T, *, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Omega(T) <= min{ sqrt(||TT* + T*T||), sqrt(||T||^2 + w(T^2)) }."""
     arr = as_matrix(T, square=True)
@@ -674,7 +660,13 @@ class GoldenCase:
 @dataclass(frozen=True)
 class CheckDef:
     """A named check: its runner, the ensembles and norms it applies to,
-    and its golden witnesses."""
+    and its golden witnesses.
+
+    `run_suite` calls the runner twice per cell: in its block's dry run,
+    where a memoized search may answer a blank (NaN) value, and then for
+    the record.  So the runner must be a pure function of its arguments
+    and the searches it reads, keeping no state from one call to the next.
+    """
 
     name: str
     tag: str
@@ -684,9 +676,6 @@ class CheckDef:
     pair: bool = False
     adapter: Optional[str] = None
     golden: tuple = ()
-    # stacked(stack, norm) fills the open result memo with what the runner
-    # reads from the memo for each matrix of a stack of same-size draws
-    stacked: Optional[Callable] = None
 
 
 _E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
@@ -736,7 +725,6 @@ def default_checks() -> tuple:
             kinds=("ginibre", "hermitian", "normal", "square_zero"),
             norm_ids=("op", "schatten:2", "schatten:1"),
             golden=(GoldenCase("worked-2x2-op", (_WORKED_2X2,), norm_id="op"),),
-            stacked=_stacked_inf_upper,
         ),
         CheckDef(
             name="lower-bound", tag="algebra-lower-bound",
@@ -745,7 +733,6 @@ def default_checks() -> tuple:
             norm_ids=("op", "schatten:2"),
             golden=(GoldenCase("square-zero-e12-op", (_E12,), norm_id="op"),
                     GoldenCase("identity-op", (_I2,), norm_id="op")),
-            stacked=_stacked_lower_bound,
         ),
         CheckDef(
             name="norm-chain", tag="norm-radius-product-chain",
@@ -799,7 +786,6 @@ def default_checks() -> tuple:
             name="omega-chain", tag="omega-radius-chain",
             runner=check_omega_chain, kinds=("ginibre", "normal", "square_zero"),
             golden=(GoldenCase("worked-2x2", (_WORKED_2X2,)),),
-            stacked=_stacked_omega_chain,
         ),
         CheckDef(
             name="omega-equality", tag="omega-half-radius-equivalence",
@@ -946,36 +932,18 @@ def _trial_cells(selected, sweeps, ensembles, trial: int) -> list:
     return cells
 
 
-def _stack_trial(cells, norm_specs: dict) -> None:
-    """Run the stacked work of one block's cells ahead of them, inside the
-    block's result memo: for each check with a `stacked` function and each
-    norm sweep of its cells, one call per norm of the sweep and per size of
-    the cells' first matrices, on the stack of those matrices in cell order.
-    Nothing here makes a record: a draw that raises is left out, and a call
-    that raises stores nothing, so the cells concerned compute (and fail)
-    on their own."""
-    groups = {}
-    for _, defn, norm_ids, *_, draw in cells:
-        if defn.stacked is None:
-            continue
-        try:
-            arr = as_matrix(draw()[0], square=True)
-        except Exception:
-            continue
-        by_size = groups.setdefault((id(defn), norm_ids), (defn, norm_ids, {}))[2]
-        by_size.setdefault(arr.shape[0], []).append(arr)
-    for defn, norm_ids, by_size in groups.values():
-        for norm_id in norm_ids:
-            norm = norm_specs[norm_id] if norm_id else None
-            try:
-                hash(norm)
-            except TypeError:   # the memo cannot hold its results
-                continue
-            for arrs in by_size.values():
-                try:
-                    defn.stacked(np.stack(arrs), norm)
-                except Exception:
-                    pass
+def _stack_trial(cells, norm_specs: dict, tol: float) -> None:
+    """Fill the open result memo with every memoized search that the
+    block's cells read, each group of them searched as one stack: every
+    cell runs once, for each norm id of its sweep, as a dry run under
+    `radius.search_ahead`.  Nothing here makes a record, and an exception
+    (from a draw, a hypothesis or a blank value) only ends that cell's dry
+    run; the cell's own run makes its record."""
+    with search_ahead():
+        for _, defn, norm_ids, _, _, _, kind, _, draw in cells:
+            for norm_id in norm_ids:
+                with contextlib.suppress(Exception):
+                    _run_one(defn, draw(), norm_specs[norm_id] if norm_id else None, kind, tol)
 
 
 def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
@@ -995,13 +963,15 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
     trial.  Each block runs in one `result_memo`, so a radius or Omega
     value that several of its cells need is computed once, and the memo
     never holds more than one block's values.  Before a block's cells run,
-    the checks that declare `stacked` work get it done for the block's
-    matrices, one call per norm and matrix size (`_stack_trial`), so their
-    slow searches run on stacks; the records are the same as with one
-    matrix at a time.  Every cell goes through `_cell_record`: hypothesis
-    failures become "inapplicable" records, and unexpected exceptions, a
-    failed draw included, become "error" records that never abort other
-    cells.  Near-equality notes come in check order; within a check, the
+    `_stack_trial` runs each of them once as a dry run and fills the memo
+    with every search they read, each group of like searches as one stack;
+    the cells then read them all from the memo.  Every stack search gives
+    bitwise the one-matrix result, so the records are the same as with one
+    matrix at a time, and each check runner, running twice per cell, must
+    be a pure function of its inputs.  Every cell goes through
+    `_cell_record`: hypothesis failures become "inapplicable" records, and
+    unexpected exceptions, a failed draw included, become "error" records
+    that never abort other cells.  Near-equality notes come in check order; within a check, the
     golden cases, then each ensemble in the order given, trials ascending.
     """
     if trials < 0:
@@ -1037,7 +1007,7 @@ def run_suite(ensembles: Sequence[EnsembleSpec], checks=None, trials: int = 100,
                               for trial in range(trials)))
     for cells in blocks:
         with result_memo():
-            _stack_trial(cells, norm_specs)
+            _stack_trial(cells, norm_specs, tol)
             for key, defn, norm_ids, ensemble, trial, seed, kind, note, draw in cells:
                 for norm_id in norm_ids:
                     cell_norm = norm_specs[norm_id] if norm_id else None

@@ -114,8 +114,12 @@ result for each matrix, norm and settings until the block ends; calls made
 while one of them runs bypass the memo.  Each is wrapped by the one memo
 decorator, `memo_per_matrix`, and each one-matrix radius is its stack
 function applied to a one-matrix stack, so a stack searched ahead of time
-serves the one-matrix calls that follow.  Outside a block nothing is
-remembered.
+serves the one-matrix calls that follow.  `search_ahead` searches ahead
+whatever a block of calls will read, with no list of it: in its dry run a
+memoized search that misses records the matrix and answers a blank (NaN)
+result, and at its end each group of recorded matrices (one search, its
+arguments and a matrix size) is searched as one stack.  Outside a block
+nothing is remembered.
 """
 
 from __future__ import annotations
@@ -172,6 +176,9 @@ _NEWTON_ROUNDS = 100
 # inside it, and _BYPASS while a memoized function runs
 _MEMO = contextvars.ContextVar("radiuslab_result_memo", default=None)
 _BYPASS = object()
+# The searches a dry run asks for (`search_ahead`): None outside one, and
+# inside it, per group, the missing matrices by memo key
+_PENDING = contextvars.ContextVar("radiuslab_pending_searches", default=None)
 
 
 @contextlib.contextmanager
@@ -198,9 +205,11 @@ def _memo_key(fn, arr: np.ndarray, args: tuple, kwargs: dict) -> tuple:
             tuple(sorted(kwargs.items())))
 
 
-def memo_per_matrix(fn):
-    """fn(stack, *args, **kwargs), one result per matrix of a (m, n, n)
-    stack, its results kept per matrix in the open result memo.
+def memo_per_matrix(blank):
+    """Decorate fn(stack, *args, **kwargs), one result per matrix of a
+    (m, n, n) stack, so that its results are kept per matrix in the open
+    result memo; `blank` is what a dry run (`search_ahead`) answers for a
+    matrix it has not searched.
 
     The stack is checked by `_square_stack`, and fn gets it as a complex128
     array.  Inside an open memo, a matrix whose entry the memo holds gets
@@ -210,39 +219,79 @@ def memo_per_matrix(fn):
     rebinding of a module name never changes a key.  Outside a memo, and
     for every call made while a memoized function runs, fn is called on
     the whole stack.  A call that raises stores nothing; an unhashable
-    argument stores nothing either.
+    argument stores nothing either.  Inside a dry run of `search_ahead`
+    nothing is computed: each matrix the memo misses is recorded for its
+    group and answered `blank`, which is never stored.
     """
-    @functools.wraps(fn)
-    def wrapper(stack, *args, **kwargs) -> list:
-        arrs = _square_stack(stack)
-        memo = _MEMO.get()
-        if memo is None or memo is _BYPASS:
-            return fn(arrs, *args, **kwargs)
-        keys = [_memo_key(fn, arr, args, kwargs) for arr in arrs]
-        try:
-            results = [memo.get(key) for key in keys]
-        except TypeError:   # an unhashable argument: nothing is remembered
-            results, keys = [None] * len(keys), None
-        # each missing matrix once, in stack order
-        todo = {}
-        for k, hit in enumerate(results):
-            if hit is None:
-                todo.setdefault(k if keys is None else keys[k], []).append(k)
-        if todo:
-            firsts = [places[0] for places in todo.values()]
-            token = _MEMO.set(_BYPASS)
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(stack, *args, **kwargs) -> list:
+            arrs = _square_stack(stack)
+            memo = _MEMO.get()
+            if memo is None or memo is _BYPASS:
+                return fn(arrs, *args, **kwargs)
+            keys = [_memo_key(fn, arr, args, kwargs) for arr in arrs]
             try:
-                computed = fn(arrs[firsts], *args, **kwargs)
-            finally:
-                _MEMO.reset(token)
-            for (key, places), result in zip(todo.items(), computed):
-                if keys is not None:
-                    memo[key] = result
-                for k in places:
-                    results[k] = result
-        return results
+                results = [memo.get(key) for key in keys]
+            except TypeError:   # an unhashable argument: nothing is remembered
+                results, keys = [None] * len(keys), None
+            pending = _PENDING.get()
+            if pending is not None:
+                # a dry run: each miss is recorded for its group, and answered blank
+                settings = tuple(sorted(kwargs.items()))
+                for key, hit, arr in zip(keys or (), results, arrs):
+                    if hit is None:
+                        group = pending.setdefault((wrapper, args, settings, arr.shape), {})
+                        group.setdefault(key, arr)
+                return [blank if hit is None else hit for hit in results]
+            # each missing matrix once, in stack order
+            todo = {}
+            for k, hit in enumerate(results):
+                if hit is None:
+                    todo.setdefault(k if keys is None else keys[k], []).append(k)
+            if todo:
+                firsts = [places[0] for places in todo.values()]
+                token = _MEMO.set(_BYPASS)
+                try:
+                    computed = fn(arrs[firsts], *args, **kwargs)
+                finally:
+                    _MEMO.reset(token)
+                for (key, places), result in zip(todo.items(), computed):
+                    if keys is not None:
+                        memo[key] = result
+                    for k in places:
+                        results[k] = result
+            return results
 
-    return wrapper
+        return wrapper
+
+    return decorate
+
+
+@contextlib.contextmanager
+def search_ahead():
+    """Fill the open result memo with the memoized searches that the calls
+    made inside the block would make, each group of them as one stack.
+
+    The block is a dry run: a memoized search that misses computes nothing.
+    It records each matrix it misses under (search, arguments, matrix
+    shape) and answers it with its `blank` (NaN values, 0 evaluations),
+    which is never stored.  When the block ends, each group is searched as
+    one stack and its results stored per matrix; every stack search gives
+    bitwise the one-matrix results, so the calls made again afterwards read
+    what they would have computed.  A group whose search raises stores
+    nothing, and the calls that need it search (and raise) on their own.
+    Outside an open memo nothing is recorded, and the block runs as it is.
+    """
+    pending = {}
+    token = _PENDING.set(pending)
+    try:
+        yield
+    finally:
+        _PENDING.reset(token)
+    for (search, args, settings, _), missing in pending.items():
+        with contextlib.suppress(Exception):
+            search(np.stack(list(missing.values())), *args, **dict(settings))
 
 
 @dataclass(frozen=True)
@@ -256,6 +305,10 @@ class RadiusResult:
     evaluations: int
 
 
+# what a dry run answers for a radius it has not searched
+_BLANK_RADIUS = RadiusResult(math.nan, math.nan, math.nan, 0)
+
+
 @dataclass(frozen=True)
 class OmegaResult:
     """Optimized Omega norm with its maximizing (s, psi) coefficients, the
@@ -266,6 +319,9 @@ class OmegaResult:
     argmax: tuple[float, float]
     achieved_cell: float
     evaluations: int
+
+
+_BLANK_OMEGA = OmegaResult(math.nan, (math.nan, math.nan), math.nan, 0)
 
 
 def maximize_on_circle(F, even: bool):
@@ -465,11 +521,16 @@ def rotated_objective_many(stack, evaluate_many):
         out = np.empty(angles.size)
         for lo in range(0, angles.size, step):
             hi = lo + step
+            # built in place, so a chunk holds two operand-sized arrays at once
             if single:
-                operands = a[lo:hi] * re - b[lo:hi] * im
+                operands, part = a[lo:hi] * re, b[lo:hi] * im
             else:
                 mine = owner[lo:hi]
-                operands = a[lo:hi] * re[mine] - b[lo:hi] * im[mine]
+                operands, part = re[mine], im[mine]
+                operands *= a[lo:hi]
+                part *= b[lo:hi]
+            operands -= part
+            del part
             vals = evaluate_many(operands)
             del operands  # freed before the next chunk is built
             if lo == 0:   # the first chunk gives the shape of a value
@@ -507,7 +568,7 @@ def generalized_radius_many(stack, norm) -> list[RadiusResult]:
     return _circle_radii(stack, norm, CIRCLE_GRID, CIRCLE_TOL, CIRCLE_BRACKETS)
 
 
-@memo_per_matrix
+@memo_per_matrix(_BLANK_RADIUS)
 def _circle_radii(arrs, norm, grid, refine_tol, top_brackets) -> list[RadiusResult]:
     """The grid path of `generalized_radius`, at given settings, for each matrix of a stack."""
     scaled, exponent = binary_scaled(arrs)
@@ -832,7 +893,7 @@ def _level_set(raw: np.ndarray):
     return result
 
 
-@memo_per_matrix
+@memo_per_matrix(_BLANK_RADIUS)
 def numerical_radius_many(stack) -> list[RadiusResult]:
     """w of each matrix of a (m, n, n) stack; see `numerical_radius`.
 
@@ -1284,7 +1345,7 @@ def _newton_on_sphere(basis, owner, u, width, refine_tol):
     return u, lam1, width, solves
 
 
-@memo_per_matrix
+@memo_per_matrix(_BLANK_OMEGA)
 def omega_norm_many(stack, *, grid_s: int = OMEGA_GRID_S, grid_psi: int = OMEGA_GRID_PSI,
                     refine_tol: float = OMEGA_TOL,
                     top_cells: int = OMEGA_CELLS) -> list[OmegaResult]:
@@ -1384,22 +1445,16 @@ SLOW_OMEGA_OUTER = {"grid": 96, "refine_tol": 1e-6, "top_brackets": 3}
 SLOW_OMEGA_INNER = {"grid_s": 13, "grid_psi": 24, "refine_tol": 1e-4, "top_cells": 2}
 
 
-def omega_radius(T) -> float:
-    """w_Omega(T) = sqrt(2) w(T) (the Omega radius collapses to the
-    numerical radius because Omega doubles to sqrt(2) times the operator
-    norm on Hermitian matrices)."""
-    return math.sqrt(2.0) * numerical_radius(T).value
-
-
 def omega_radius_slow(T) -> RadiusResult:
     """w_Omega(T) computed the long way: the grid path of generalized_radius
-    with the Omega norm itself as N, at the SLOW_OMEGA_* settings.
-    Cross-validates omega_radius.  This is the one-matrix case of
-    `omega_radius_slow_many`."""
+    with the Omega norm itself as N, at the SLOW_OMEGA_* settings.  It
+    cross-validates the identity w_Omega(T) = sqrt(2) w(T) (Omega is
+    sqrt(2) times the operator norm on Hermitian matrices).  This is the
+    one-matrix case of `omega_radius_slow_many`."""
     return omega_radius_slow_many(np.asarray(T, dtype=np.complex128)[None])[0]
 
 
-@memo_per_matrix
+@memo_per_matrix(_BLANK_RADIUS)
 def omega_radius_slow_many(stack) -> list[RadiusResult]:
     """`omega_radius_slow` of each matrix of a (m, n, n) stack, all of them
     searched together: every grid or Brent step is one `omega_norm_many`

@@ -138,6 +138,22 @@ class TestCompute:
         for key in ("omega", "w", "hs_radius_sq"):
             assert f"{rec[key]:.17g}" in text
 
+    def test_control_characters_in_a_path_stay_on_one_line(self, tmp_path):
+        path = tmp_path / 'tab\there\nnewline "é\\.json'
+        save_matrix(path, np.eye(2))
+        code, text = run_cli(["compute", "--matrix", str(path), "--format", "machine"],
+                             tmp_path)
+        assert code == 0 and text.count("\n") == 1
+        (rec,) = machine_records(text)
+        assert rec["matrix"] == str(path)
+
+    def test_strings_are_json_with_control_characters_escaped(self):
+        # an error note may hold a newline; other strings are as before
+        line = cli._jrec([("note", "RuntimeError: two\nlines\x01"), ("path", 'é"\\')])
+        assert "\n" not in line
+        assert json.loads(line) == {"note": "RuntimeError: two\nlines\x01", "path": 'é"\\'}
+        assert cli._j('é"\\') == '"é\\"\\\\"'
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "rect.json"
         save_matrix(path, np.ones((2, 3)))

@@ -434,13 +434,13 @@ class TestSuiteRunner:
         assert all(r.status == "inapplicable" and not r.holds for r in rep.records)
 
     def test_error_recorded_without_aborting(self):
-        calls = {"n": 0}
+        # the runner fails on two inputs: the golden case and trial 0's draw
+        first = generate(EnsembleSpec("ginibre", 2, 11))
 
         def flaky(T, *, tol):
             if np.array_equal(T, E12):
                 raise RuntimeError("golden boom")
-            calls["n"] += 1
-            if calls["n"] == 1:
+            if np.array_equal(T, first):
                 raise RuntimeError("boom")
             return iq.check_basic_bounds(T, tol=tol)
 
@@ -450,9 +450,9 @@ class TestSuiteRunner:
         assert rep.errors == 2
         statuses = [r.status for r in rep.records]
         assert statuses.count("error") == 2 and statuses.count("ok") == 2
-        errors = {(r.ensemble, r.note) for r in rep.records if r.status == "error"}
-        assert errors == {("golden", "RuntimeError: golden boom"),
-                          ("ginibre:2", "RuntimeError: boom")}
+        errors = {(r.ensemble, r.trial, r.note) for r in rep.records if r.status == "error"}
+        assert errors == {("golden", 0, "RuntimeError: golden boom"),
+                          ("ginibre:2", 0, "RuntimeError: boom")}
 
     def test_near_equality_order(self):
         def flagged(T, *, tol):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from radiuslab import cli, inequalities, norms, radius
-from radiuslab.ensembles import EnsembleSpec, generate
+from radiuslab.ensembles import EnsembleSpec, generate, parse_ensemble_id
 from radiuslab.matfile import save_matrix
 from radiuslab.norms import (NormSpec, frobenius_norm_spec, numerical_radius_norm_spec,
                              omega_norm_spec, operator_norm_spec)
@@ -51,7 +51,8 @@ def _count_searches(monkeypatch, record):
         record(arrs, norm)
         return raw(arrs, norm, *settings, **kw)
 
-    monkeypatch.setattr(radius, "_circle_radii", radius.memo_per_matrix(counting))
+    monkeypatch.setattr(radius, "_circle_radii",
+                        radius.memo_per_matrix(radius._BLANK_RADIUS)(counting))
 
 
 # the stack searches that keep their results in the memo, by name
@@ -111,9 +112,11 @@ def test_suite_opens_one_memo_per_trial():
     ensembles = [EnsembleSpec("ginibre", 3, 40), EnsembleSpec("ginibre", 2, 40)]
     rep = inequalities.run_suite(ensembles, checks=["dragomir", defn], trials=3)
     assert rep.errors == 0
-    # the golden block, then one block per trial holding both ensembles
-    memos = [seen[0], seen[2], seen[4], seen[6]]
-    assert seen[1] is memos[0] and [seen[3], seen[5], seen[7]] == memos[1:]
+    # the golden block, then one block per trial holding both ensembles; in
+    # each, the spy's two cells run once in the dry run and once for their records
+    assert len(seen) == 16
+    memos = seen[::4]
+    assert all(memo is memos[b] for b in range(4) for memo in seen[4 * b:4 * b + 4])
     assert len({id(memo) for memo in memos}) == 4
     # golden: w of the spy's two cases (dragomir's golden cases add theirs);
     # a trial: dragomir's w(T) and w(T^2) per draw, which the spy reuses
@@ -208,7 +211,6 @@ def test_op_radius_is_the_numerical_radius_entry():
     with radius.result_memo():
         w = radius.numerical_radius(t)
         assert radius.generalized_radius(t, operator_norm_spec()) is w
-        assert radius.omega_radius(t) == math.sqrt(2.0) * w.value
         assert len(radius._MEMO.get()) == 1
 
 
@@ -288,19 +290,22 @@ def test_stacked_work_that_raises_changes_no_record(monkeypatch):
         return inequalities.run_suite(ensembles, checks=checks, trials=1)
 
     expected = run()
-    for name in ("omega_radius_slow_many", "generalized_radius_many", "_phase_sups"):
+    for module, name in ((radius, "omega_radius_slow_many"), (radius, "_circle_radii"),
+                         (inequalities, "_phase_sups")):
         raised = []
-        original = getattr(inequalities, name)
+        search = getattr(module, name)
 
-        def fail(stack, *args, _original=original, **kwargs):
-            # a stack fails; the cells' one-matrix reads run as before
-            if len(stack) > 1:
+        def fail(arrs, *args, _raw=search.__wrapped__, **kwargs):
+            # a stack fails; the cells' one-matrix searches run as before
+            if len(arrs) > 1:
                 raised.append(name)
                 raise RuntimeError("stacked search failed")
-            return _original(stack, *args, **kwargs)
+            return _raw(arrs, *args, **kwargs)
 
+        # the same search, memoized with the blank of its kind
+        blank = (math.nan, math.nan) if name == "_phase_sups" else radius._BLANK_RADIUS
         with monkeypatch.context() as patch:
-            patch.setattr(inequalities, name, fail)
+            patch.setattr(module, name, radius.memo_per_matrix(blank)(fail))
             assert repr(run()) == repr(expected)
         assert raised
     assert expected.errors == 0
@@ -400,3 +405,80 @@ def test_rebound_names_leave_the_memo_keys_alone(monkeypatch):
     # the golden block and the trial's block; every search kept entries
     assert len(plain_counts) == 2
     assert all(sum(block[name] for block in plain_counts) > 0 for name, _ in STACK_SEARCHES)
+
+
+def test_the_dry_run_fills_every_entry_the_cells_read(monkeypatch):
+    # per block, a copy of the memo after its dry run (`_stack_trial`) and
+    # the memo as the block ends
+    filled, final = [], []
+    stack_trial, opened = inequalities._stack_trial, inequalities.result_memo
+
+    def spy(*args):
+        stack_trial(*args)
+        filled.append(dict(radius._MEMO.get()))
+
+    @contextlib.contextmanager
+    def counting():
+        with opened():
+            yield
+            final.append(radius._MEMO.get())
+
+    monkeypatch.setattr(inequalities, "_stack_trial", spy)
+    monkeypatch.setattr(inequalities, "result_memo", counting)
+    ensembles = [EnsembleSpec(*parse_ensemble_id(text), 2024) for text in cli.DEFAULT_ENSEMBLES]
+    rep = inequalities.run_suite(ensembles, trials=1)
+    assert rep.errors == 0 and rep.failures == 0
+    # the golden block and the trial's: the cells add no entry and replace none
+    assert len(filled) == len(final) == 2
+    for before, after in zip(filled, final):
+        assert before and after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
+        # no blank was stored: every entry is a finished search
+        for value in after.values():
+            if isinstance(value, tuple):
+                assert all(math.isfinite(x) for x in value)
+            else:
+                assert math.isfinite(value.value)
+
+
+def test_no_blank_reaches_a_record(monkeypatch):
+    # the dry runs answer these checks' searches blank; the records are those
+    # of the same cells with the memo off, which makes every search for real
+    ensembles = [EnsembleSpec("ginibre", 2, 170), EnsembleSpec("square_zero", 3, 170)]
+    checks = ["omega-chain", "product", "lower-bound", "inf-upper"]
+
+    def run():
+        return inequalities.run_suite(ensembles, checks=checks, trials=2)
+
+    rep = run()
+    assert rep.records and all(rec.status == "ok" and math.isfinite(rec.slack)
+                               for rec in rep.records)
+    _memo_off(monkeypatch)
+    assert repr(run()) == repr(rep)
+
+
+def test_what_raises_in_the_dry_run_still_makes_its_record():
+    seen = []
+
+    def blank_averse(T, *, tol=inequalities.DEFAULT_TOL):
+        # raises on the blank the dry run answers, never on a searched value
+        w = radius.numerical_radius(T).value
+        seen.append(w)
+        if math.isnan(w):
+            raise RuntimeError("a blank value")
+        return inequalities.check_basic_bounds(T, tol=tol)
+
+    spy = inequalities.CheckDef(name="spy", tag="selftest", runner=blank_averse,
+                                kinds=("ginibre",))
+    # no anticommuting pair has an odd size: the draw raises, in the dry run too;
+    # lower-bound raises RequiresAlgebraNorm for wnum, which is no algebra norm
+    ensembles = [EnsembleSpec("ginibre", 2, 180),
+                 EnsembleSpec("anticommuting_hermitian_pair", 3, 180)]
+    rep = inequalities.run_suite(ensembles, checks=[spy, "commuting-product", "lower-bound"],
+                                 trials=1, norm=norms.parse_norm_id("wnum"))
+    status = {(r.name, r.ensemble): (r.status, r.note) for r in rep.records}
+    assert status[("spy", "ginibre:2")] == ("ok", "")
+    assert math.isnan(seen[0]) and math.isfinite(seen[1]) and len(seen) == 2
+    assert status[("commuting-product[wnum]", "anticommute:3")] == (
+        "error", "ValueError: anticommuting_hermitian_pair needs an even dim")
+    assert status[("lower-bound[wnum]", "ginibre:2")][0] == "inapplicable"
